@@ -1,10 +1,53 @@
 #include "topology/complex.h"
 
 #include <algorithm>
+#include <numeric>
 #include <sstream>
 #include <stdexcept>
+#include <unordered_set>
+
+#include "util/hash.h"
 
 namespace psph::topology {
+
+namespace {
+
+// Hash of a sorted vertex row: the mix SimplexHash uses, truncated to the 32
+// bits a table entry stores.
+std::uint32_t row_hash(const VertexId* row, std::size_t width) {
+  std::size_t seed = 0;
+  for (std::size_t i = 0; i < width; ++i) {
+    seed = util::hash_combine(seed, row[i]);
+  }
+  return static_cast<std::uint32_t>(util::hash_combine(seed, width));
+}
+
+std::uint32_t facet_hash(const Simplex& s) {
+  return row_hash(s.vertices().data(), s.size());
+}
+
+// Linear-probing insert into a power-of-two table of {hash, id + 1}
+// entries; the caller keeps the table at most 3/4 full.
+template <typename Entry>
+void place(std::vector<Entry>& table, Entry entry) {
+  const std::size_t mask = table.size() - 1;
+  std::size_t at = entry.hash & mask;
+  while (table[at].id != 0) at = (at + 1) & mask;
+  table[at] = entry;
+}
+
+// Moves the occupied entries that `keep` accepts into a fresh table of
+// `capacity` entries.
+template <typename Entry, typename Keep>
+void rehash(std::vector<Entry>& table, std::size_t capacity, Keep keep) {
+  std::vector<Entry> grown(capacity);
+  for (const Entry& entry : table) {
+    if (entry.id != 0 && keep(entry)) place(grown, entry);
+  }
+  table.swap(grown);
+}
+
+}  // namespace
 
 SimplicialComplex::SimplicialComplex(const SimplicialComplex& other) {
   *this = other;
@@ -21,7 +64,8 @@ SimplicialComplex& SimplicialComplex::operator=(
   min_facet_dim_ = other.min_facet_dim_;
   max_facet_dim_ = other.max_facet_dim_;
   by_vertex_ = other.by_vertex_;
-  facet_set_ = other.facet_set_;
+  index_ = other.index_;
+  index_used_ = other.index_used_;
   face_cache_ = other.face_cache_;
   face_cache_valid_.store(
       other.face_cache_valid_.load(std::memory_order_relaxed),
@@ -42,7 +86,8 @@ SimplicialComplex& SimplicialComplex::operator=(
   min_facet_dim_ = other.min_facet_dim_;
   max_facet_dim_ = other.max_facet_dim_;
   by_vertex_ = std::move(other.by_vertex_);
-  facet_set_ = std::move(other.facet_set_);
+  index_ = std::move(other.index_);
+  index_used_ = other.index_used_;
   face_cache_ = std::move(other.face_cache_);
   face_cache_valid_.store(
       other.face_cache_valid_.load(std::memory_order_relaxed),
@@ -50,6 +95,7 @@ SimplicialComplex& SimplicialComplex::operator=(
   other.live_count_ = 0;
   other.min_facet_dim_ = std::numeric_limits<int>::max();
   other.max_facet_dim_ = -1;
+  other.index_used_ = 0;
   other.face_cache_valid_.store(false, std::memory_order_relaxed);
   return *this;
 }
@@ -58,7 +104,8 @@ void SimplicialComplex::add_facet(Simplex s) {
   if (s.empty()) {
     throw std::invalid_argument("add_facet: empty simplex");
   }
-  if (facet_set_.count(s) != 0) return;
+  const std::uint32_t hash = facet_hash(s);
+  if (has_facet(s, hash)) return;
   if (dominated(s)) return;
   invalidate_face_cache();
 
@@ -67,7 +114,8 @@ void SimplicialComplex::add_facet(Simplex s) {
   // excluded). Any strictly contained facet shares s's vertices, so
   // scanning the per-vertex slot lists of s's vertices — filtered to lower
   // dimension — finds them all. On pure complexes both scans are no-ops, so
-  // bulk construction (pseudosphere products) is O(1) per facet.
+  // bulk construction (pseudosphere products) is O(1) per facet. A removed
+  // facet's index entry goes stale in place (see index_).
   if (min_facet_dim_ < s.dimension()) {
     std::vector<std::size_t> candidates;
     for (VertexId v : s.vertices()) {
@@ -82,26 +130,18 @@ void SimplicialComplex::add_facet(Simplex s) {
       const Simplex& facet = slots_[slot];
       if (facet.empty()) continue;  // tombstone
       if (facet.dimension() < s.dimension() && facet.is_face_of(s)) {
-        facet_set_.erase(facet);
         slots_[slot] = Simplex();
         --live_count_;
       }
     }
   }
-
-  const std::size_t slot = slots_.size();
-  for (VertexId v : s.vertices()) by_vertex_[v].push_back(slot);
-  min_facet_dim_ = std::min(min_facet_dim_, s.dimension());
-  max_facet_dim_ = std::max(max_facet_dim_, s.dimension());
-  facet_set_.insert(s);
-  slots_.push_back(std::move(s));
-  ++live_count_;
+  append_facet(std::move(s), hash);
 }
 
 bool SimplicialComplex::dominated(const Simplex& s) const {
   // Only *strictly* larger facets can properly contain s (improper
-  // containment, i.e. equality, is handled by the facet_set_ hash lookups
-  // at the call sites). A facet containing s must contain s's first vertex.
+  // containment, i.e. equality, is handled by the facet-index lookups at
+  // the call sites). A facet containing s must contain s's first vertex.
   if (max_facet_dim_ <= s.dimension()) return false;
   const auto it = by_vertex_.find(s[0]);
   if (it == by_vertex_.end()) return false;
@@ -115,9 +155,40 @@ bool SimplicialComplex::dominated(const Simplex& s) const {
   return false;
 }
 
-void SimplicialComplex::reserve(std::size_t additional) {
-  slots_.reserve(slots_.size() + additional);
-  facet_set_.reserve(facet_set_.size() + additional);
+bool SimplicialComplex::has_facet(const Simplex& s,
+                                  std::uint32_t hash) const {
+  if (index_.empty()) return false;
+  const std::size_t mask = index_.size() - 1;
+  for (std::size_t at = hash & mask; index_[at].id != 0;
+       at = (at + 1) & mask) {
+    if (index_[at].hash == hash && slots_[index_[at].id - 1] == s) {
+      return true;
+    }
+  }
+  return false;
+}
+
+void SimplicialComplex::append_facet(Simplex s, std::uint32_t hash) {
+  if ((index_used_ + 1) * 4 > index_.size() * 3) grow_index(live_count_ + 1);
+  const std::size_t slot = slots_.size();
+  place(index_, IndexEntry{hash, static_cast<std::uint32_t>(slot + 1)});
+  ++index_used_;
+  for (VertexId v : s.vertices()) by_vertex_[v].push_back(slot);
+  min_facet_dim_ = std::min(min_facet_dim_, s.dimension());
+  max_facet_dim_ = std::max(max_facet_dim_, s.dimension());
+  slots_.push_back(std::move(s));
+  ++live_count_;
+}
+
+void SimplicialComplex::grow_index(std::size_t entries) {
+  std::size_t capacity = std::max<std::size_t>(16, index_.size() * 2);
+  while (entries * 4 > capacity * 3) capacity *= 2;
+  // Stale entries (erased facets' tombstone slots) are dropped; every live
+  // facet has exactly one entry.
+  rehash(index_, capacity, [this](const IndexEntry& entry) {
+    return !slots_[entry.id - 1].empty();
+  });
+  index_used_ = live_count_;
 }
 
 void SimplicialComplex::add_facets(std::vector<Simplex> facets) {
@@ -127,13 +198,22 @@ void SimplicialComplex::add_facets(std::vector<Simplex> facets) {
     if (s.empty()) throw std::invalid_argument("add_facet: empty simplex");
     if (s.dimension() != batch_dim) batch_dim = -2;  // mixed batch
   }
+  // Growth policy: room for the whole batch, at least doubling. Sizing to
+  // exactly size + batch would reallocate the slots and rehash the index
+  // on every small batch, which makes batched construction quadratic.
+  const std::size_t want = slots_.size() + facets.size();
+  if (want > slots_.capacity()) {
+    slots_.reserve(std::max(want, 2 * slots_.capacity()));
+  }
+  if ((index_used_ + facets.size()) * 4 > index_.size() * 3) {
+    grow_index(live_count_ + facets.size());
+  }
   const bool complex_compatible =
       live_count_ == 0 ||
       (min_facet_dim_ == batch_dim && max_facet_dim_ == batch_dim);
   if (batch_dim < 0 || !complex_compatible) {
     // Mixed dimensions somewhere: domination is possible, take the scanning
     // path facet by facet.
-    reserve(facets.size());
     for (Simplex& s : facets) add_facet(std::move(s));
     return;
   }
@@ -141,16 +221,11 @@ void SimplicialComplex::add_facets(std::vector<Simplex> facets) {
   // batch_dim, so no facet can strictly contain another — domination scans
   // are provably no-ops and only exact-duplicate detection remains.
   invalidate_face_cache();
-  reserve(facets.size());
   for (Simplex& s : facets) {
-    if (!facet_set_.insert(s).second) continue;  // exact duplicate
-    const std::size_t slot = slots_.size();
-    for (VertexId v : s.vertices()) by_vertex_[v].push_back(slot);
-    slots_.push_back(std::move(s));
-    ++live_count_;
+    const std::uint32_t hash = facet_hash(s);
+    if (has_facet(s, hash)) continue;  // exact duplicate
+    append_facet(std::move(s), hash);
   }
-  min_facet_dim_ = batch_dim;
-  max_facet_dim_ = batch_dim;
 }
 
 void SimplicialComplex::merge(const SimplicialComplex& other) {
@@ -183,7 +258,7 @@ void SimplicialComplex::for_each_facet(
 
 bool SimplicialComplex::contains(const Simplex& s) const {
   if (s.empty()) return !empty();
-  return dominated(s) || facet_set_.count(s) != 0;
+  return dominated(s) || has_facet(s, facet_hash(s));
 }
 
 void SimplicialComplex::invalidate_face_cache() {
@@ -196,127 +271,114 @@ void SimplicialComplex::invalidate_face_cache() {
 void SimplicialComplex::build_face_cache() const {
   face_cache_.clear();
   if (max_facet_dim_ < 0) return;
-  face_cache_.resize(static_cast<std::size_t>(max_facet_dim_) + 1);
+  const std::size_t levels = static_cast<std::size_t>(max_facet_dim_) + 1;
+  face_cache_.resize(levels);
 
   // Top-down level enumeration: the d-simplexes are exactly the facets of
   // dimension d plus the codim-1 faces of the (d+1)-simplexes, so each face
   // is generated from the level above instead of re-enumerating the full
-  // 2^k subset lattice of every facet. Each level's dedup map doubles as
-  // its final index, and the codim-1 lookups that dedup level d are
-  // recorded as boundary links for level d+1 — the boundary operator comes
-  // out of the same hashing that builds the cache. Probes go through the
-  // transparent hash with a reused scratch buffer, so only first sightings
-  // of a face allocate.
-  std::vector<std::vector<const Simplex*>> facets_by_dim(
-      static_cast<std::size_t>(max_facet_dim_) + 1);
+  // 2^k subset lattice of every facet. Each level's rows are interned in a
+  // local open-addressing table (stored hash + row id, linear probing), and
+  // the codim-1 lookups that dedup level d are recorded as boundary links
+  // for level d+1 — the boundary operator comes out of the same hashing
+  // that builds the cache. Rows live in one flat array per level, so no
+  // face costs an allocation of its own.
+  std::vector<std::vector<const Simplex*>> facets_by_dim(levels);
   for (const Simplex& facet : slots_) {
     if (facet.empty()) continue;
     facets_by_dim[static_cast<std::size_t>(facet.dimension())].push_back(
         &facet);
   }
 
-  // Per-level dedup runs on a local open-addressing table (stored hash +
-  // pool id, linear probing) instead of the public unordered_map index: no
-  // node allocation and no Simplex copy per unique face, which matters
-  // because this build sits on the homology hot path. The public per-level
-  // index map is materialized lazily in face_index_of_dim, which only
-  // diagnostics and tests call.
-  const SimplexHash hasher;
-  std::vector<std::uint64_t> slot_hash;
-  std::vector<std::uint32_t> slot_id;  // pool id + 1; 0 = empty
-  std::vector<VertexId> scratch;
-  for (int d = max_facet_dim_; d >= 0; --d) {
-    FaceTable& table = face_cache_[static_cast<std::size_t>(d)];
-    std::vector<Simplex> pool;  // insertion order, re-sorted below
-    // Each (d+1)-simplex contributes d+2 codim-1 probes and interior faces
-    // are shared by ≥2 cofaces, so half the probe count (plus this level's
-    // facets) bounds the live entries closely enough in practice.
+  std::vector<IndexEntry> table;
+  std::vector<VertexId> pool;  // this level's rows in insertion order
+  std::vector<VertexId> key(levels);
+  for (std::size_t width = levels; width >= 1; --width) {
+    const std::vector<const Simplex*>& own = facets_by_dim[width - 1];
+    FaceTable* above = width < levels ? &face_cache_[width] : nullptr;
     const std::size_t above_count =
-        d < max_facet_dim_
-            ? face_cache_[static_cast<std::size_t>(d) + 1].faces.size()
-            : 0;
-    const std::size_t estimate =
-        facets_by_dim[static_cast<std::size_t>(d)].size() +
-        above_count * (static_cast<std::size_t>(d) + 2) / 2 + 1;
-    pool.reserve(estimate);
-    std::size_t cap = 16;
-    while (cap < estimate * 2) cap <<= 1;
-    slot_hash.assign(cap, 0);
-    slot_id.assign(cap, 0);
-    const auto grow = [&]() {
-      const std::size_t bigger = cap * 2;
-      std::vector<std::uint64_t> old_hash(bigger, 0);
-      std::vector<std::uint32_t> old_id(bigger, 0);
-      old_hash.swap(slot_hash);
-      old_id.swap(slot_id);
-      for (std::size_t s = 0; s < cap; ++s) {
-        if (old_id[s] == 0) continue;
-        std::size_t at = old_hash[s] & (bigger - 1);
-        while (slot_id[at] != 0) at = (at + 1) & (bigger - 1);
-        slot_hash[at] = old_hash[s];
-        slot_id[at] = old_id[s];
+        above != nullptr ? above->rows.size() / (width + 1) : 0;
+    pool.clear();
+    std::size_t n = 0;
+    if (above == nullptr) {
+      // Top level: only facets, which the facet index keeps distinct, so no
+      // intern table is needed (skipping it lowers the build's peak memory).
+      pool.reserve(own.size() * width);
+      for (const Simplex* facet : own) {
+        pool.insert(pool.end(), facet->vertices().begin(),
+                    facet->vertices().end());
       }
-      cap = bigger;
-    };
-    // Returns the pool id for `key`, appending a new Simplex on first
-    // sighting. `h` is the key's SimplexHash value.
-    const auto intern = [&](const std::vector<VertexId>& key,
-                            std::uint64_t h) {
-      std::size_t at = h & (cap - 1);
-      while (slot_id[at] != 0) {
-        if (slot_hash[at] == h &&
-            pool[slot_id[at] - 1].vertices() == key) {
-          return static_cast<std::size_t>(slot_id[at] - 1);
-        }
-        at = (at + 1) & (cap - 1);
-      }
-      const std::size_t id = pool.size();
-      pool.emplace_back(key);
-      slot_hash[at] = h;
-      slot_id[at] = static_cast<std::uint32_t>(id + 1);
-      if ((pool.size() + 1) * 4 > cap * 3) grow();
-      return id;
-    };
-    // Facets of dimension d first. Maximality makes them distinct from
-    // every face generated from the level above (a facet that appeared
-    // there would be a face of another facet), but they still seed the
-    // table so probes from above dedup against them.
-    for (const Simplex* facet : facets_by_dim[static_cast<std::size_t>(d)]) {
-      intern(facet->vertices(), hasher(facet->vertices()));
-    }
-    FaceTable* above = d < max_facet_dim_
-                           ? &face_cache_[static_cast<std::size_t>(d) + 1]
-                           : nullptr;
-    if (above != nullptr) {
-      above->boundary_links.reserve(above->faces.size() *
-                                    (static_cast<std::size_t>(d) + 2));
-      for (const Simplex& face : above->faces) {
-        const std::vector<VertexId>& vs = face.vertices();
-        for (std::size_t omit = 0; omit < vs.size(); ++omit) {
-          scratch.clear();
-          for (std::size_t i = 0; i < vs.size(); ++i) {
-            if (i != omit) scratch.push_back(vs[i]);
+      n = own.size();
+    } else {
+      // Each (d+1)-simplex contributes d+2 codim-1 probes and interior
+      // faces are shared by ≥2 cofaces, so half the probe count (plus this
+      // level's facets) bounds the live entries closely enough in practice.
+      const std::size_t estimate =
+          own.size() + above_count * (width + 1) / 2 + 1;
+      pool.reserve(estimate * width);
+      std::size_t cap = 16;
+      while (cap < estimate * 2) cap <<= 1;
+      table.assign(cap, IndexEntry{});
+      // Returns the row id of `row`, appending it on first sighting.
+      const auto intern = [&](const VertexId* row) {
+        const std::uint32_t h = row_hash(row, width);
+        const std::size_t mask = table.size() - 1;
+        std::size_t at = h & mask;
+        for (; table[at].id != 0; at = (at + 1) & mask) {
+          const std::size_t id = table[at].id - 1;
+          if (table[at].hash == h &&
+              std::equal(row, row + width, pool.data() + id * width)) {
+            return id;
           }
-          above->boundary_links.push_back(intern(scratch, hasher(scratch)));
+        }
+        pool.insert(pool.end(), row, row + width);
+        table[at] = IndexEntry{h, static_cast<std::uint32_t>(++n)};
+        if ((n + 1) * 4 > table.size() * 3) {
+          rehash(table, table.size() * 2, [](const IndexEntry&) {
+            return true;
+          });
+        }
+        return n - 1;
+      };
+      // Facets of dimension d first. Maximality makes them distinct from
+      // every face generated from the level above (a facet that appeared
+      // there would be a face of another facet), but they still seed the
+      // table so probes from above dedup against them.
+      for (const Simplex* facet : own) intern(facet->vertices().data());
+      above->boundary_links.resize(above_count * (width + 1));
+      std::size_t* link = above->boundary_links.data();
+      const VertexId* face = above->rows.data();
+      for (std::size_t c = 0; c < above_count; ++c, face += width + 1) {
+        for (std::size_t omit = 0; omit <= width; ++omit) {
+          std::copy(face, face + omit, key.begin());
+          std::copy(face + omit + 1, face + width + 1, key.begin() + omit);
+          *link++ = intern(key.data());
         }
       }
     }
-    // Re-rank this level into sorted order; fix the links recorded for the
-    // level above in place.
-    const std::size_t n = pool.size();
-    std::vector<std::size_t> perm(n);
-    for (std::size_t i = 0; i < n; ++i) perm[i] = i;
+    // Sort this level by permuting row ids; fix the links recorded for the
+    // level above in place. Rows of one width compare lexicographically
+    // exactly as the Simplexes they spell.
+    std::vector<std::uint32_t> perm(n);
+    std::iota(perm.begin(), perm.end(), 0u);
+    const VertexId* rows = pool.data();
     std::sort(perm.begin(), perm.end(),
-              [&pool](std::size_t a, std::size_t b) {
-                return pool[a] < pool[b];
+              [rows, width](std::uint32_t a, std::uint32_t b) {
+                return std::lexicographical_compare(
+                    rows + a * width, rows + (a + 1) * width,
+                    rows + b * width, rows + (b + 1) * width);
               });
-    std::vector<std::size_t> sorted_rank(n);
-    for (std::size_t i = 0; i < n; ++i) sorted_rank[perm[i]] = i;
-    table.faces.resize(n);
+    FaceTable& level = face_cache_[width - 1];
+    level.rows.resize(n * width);
     for (std::size_t i = 0; i < n; ++i) {
-      table.faces[i] = std::move(pool[perm[i]]);
+      std::copy(rows + perm[i] * width, rows + (perm[i] + 1) * width,
+                level.rows.begin() + static_cast<std::ptrdiff_t>(i * width));
     }
     if (above != nullptr) {
+      std::vector<std::uint32_t> sorted_rank(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        sorted_rank[perm[i]] = static_cast<std::uint32_t>(i);
+      }
       for (std::size_t& link : above->boundary_links) {
         link = sorted_rank[link];
       }
@@ -339,10 +401,28 @@ const SimplicialComplex::FaceTable* SimplicialComplex::face_table(
   return &face_cache_[static_cast<std::size_t>(d)];
 }
 
+SimplicialComplex::FaceTable& SimplicialComplex::materialize_faces(
+    int d) const {
+  // Caller holds face_cache_mutex_ and has warmed the cache. Every level in
+  // [0, dimension()] has at least one row, so an empty list means unbuilt.
+  FaceTable& table = face_cache_[static_cast<std::size_t>(d)];
+  if (table.faces.empty()) {
+    const std::size_t width = static_cast<std::size_t>(d) + 1;
+    table.faces.reserve(table.rows.size() / width);
+    for (auto row = table.rows.begin(); row != table.rows.end();
+         row += static_cast<std::ptrdiff_t>(width)) {
+      table.faces.emplace_back(
+          std::vector<VertexId>(row, row + static_cast<std::ptrdiff_t>(width)));
+    }
+  }
+  return table;
+}
+
 const std::vector<Simplex>& SimplicialComplex::simplices_of_dim(int d) const {
   static const std::vector<Simplex> kNoFaces;
-  const FaceTable* table = face_table(d);
-  return table ? table->faces : kNoFaces;
+  if (face_table(d) == nullptr) return kNoFaces;
+  std::lock_guard<std::mutex> lock(face_cache_mutex_);
+  return materialize_faces(d).faces;
 }
 
 const std::unordered_map<Simplex, std::size_t, SimplexHash, SimplexEq>&
@@ -351,11 +431,9 @@ SimplicialComplex::face_index_of_dim(int d) const {
                                   SimplexEq>
       kNoIndex;
   if (face_table(d) == nullptr) return kNoIndex;
-  // The index map is not needed by the homology engine, so the cache build
-  // skips it; materialize it on first request (diagnostics and tests).
   std::lock_guard<std::mutex> lock(face_cache_mutex_);
-  FaceTable& table = face_cache_[static_cast<std::size_t>(d)];
-  if (table.index.empty() && !table.faces.empty()) {
+  FaceTable& table = materialize_faces(d);
+  if (table.index.empty()) {
     table.index.reserve(table.faces.size());
     for (std::size_t i = 0; i < table.faces.size(); ++i) {
       table.index.emplace(table.faces[i], i);
@@ -373,7 +451,8 @@ const std::vector<std::size_t>& SimplicialComplex::boundary_links_of_dim(
 }
 
 std::size_t SimplicialComplex::count_of_dim(int d) const {
-  return simplices_of_dim(d).size();
+  const FaceTable* table = face_table(d);
+  return table ? table->rows.size() / (static_cast<std::size_t>(d) + 1) : 0;
 }
 
 std::vector<VertexId> SimplicialComplex::vertex_ids() const {
@@ -391,8 +470,8 @@ std::vector<std::size_t> SimplicialComplex::f_vector() const {
   warm_face_cache();
   std::vector<std::size_t> result;
   result.reserve(face_cache_.size());
-  for (const FaceTable& table : face_cache_) {
-    result.push_back(table.faces.size());
+  for (std::size_t d = 0; d < face_cache_.size(); ++d) {
+    result.push_back(face_cache_[d].rows.size() / (d + 1));
   }
   return result;
 }
@@ -417,7 +496,9 @@ bool SimplicialComplex::is_pure() const {
 bool SimplicialComplex::operator==(const SimplicialComplex& other) const {
   if (live_count_ != other.live_count_) return false;
   for (const Simplex& facet : slots_) {
-    if (!facet.empty() && other.facet_set_.count(facet) == 0) return false;
+    if (!facet.empty() && !other.has_facet(facet, facet_hash(facet))) {
+      return false;
+    }
   }
   return true;
 }

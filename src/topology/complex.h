@@ -19,12 +19,12 @@
 
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <limits>
 #include <mutex>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "topology/simplex.h"
@@ -51,10 +51,9 @@ class SimplicialComplex {
   /// pseudospheres), insertion takes a fast lane that skips the per-facet
   /// domination scans entirely — only the exact-duplicate hash check
   /// remains. Mixed-dimension batches fall back to add_facet per facet.
+  /// The facet tables grow geometrically, so many small batches cost the
+  /// same amortized time per facet as one large one.
   void add_facets(std::vector<Simplex> facets);
-
-  /// Pre-sizes the facet tables for `additional` more facets.
-  void reserve(std::size_t additional);
 
   /// Inserts every facet of `other`.
   void merge(const SimplicialComplex& other);
@@ -78,8 +77,10 @@ class SimplicialComplex {
   bool contains(const Simplex& s) const;
 
   /// All distinct d-simplexes in sorted order, from the face cache. The
-  /// reference is valid until the next mutation. Empty for d outside
-  /// [0, dimension()].
+  /// cache stores faces as flat vertex rows; this list is built from them on
+  /// first request, so callers that need only counts or boundary links
+  /// should use count_of_dim / boundary_links_of_dim. The reference is
+  /// valid until the next mutation. Empty for d outside [0, dimension()].
   const std::vector<Simplex>& simplices_of_dim(int d) const;
 
   /// Index map of the d-simplexes: maps each simplex to its position in
@@ -140,21 +141,34 @@ class SimplicialComplex {
   std::string to_string() const;
 
  private:
-  friend class FacetIndex;
-
-  // One dimension's slice of the face lattice: the sorted d-simplex list,
-  // the rank of each simplex in it (boundary-operator row/col ids), and the
-  // flattened codim-1 face links ((d+1) row indices per face, omit order).
+  // One dimension's slice of the face lattice. The d-simplexes are one flat
+  // array of (d+1)-wide vertex rows in sorted order; a row's position is the
+  // simplex's rank (boundary-operator row/col id). boundary_links holds the
+  // flattened codim-1 face ranks ((d+1) per row, omit order). The Simplex
+  // list and the index map are built from the rows on first request, under
+  // the cache mutex.
   struct FaceTable {
+    std::vector<VertexId> rows;
+    std::vector<std::size_t> boundary_links;
     std::vector<Simplex> faces;
     std::unordered_map<Simplex, std::size_t, SimplexHash, SimplexEq> index;
-    std::vector<std::size_t> boundary_links;
+  };
+
+  // One open-addressing entry: a key's hash beside its id + 1 (0 = empty).
+  // The facet index keys slots_ ids; the face-cache build keys face rows.
+  struct IndexEntry {
+    std::uint32_t hash = 0;
+    std::uint32_t id = 0;
   };
 
   bool dominated(const Simplex& s) const;
+  bool has_facet(const Simplex& s, std::uint32_t hash) const;
+  void append_facet(Simplex s, std::uint32_t hash);
+  void grow_index(std::size_t entries);
   void invalidate_face_cache();
   void build_face_cache() const;
   const FaceTable* face_table(int d) const;
+  FaceTable& materialize_faces(int d) const;
 
   // Stable slots; erased facets become empty simplexes (tombstones).
   std::vector<Simplex> slots_;
@@ -169,10 +183,16 @@ class SimplicialComplex {
   // vertex -> slot indices of live facets containing it (may contain stale
   // slot references which are skipped on read).
   std::unordered_map<VertexId, std::vector<std::size_t>> by_vertex_;
-  std::unordered_set<Simplex, SimplexHash> facet_set_;
+  // Facet index: open addressing with linear probing over slots_ ids, at
+  // most 3/4 full, capacity a power of two. Erasing a facet leaves its
+  // entry behind pointing at a tombstone slot, which never equals a live
+  // key; the next grow drops it. index_used_ counts live and stale entries.
+  std::vector<IndexEntry> index_;
+  std::size_t index_used_ = 0;
 
   // Lazily built face lattice, entry d = FaceTable for the d-simplexes.
-  // Double-checked: readers take the mutex only while the flag is false.
+  // Double-checked: readers take the mutex only while the flag is false,
+  // or to materialize a table's Simplex list / index map.
   mutable std::vector<FaceTable> face_cache_;
   mutable std::atomic<bool> face_cache_valid_{false};
   mutable std::mutex face_cache_mutex_;

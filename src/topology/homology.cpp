@@ -24,12 +24,12 @@ obs::Counter g_obs_snf_dims("homology.snf_dims");
 
 math::SparseMatrix boundary_matrix(const SimplicialComplex& k, int d) {
   if (d < 0) throw std::invalid_argument("boundary_matrix: d < 0");
-  const std::vector<Simplex>& columns = k.simplices_of_dim(d);
+  const std::size_t columns = k.count_of_dim(d);
 
   if (d == 0) {
     // Augmentation C_0 → Z: one row of ones.
-    math::SparseMatrix matrix(1, columns.size());
-    for (std::size_t c = 0; c < columns.size(); ++c) matrix.set(0, c, 1);
+    math::SparseMatrix matrix(1, columns);
+    for (std::size_t c = 0; c < columns; ++c) matrix.set(0, c, 1);
     return matrix;
   }
 
@@ -39,19 +39,19 @@ math::SparseMatrix boundary_matrix(const SimplicialComplex& k, int d) {
   const std::vector<std::size_t>& links = k.boundary_links_of_dim(d);
   const std::size_t faces_per_col = static_cast<std::size_t>(d) + 1;
 
-  math::SparseMatrix matrix(k.count_of_dim(d - 1), columns.size());
+  math::SparseMatrix matrix(k.count_of_dim(d - 1), columns);
   {
     // One counting pass sizes every row exactly, so the column-major fill
     // below never reallocates.
     std::vector<std::uint32_t> row_count(matrix.rows(), 0);
-    for (std::size_t e = 0; e < columns.size() * faces_per_col; ++e) {
+    for (std::size_t e = 0; e < columns * faces_per_col; ++e) {
       ++row_count[links[e]];
     }
     for (std::size_t r = 0; r < matrix.rows(); ++r) {
       matrix.reserve_row(r, row_count[r]);
     }
   }
-  for (std::size_t c = 0; c < columns.size(); ++c) {
+  for (std::size_t c = 0; c < columns; ++c) {
     std::int64_t sign = 1;
     for (std::size_t omit = 0; omit < faces_per_col; ++omit) {
       matrix.set(links[c * faces_per_col + omit], c, sign);

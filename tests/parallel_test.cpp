@@ -178,6 +178,79 @@ TEST_F(ParallelTest, ConnectivityIdenticalAcrossThreadCounts) {
   EXPECT_EQ(serial, 2);
 }
 
+// Every face query's answer for dimensions -1..dimension()+1, the index map
+// as (simplex, rank) pairs in rank order.
+struct FaceAnswers {
+  std::vector<std::size_t> counts;
+  std::vector<std::vector<topology::Simplex>> simplices;
+  std::vector<std::vector<std::pair<topology::Simplex, std::size_t>>> index;
+  std::vector<std::vector<std::size_t>> links;
+  std::vector<std::size_t> f_vector;
+
+  bool operator==(const FaceAnswers& other) const = default;
+};
+
+// Queries the dimensions starting from `first`, so concurrent callers race
+// on different tables first; answers are stored by dimension either way.
+FaceAnswers query_faces(const topology::SimplicialComplex& k, int first) {
+  const int lo = -1;
+  const int hi = k.dimension() + 1;
+  const std::size_t levels = static_cast<std::size_t>(hi - lo + 1);
+  FaceAnswers out;
+  out.counts.resize(levels);
+  out.simplices.resize(levels);
+  out.index.resize(levels);
+  out.links.resize(levels);
+  for (std::size_t step = 0; step < levels; ++step) {
+    const std::size_t at =
+        (static_cast<std::size_t>(first) + step) % levels;
+    const int d = lo + static_cast<int>(at);
+    out.counts[at] = k.count_of_dim(d);
+    out.simplices[at] = k.simplices_of_dim(d);
+    const auto& index = k.face_index_of_dim(d);
+    out.index[at].assign(index.begin(), index.end());
+    std::sort(out.index[at].begin(), out.index[at].end(),
+              [](const auto& a, const auto& b) { return a.second < b.second; });
+    out.links[at] = k.boundary_links_of_dim(d);
+  }
+  out.f_vector = k.f_vector();
+  return out;
+}
+
+// Eight threads query one cold complex at once: whichever thread arrives
+// first builds the face cache, and the Simplex lists and index maps are
+// built on first request, all behind the cache mutex. Every answer must
+// equal a serial pass over an identical complex.
+TEST_F(ParallelTest, ConcurrentFaceQueriesOnColdComplexMatchSerial) {
+  using Build = topology::SimplicialComplex (*)();
+  const Build builds[] = {
+      [] { return fig1_binary_pseudosphere(4); },
+      [] { return fig3_sync_one_round(); },
+  };
+  for (const Build build : builds) {
+    const FaceAnswers serial = query_faces(build(), 0);
+    const topology::SimplicialComplex cold = build();
+    constexpr int kThreads = 8;
+    std::vector<FaceAnswers> answers(kThreads);
+    std::atomic<bool> go{false};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+        answers[static_cast<std::size_t>(t)] = query_faces(cold, t);
+      });
+    }
+    go.store(true, std::memory_order_release);
+    for (std::thread& thread : threads) thread.join();
+    ASSERT_FALSE(serial.simplices.empty());
+    EXPECT_EQ(serial.f_vector, cold.f_vector());
+    for (int t = 0; t < kThreads; ++t) {
+      EXPECT_TRUE(answers[static_cast<std::size_t>(t)] == serial)
+          << "thread " << t << " on " << cold.to_string();
+    }
+  }
+}
+
 TEST_F(ParallelTest, SmithNormalFormIdenticalAcrossThreadCounts) {
   // The dense SNF's parallel row-clearing phase must not change the
   // computed invariant factors (they are canonical, but this checks the

@@ -154,8 +154,8 @@ TEST(Property, SkeletonIdempotentAndMonotone) {
 // ---- Differential homology suite ----
 //
 // One generator, three independent oracles per case:
-//   1. bulk add_facets == incremental add_facet (two insertion paths, one
-//      complex),
+//   1. bulk add_facets == one add_facets({s}) per facet == incremental
+//      add_facet (three insertion paths, one complex),
 //   2. χ from the f-vector == 1 + Σ (-1)^d β̃_d over GF(2) and GF(3) (the
 //      alternating-sum identity holds over every field, torsion or not),
 //   3. universal coefficients: β̃_d(GF(q)) = β̃_d(Z) + t_q(d) + t_q(d-1),
@@ -188,13 +188,21 @@ TEST(PropertyDifferential, HomologyAgreesAcrossEnginesAndFields) {
     const std::vector<Simplex> facet_list =
         random_facets(rng, vertices, facets, max_dim);
 
-    // (1) Two insertion paths must produce the same complex.
+    // (1) Three insertion paths must produce the same complex: one facet at
+    // a time, one bulk batch, and one single-facet batch per facet (the
+    // construction pipeline's consume pattern).
     SimplicialComplex incremental;
     for (const Simplex& s : facet_list) incremental.add_facet(s);
     SimplicialComplex bulk;
     bulk.add_facets(facet_list);
+    SimplicialComplex batched;
+    for (const Simplex& s : facet_list) batched.add_facets({s});
     ASSERT_EQ(incremental, bulk)
         << "add_facets != add_facet; seed=" << seed << " trial=" << trial;
+    ASSERT_EQ(batched, incremental)
+        << "add_facets({s}) != add_facet; seed=" << seed << " trial=" << trial;
+    ASSERT_EQ(batched, bulk) << "add_facets({s}) != add_facets; seed=" << seed
+                             << " trial=" << trial;
 
     const SimplicialComplex& k = incremental;
     if (k.empty()) continue;

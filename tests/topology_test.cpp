@@ -135,14 +135,68 @@ TEST(Complex, AddFacetsMixedBatchKeepsMaximality) {
   EXPECT_THROW(k.add_facets({Simplex{6}, Simplex()}), std::invalid_argument);
 }
 
-TEST(Complex, AddFacetsEmptyBatchAndReserve) {
+TEST(Complex, AddFacetsEmptyBatchAndGrowth) {
   SimplicialComplex k;
   k.add_facets({});
   EXPECT_TRUE(k.empty());
-  k.reserve(64);
-  EXPECT_TRUE(k.empty());
   k.add_facet(Simplex{1, 2});
   EXPECT_EQ(k.facet_count(), 1u);
+  // Many one-facet batches (the construction consume pattern) grow the
+  // tables past several capacities.
+  for (VertexId v = 10; v < 300; ++v) k.add_facets({Simplex{v, v + 1000}});
+  k.add_facets({});
+  EXPECT_EQ(k.facet_count(), 291u);
+  EXPECT_TRUE(k.contains(Simplex{1, 2}));
+  EXPECT_TRUE(k.contains(Simplex{299, 1299}));
+  EXPECT_FALSE(k.contains(Simplex{299, 1298}));
+}
+
+TEST(Complex, FacetIndexTombstones) {
+  SimplicialComplex k;
+  k.add_facet(Simplex{1, 2});
+  k.add_facet(Simplex{1, 2, 3});  // erases {1,2}: its index entry goes stale
+  EXPECT_EQ(k.facet_count(), 1u);
+  k.add_facet(Simplex{1, 2});  // dominated, so a no-op
+  k.add_facets({Simplex{1, 2}});
+  EXPECT_EQ(k.facet_count(), 1u);
+  EXPECT_EQ(k.facets(), (std::vector<Simplex>{Simplex{1, 2, 3}}));
+  // More stale entries: points swallowed by the edges added after them.
+  for (VertexId v = 20; v < 40; ++v) k.add_facet(Simplex{v});
+  for (VertexId v = 20; v < 40; v += 2) k.add_facet(Simplex{v, v + 1});
+  EXPECT_EQ(k.facet_count(), 11u);
+
+  // Enough facets to grow the index several times, which drops the stale
+  // entries; the complex must still equal one built without erasures.
+  SimplicialComplex direct;
+  direct.add_facet(Simplex{1, 2, 3});
+  for (VertexId v = 20; v < 40; v += 2) direct.add_facet(Simplex{v, v + 1});
+  for (VertexId v = 100; v < 400; ++v) {
+    const Simplex facet{v, v + 1000, v + 2000};
+    k.add_facet(facet);
+    direct.add_facet(facet);
+  }
+  EXPECT_EQ(k.facet_count(), 311u);
+  EXPECT_EQ(direct.facet_count(), 311u);
+  EXPECT_TRUE(k.contains(Simplex{1, 2}));
+  EXPECT_TRUE(k.contains(Simplex{1, 2, 3}));
+  EXPECT_TRUE(k.contains(Simplex{21}));
+  EXPECT_FALSE(k.contains(Simplex{21, 22}));
+  EXPECT_FALSE(k.contains(Simplex{1, 2, 4}));
+  EXPECT_EQ(k, direct);
+  EXPECT_EQ(direct, k);
+  EXPECT_EQ(k.f_vector(), direct.f_vector());
+
+  const SimplicialComplex copy = k;
+  EXPECT_EQ(copy, direct);
+  EXPECT_TRUE(copy.contains(Simplex{399, 1399, 2399}));
+  SimplicialComplex moved = std::move(k);
+  EXPECT_EQ(moved, direct);
+  moved.add_facet(Simplex{1, 2});  // still a no-op after copy and move
+  moved.add_facet(Simplex{398, 1398, 2398});
+  EXPECT_EQ(moved.facet_count(), 311u);
+  moved.add_facet(Simplex{5, 6});
+  EXPECT_EQ(moved.facet_count(), 312u);
+  EXPECT_NE(moved, copy);
 }
 
 TEST(Complex, AddFacetsInvalidatesFaceCache) {
