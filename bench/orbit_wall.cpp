@@ -5,7 +5,8 @@
 // count and f-vector either way; with --verify-full the full pipeline runs
 // too and the numbers must agree bit for bit (exit 1 otherwise). With
 // --json-out a machine-readable record (parameters, timings, counters,
-// spill stats, build context) is written for the experiment logs.
+// spill stats, build context) is written for the experiment logs;
+// --stats / --trace-out report the obs spans (build phases, f-vector).
 //
 // The point of the binary: datapoints whose *full* frontier no longer fits
 // in bench time or RAM stay reachable under --mode=orbit, and tiny
@@ -28,7 +29,6 @@
 #include "store/fs_ops.h"
 #include "store/frontier.h"
 #include "util/cli.h"
-#include "util/parallel.h"
 #include "util/timer.h"
 
 namespace {
@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
   std::string spool_dir;
   bool verify_full = false;
   std::string json_out;
-  int threads = 0;
+  bench::ObsOptions obs_options;
 
   util::Cli cli("orbit_wall",
                 "Build one protocol complex past the (n, r) wall via the "
@@ -81,9 +81,8 @@ int main(int argc, char** argv) {
   cli.flag("verify-full", &verify_full,
            "also run the full pipeline and require identical counts");
   cli.flag("json-out", &json_out, "write a JSON record of the run here");
-  cli.flag("threads", &threads, "worker threads (0 = PSPH_THREADS/default)");
+  bench::add_obs_flags(cli, &obs_options);
   cli.parse(argc, argv);
-  if (threads > 0) util::set_thread_count(threads);
   if (m1 <= 0) m1 = n1;
   if (m1 > n1) {
     std::fprintf(stderr, "--m must be <= --n\n");
@@ -291,5 +290,7 @@ int main(int argc, char** argv) {
     std::printf("json -> %s\n", json_out.c_str());
   }
 
-  return report.finish();
+  const int obs_exit = bench::finish_obs(obs_options);
+  const int exit_code = report.finish();
+  return exit_code != 0 ? exit_code : obs_exit;
 }

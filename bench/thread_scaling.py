@@ -19,7 +19,8 @@ purpose (and says so in its context block).
 
 Usage:
     python3 bench/thread_scaling.py --binary build/bench/perf_complexes \
-        --filter ProtocolComplex --threads 1,2,4 --out BENCH_scaling.json
+        --filter BM_DecisionEnginePortfolio/ --threads 1,2,4 \
+        --out BENCH_scaling.json
 """
 
 import argparse

@@ -10,7 +10,6 @@
 
 #include "obs/obs.h"
 #include "util/cancel.h"
-#include "util/parallel.h"
 
 namespace psph::core {
 
@@ -72,9 +71,8 @@ struct AsyncModel {
     --p.rounds;
     return p;
   }
-  template <typename Views, typename Arena>
   static void expand(const topology::Simplex& facet, const Params& p,
-                     Views& views, Arena& arena,
+                     ViewRegistry& views, topology::VertexArena& arena,
                      std::vector<detail::RoundGroup>* out) {
     detail::expand_async_round(facet, p, views, arena, out);
   }
@@ -100,9 +98,8 @@ struct SyncModel {
     p.total_failures -= failures_used;
     return p;
   }
-  template <typename Views, typename Arena>
   static void expand(const topology::Simplex& facet, const Params& p,
-                     Views& views, Arena& arena,
+                     ViewRegistry& views, topology::VertexArena& arena,
                      std::vector<detail::RoundGroup>* out) {
     detail::expand_sync_round(facet, p, views, arena, out);
   }
@@ -130,9 +127,8 @@ struct SemiSyncModel {
     p.total_failures -= failures_used;
     return p;
   }
-  template <typename Views, typename Arena>
   static void expand(const topology::Simplex& facet, const Params& p,
-                     Views& views, Arena& arena,
+                     ViewRegistry& views, topology::VertexArena& arena,
                      std::vector<detail::RoundGroup>* out) {
     detail::expand_semisync_round(facet, p, views, arena, out);
   }
@@ -154,9 +150,8 @@ struct IisModel {
     --p.rounds;
     return p;
   }
-  template <typename Views, typename Arena>
   static void expand(const topology::Simplex& facet, const Params&,
-                     Views& views, Arena& arena,
+                     ViewRegistry& views, topology::VertexArena& arena,
                      std::vector<detail::RoundGroup>* out) {
     detail::expand_iis_round(facet, views, arena, out);
   }
@@ -315,14 +310,6 @@ class LevelQueue {
   std::size_t count_ = 0;
 };
 
-// One scratch expansion's output, produced on a worker thread and consumed
-// by the serial remap pass.
-struct ScratchOut {
-  std::vector<View> new_views;
-  std::vector<topology::VertexLabel> new_vertices;
-  std::vector<detail::RoundGroup> groups;
-};
-
 template <typename Model>
 ConstructionCache::Key make_key(const topology::Simplex& facet,
                                 const typename Model::Params& params,
@@ -431,69 +418,15 @@ void run_pipeline(
       }
     }
 
-    // EXPAND. The canonical registries are frozen for the duration; scratch
-    // overlays only read them through the const-thread-safe find()/view()
-    // path. Each worker writes its own ScratchOut slot.
-    const std::size_t views_base = views.size();
-    const std::size_t arena_base = arena.size();
-    std::vector<ScratchOut> scratch(miss.size());
+    // EXPAND, in frontier order, straight into the canonical registries.
     {
       obs::SpanTimer span("construction.expand",
                           static_cast<std::int64_t>(miss.size()));
-      util::parallel_for(miss.size(), [&](std::size_t j) {
-        const Item& item = items[miss[j]];
-        ScratchViews scratch_views(views);
-        ScratchArena scratch_arena(arena);
-        Model::expand(item.facet, item.params, scratch_views, scratch_arena,
-                      &scratch[j].groups);
-        scratch[j].new_views = scratch_views.take_local();
-        scratch[j].new_vertices = scratch_arena.take_local();
-      });
-    }
-
-    // REMAP, serially in frontier order. Overlay ids partition at the
-    // *pre-expansion* base sizes, which every overlay saw identically.
-    {
-      obs::SpanTimer remap_span("construction.remap");
-      for (std::size_t j = 0; j < miss.size(); ++j) {
-        ScratchOut& out = scratch[j];
-
-        // New views reference only canonical parent states (a round's views
-        // never hear each other), so interning them in creation order needs
-        // no rewriting; hash-consing dedupes overlap with earlier items.
-        std::vector<StateId> state_map(out.new_views.size());
-        for (std::size_t i = 0; i < out.new_views.size(); ++i) {
-          View& v = out.new_views[i];
-          state_map[i] = views.intern_round(v.pid, v.round, std::move(v.heard));
-        }
-
-        std::vector<topology::VertexId> vertex_map(out.new_vertices.size());
-        for (std::size_t i = 0; i < out.new_vertices.size(); ++i) {
-          const topology::VertexLabel& label = out.new_vertices[i];
-          const StateId state =
-              label.state < views_base
-                  ? label.state
-                  : state_map[static_cast<std::size_t>(label.state -
-                                                       views_base)];
-          vertex_map[i] = arena.intern(label.pid, state);
-        }
-
-        for (detail::RoundGroup& group : out.groups) {
-          for (topology::Simplex& facet : group.facets) {
-            std::vector<topology::VertexId> mapped;
-            mapped.reserve(facet.vertices().size());
-            for (const topology::VertexId v : facet.vertices()) {
-              mapped.push_back(
-                  v < arena_base
-                      ? v
-                      : vertex_map[static_cast<std::size_t>(v) - arena_base]);
-            }
-            facet = topology::Simplex(std::move(mapped));
-          }
-        }
-
-        cache.store(items[miss[j]].key,
-                    ConstructionCache::Entry{std::move(out.groups)});
+      for (const std::size_t i : miss) {
+        ConstructionCache::Entry entry;
+        Model::expand(items[i].facet, items[i].params, views, arena,
+                      &entry.groups);
+        cache.store(items[i].key, std::move(entry));
       }
     }
 
@@ -626,6 +559,8 @@ OrbitComplexResult run_orbit(
 std::vector<std::size_t> orbit_full_f_vector(const OrbitComplexResult& result,
                                              ViewRegistry& views,
                                              topology::VertexArena& arena) {
+  obs::SpanTimer span("construction.orbit_fvector",
+                      static_cast<std::int64_t>(result.orbits.size()));
   OrbitContext ctx(result.group, views, arena);
   const std::size_t group_size = result.group.size();
   // Every face of the full complex is a face of some maximal facet g·H with
@@ -654,6 +589,8 @@ std::vector<std::size_t> orbit_full_f_vector(const OrbitComplexResult& result,
 topology::SimplicialComplex reconstitute_full(const OrbitComplexResult& result,
                                               ViewRegistry& views,
                                               topology::VertexArena& arena) {
+  obs::SpanTimer span("construction.orbit_reconstitute",
+                      static_cast<std::int64_t>(result.full_facet_count));
   OrbitContext ctx(result.group, views, arena);
   std::vector<topology::Simplex> facets;
   for (const OrbitRecord& rec : result.orbits) {

@@ -1,37 +1,25 @@
 #pragma once
 
-// Parallel, memoized multi-round protocol-complex construction.
+// Memoized multi-round protocol-complex construction.
 //
 // The r-round complexes of every model are inductive unions: expand each
 // facet of the one-round complex by another round, recursively. The naive
 // recursion (kept as the *_protocol_complex_seq reference functions) is
-// depth-first and serial. This module replaces it with a level-synchronous
-// pipeline that is parallel across facets and memoized across repeated
-// facets, while producing *bit-identical* registries, arenas, and complexes
-// at any thread count:
+// depth-first. This module replaces it with a level-synchronous pipeline
+// that is memoized across repeated facets and runs on the calling thread:
 //
 //   1. DEDUPE   — the frontier (all facets awaiting one round of expansion)
 //                 is deduplicated by (facet, model params). Hash-consing
 //                 makes repeated facets common from round 2 on.
 //   2. LOOKUP   — each unique item is looked up in the ConstructionCache;
 //                 hits skip expansion entirely.
-//   3. EXPAND   — cache misses are expanded concurrently via
-//                 util::parallel_for. Each worker runs the shared one-round
-//                 expander (round_ops.h) against a ScratchViews /
-//                 ScratchArena overlay: reads resolve against the frozen
-//                 canonical registries (const-thread-safe find()); newly
-//                 created views and vertices intern into thread-local
-//                 overlay storage with ids offset past the canonical sizes.
-//   4. REMAP    — a serial pass walks the missed items in frontier order
-//                 and interns each overlay's views and vertices into the
-//                 canonical registries in creation order, then rewrites the
-//                 produced facets through the resulting id maps. Because
-//                 both the frontier order and each overlay's creation order
-//                 are fixed by the model's enumeration order, canonical ids
-//                 never depend on thread scheduling. (A new round's views
-//                 only ever reference canonical parent states, never each
-//                 other, so no heard-list rewriting is required.)
-//   5. CONSUME  — final-round items merge their facets into the result via
+//   3. EXPAND   — cache misses are expanded in frontier order by the shared
+//                 one-round expander (round_ops.h), interning straight into
+//                 the canonical registries, and stored in the cache. Views
+//                 and vertices an earlier item of the same level created
+//                 are found by hash-consing, so ids are fixed by the
+//                 frontier order and the model's enumeration order alone.
+//   4. CONSUME  — final-round items merge their facets into the result via
 //                 SimplicialComplex::add_facets (bulk fast lane); earlier
 //                 rounds enqueue children with the failure budget reduced
 //                 per adversary group.
@@ -65,7 +53,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <stdexcept>
 #include <unordered_map>
 #include <vector>
@@ -137,105 +124,10 @@ struct ConstructionOptions {
   FrontierStorage* storage = nullptr;
 };
 
-/// Thread-local view overlay for the scratch-expansion phase. Lookups fall
-/// through to the frozen canonical registry (find(), const-thread-safe);
-/// new views get local ids starting at the canonical size, in creation
-/// order. The overlay never copies the base, so construction is O(1).
-class ScratchViews {
- public:
-  explicit ScratchViews(const ViewRegistry& base)
-      : base_(base), base_size_(base.size()) {}
-
-  int round(StateId id) const {
-    return id < base_size_
-               ? base_.round(id)
-               : local_[static_cast<std::size_t>(id - base_size_)].round;
-  }
-
-  StateId intern_round(ProcessId pid, int round,
-                       std::vector<HeardEntry> heard) {
-    View v = make_round_view(pid, round, std::move(heard));
-    if (const std::optional<StateId> hit = base_.find(v)) return *hit;
-    const auto it = index_.find(v);
-    if (it != index_.end()) return it->second;
-    const StateId id = static_cast<StateId>(base_size_ + local_.size());
-    index_.emplace(v, id);
-    local_.push_back(std::move(v));
-    return id;
-  }
-
-  std::size_t base_size() const { return base_size_; }
-
-  /// Local views in creation order (ids base_size(), base_size()+1, ...).
-  /// Leaves the overlay empty.
-  std::vector<View> take_local() {
-    index_.clear();
-    return std::move(local_);
-  }
-
- private:
-  const ViewRegistry& base_;
-  const std::size_t base_size_;
-  std::vector<View> local_;
-  std::unordered_map<View, StateId, ViewHash> index_;
-};
-
-/// Thread-local vertex overlay, same scheme as ScratchViews. Sound because
-/// every label in the base arena references a canonical state (id below the
-/// view base size), while labels minted during scratch expansion that
-/// reference *local* states carry ids at or past it — the two can never
-/// collide in the base index.
-class ScratchArena {
- public:
-  explicit ScratchArena(const topology::VertexArena& base)
-      : base_(base), base_size_(base.size()) {}
-
-  topology::ProcessId pid(topology::VertexId id) const {
-    return label_of(id).pid;
-  }
-  StateId state(topology::VertexId id) const { return label_of(id).state; }
-
-  topology::VertexId intern(topology::ProcessId pid, StateId state) {
-    if (const std::optional<topology::VertexId> hit = base_.find(pid, state)) {
-      return *hit;
-    }
-    const topology::VertexLabel label{pid, state};
-    const auto it = index_.find(label);
-    if (it != index_.end()) return it->second;
-    const topology::VertexId id =
-        static_cast<topology::VertexId>(base_size_ + local_.size());
-    index_.emplace(label, id);
-    local_.push_back(label);
-    return id;
-  }
-
-  std::size_t base_size() const { return base_size_; }
-
-  /// Local labels in creation order. Leaves the overlay empty.
-  std::vector<topology::VertexLabel> take_local() {
-    index_.clear();
-    return std::move(local_);
-  }
-
- private:
-  const topology::VertexLabel& label_of(topology::VertexId id) const {
-    return id < base_size_
-               ? base_.label(id)
-               : local_[static_cast<std::size_t>(id) - base_size_];
-  }
-
-  const topology::VertexArena& base_;
-  const std::size_t base_size_;
-  std::vector<topology::VertexLabel> local_;
-  std::unordered_map<topology::VertexLabel, topology::VertexId,
-                     topology::VertexLabelHash>
-      index_;
-};
-
 struct ConstructionStats {
   std::uint64_t lookups = 0;  // cache probes, one per unique frontier item
   std::uint64_t hits = 0;     // probes answered from the cache
-  std::uint64_t misses = 0;   // probes that required a scratch expansion
+  std::uint64_t misses = 0;   // probes that required an expansion
   std::uint64_t deduped = 0;  // frontier duplicates dropped before probing
 };
 

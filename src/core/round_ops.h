@@ -1,23 +1,17 @@
 #pragma once
 
-// Templated one-round expanders shared by every construction path.
+// One-round expanders shared by every construction path.
 //
 // The model logic — which views one round produces and which facets they
 // span (Lemma 11 for async, Lemma 14 for sync, Lemma 19 for semi-sync, the
-// chromatic subdivision for IIS) — is written once here, parameterized over
-// the view-registry and vertex-arena types. Two instantiations exist:
-//
-//   * the canonical pair (ViewRegistry, VertexArena), used by the public
-//     one-round functions, the legacy *_seq recursions, and anything else
-//     that wants direct interning;
-//   * the scratch overlay pair (ScratchViews, ScratchArena) from
-//     construction.h, used by the parallel multi-round pipeline to expand
-//     facets on worker threads without touching shared state.
+// chromatic subdivision for IIS) — is written once here and interns
+// straight into the canonical ViewRegistry / VertexArena. The public
+// one-round functions, the *_seq recursions and the multi-round pipeline
+// (construction.h) all call these.
 //
 // Enumeration order is part of the contract: every loop below visits
-// choices in exactly the order of the original single-threaded code, so the
-// canonical remap phase assigns ids bit-identically no matter which
-// instantiation ran or how many threads were active.
+// choices in a fixed order, so new views and vertices are created — and
+// numbered — in the same order on every run.
 
 #include <algorithm>
 #include <cstdint>
@@ -29,6 +23,7 @@
 #include "core/sync_complex.h"
 #include "core/view.h"
 #include "math/combinatorics.h"
+#include "topology/arena.h"
 #include "topology/simplex.h"
 
 namespace psph::core::detail {
@@ -48,10 +43,10 @@ struct RoundGroup {
 /// Positions must be nonempty and pids distinct; within one pseudosphere
 /// all facets are distinct and of equal dimension, so the output needs no
 /// dedup and qualifies for SimplicialComplex::add_facets's pure fast lane.
-template <typename Arena>
-void product_facets(const std::vector<ProcessId>& pids,
-                    const std::vector<std::vector<StateId>>& value_sets,
-                    Arena& arena, std::vector<topology::Simplex>* out) {
+inline void product_facets(const std::vector<ProcessId>& pids,
+                           const std::vector<std::vector<StateId>>& value_sets,
+                           topology::VertexArena& arena,
+                           std::vector<topology::Simplex>* out) {
   std::vector<std::size_t> sizes;
   sizes.reserve(value_sets.size());
   for (const auto& set : value_sets) sizes.push_back(set.size());
@@ -77,8 +72,8 @@ struct SortedFacet {
   }
 };
 
-template <typename Arena>
-SortedFacet decode_sorted(const topology::Simplex& input, const Arena& arena) {
+inline SortedFacet decode_sorted(const topology::Simplex& input,
+                                 const topology::VertexArena& arena) {
   SortedFacet decoded;
   for (topology::VertexId v : input.vertices()) {
     decoded.pids.push_back(arena.pid(v));
@@ -104,10 +99,10 @@ SortedFacet decode_sorted(const topology::Simplex& input, const Arena& arena) {
 /// Lemma 11: one asynchronous round from `input` is the single pseudosphere
 /// of independent admissible heard-sets. Empty (no group) when the facet
 /// has fewer than n + 1 - f participants.
-template <typename Views, typename Arena>
-void expand_async_round(const topology::Simplex& input,
-                        const AsyncParams& params, Views& views, Arena& arena,
-                        std::vector<RoundGroup>* out) {
+inline void expand_async_round(const topology::Simplex& input,
+                               const AsyncParams& params, ViewRegistry& views,
+                               topology::VertexArena& arena,
+                               std::vector<RoundGroup>* out) {
   std::vector<ProcessId> pids;
   std::vector<StateId> states;
   for (topology::VertexId v : input.vertices()) {
@@ -153,11 +148,12 @@ void expand_async_round(const topology::Simplex& input,
 /// subset J ⊆ K of the failing processes, with `required` ⊆ J forced.
 /// Lemma 14 uses required = ∅; Lemma 15's right-hand side pins one failing
 /// process as heard. `fail_set` and `required` must be sorted.
-template <typename Views, typename Arena>
-void sync_failset_facets(const SortedFacet& input,
-                         const std::vector<ProcessId>& fail_set,
-                         const std::vector<ProcessId>& required, Views& views,
-                         Arena& arena, std::vector<topology::Simplex>* out) {
+inline void sync_failset_facets(const SortedFacet& input,
+                                const std::vector<ProcessId>& fail_set,
+                                const std::vector<ProcessId>& required,
+                                ViewRegistry& views,
+                                topology::VertexArena& arena,
+                                std::vector<topology::Simplex>* out) {
   std::vector<ProcessId> survivors;
   for (ProcessId p : input.pids) {
     if (!std::binary_search(fail_set.begin(), fail_set.end(), p)) {
@@ -201,10 +197,10 @@ void sync_failset_facets(const SortedFacet& input,
 
 /// Lemma 14 union: one group per fail set K with |K| ≤ min(k, f), in the
 /// paper's lexicographic order.
-template <typename Views, typename Arena>
-void expand_sync_round(const topology::Simplex& input, const SyncParams& params,
-                       Views& views, Arena& arena,
-                       std::vector<RoundGroup>* out) {
+inline void expand_sync_round(const topology::Simplex& input,
+                              const SyncParams& params, ViewRegistry& views,
+                              topology::VertexArena& arena,
+                              std::vector<RoundGroup>* out) {
   const SortedFacet decoded = decode_sorted(input, arena);
   const int cap = std::min(params.failures_per_round, params.total_failures);
   for (const std::vector<ProcessId>& fail_set :
@@ -220,12 +216,11 @@ void expand_sync_round(const topology::Simplex& input, const SyncParams& params,
 
 /// One view from [F]: `delivered_last[i]` says whether the choice for the
 /// i-th failing process is μ_j = F(P_j) (true) or F(P_j) - 1 (false).
-template <typename Views>
-StateId semisync_make_view(const SortedFacet& input,
-                           const FailurePattern& pattern, int mu,
-                           ProcessId receiver,
-                           const std::vector<bool>& delivered_last, int round,
-                           Views& views) {
+inline StateId semisync_make_view(const SortedFacet& input,
+                                  const FailurePattern& pattern, int mu,
+                                  ProcessId receiver,
+                                  const std::vector<bool>& delivered_last,
+                                  int round, ViewRegistry& views) {
   std::vector<HeardEntry> heard;
   for (ProcessId sender : input.pids) {
     if (std::binary_search(pattern.fail_set.begin(), pattern.fail_set.end(),
@@ -249,12 +244,12 @@ StateId semisync_make_view(const SortedFacet& input,
 /// process's delivery pinned (Lemma 20's [F ↑ j]); force_delivered_index is
 /// -1 for none, else an index into pattern.fail_set. `pattern.fail_set`
 /// must be sorted with fail_micro aligned.
-template <typename Views, typename Arena>
-void semisync_pattern_facets(const SortedFacet& input,
-                             const FailurePattern& pattern, int mu,
-                             int force_delivered_index, Views& views,
-                             Arena& arena,
-                             std::vector<topology::Simplex>* out) {
+inline void semisync_pattern_facets(const SortedFacet& input,
+                                    const FailurePattern& pattern, int mu,
+                                    int force_delivered_index,
+                                    ViewRegistry& views,
+                                    topology::VertexArena& arena,
+                                    std::vector<topology::Simplex>* out) {
   std::vector<ProcessId> survivors;
   for (ProcessId p : input.pids) {
     if (!std::binary_search(pattern.fail_set.begin(), pattern.fail_set.end(),
@@ -302,10 +297,11 @@ void semisync_pattern_facets(const SortedFacet& input,
 }
 
 /// Lemma 19 union: one group per (K, F) pair in the paper's order.
-template <typename Views, typename Arena>
-void expand_semisync_round(const topology::Simplex& input,
-                           const SemiSyncParams& params, Views& views,
-                           Arena& arena, std::vector<RoundGroup>* out) {
+inline void expand_semisync_round(const topology::Simplex& input,
+                                  const SemiSyncParams& params,
+                                  ViewRegistry& views,
+                                  topology::VertexArena& arena,
+                                  std::vector<RoundGroup>* out) {
   const SortedFacet decoded = decode_sorted(input, arena);
   const int cap = std::min(params.failures_per_round, params.total_failures);
   for (const FailurePattern& pattern : enumerate_failure_patterns(
@@ -329,9 +325,9 @@ void for_each_ordered_partition(
 
 /// One IIS round: the chromatic subdivision of the input facet, one facet
 /// per ordered partition of the participants.
-template <typename Views, typename Arena>
-void expand_iis_round(const topology::Simplex& input, Views& views,
-                      Arena& arena, std::vector<RoundGroup>* out) {
+inline void expand_iis_round(const topology::Simplex& input,
+                             ViewRegistry& views, topology::VertexArena& arena,
+                             std::vector<RoundGroup>* out) {
   std::vector<ProcessId> pids;
   std::vector<StateId> states;
   for (topology::VertexId v : input.vertices()) {

@@ -6,22 +6,6 @@
 
 namespace psph::core {
 
-View make_round_view(ProcessId pid, int round, std::vector<HeardEntry> heard) {
-  if (round < 1) throw std::invalid_argument("intern_round: round < 1");
-  std::sort(heard.begin(), heard.end());
-  for (std::size_t i = 1; i < heard.size(); ++i) {
-    if (heard[i].from == heard[i - 1].from) {
-      throw std::invalid_argument("intern_round: duplicate sender");
-    }
-  }
-  View v;
-  v.pid = pid;
-  v.round = round;
-  v.input = 0;
-  v.heard = std::move(heard);
-  return v;
-}
-
 StateId ViewRegistry::intern(View v) {
   const auto it = index_.find(v);
   if (it != index_.end()) return it->second;
@@ -41,7 +25,19 @@ StateId ViewRegistry::intern_input(ProcessId pid, std::int64_t input) {
 
 StateId ViewRegistry::intern_round(ProcessId pid, int round,
                                    std::vector<HeardEntry> heard) {
-  return intern(make_round_view(pid, round, std::move(heard)));
+  if (round < 1) throw std::invalid_argument("intern_round: round < 1");
+  std::sort(heard.begin(), heard.end());
+  for (std::size_t i = 1; i < heard.size(); ++i) {
+    if (heard[i].from == heard[i - 1].from) {
+      throw std::invalid_argument("intern_round: duplicate sender");
+    }
+  }
+  View v;
+  v.pid = pid;
+  v.round = round;
+  v.input = 0;
+  v.heard = std::move(heard);
+  return intern(std::move(v));
 }
 
 const View& ViewRegistry::view(StateId id) const {

@@ -71,13 +71,6 @@ struct ViewHash {
   }
 };
 
-/// Normalizes a round-r view (r >= 1): sorts `heard` by sender and rejects
-/// duplicate senders or round < 1. Both ViewRegistry::intern_round and the
-/// scratch registries of the parallel construction pipeline build their
-/// candidate views through this single function, so the two paths can never
-/// disagree on the interned representation.
-View make_round_view(ProcessId pid, int round, std::vector<HeardEntry> heard);
-
 class ViewRegistry {
  public:
   /// Interns the round-0 view (pid starts with `input`).
@@ -94,9 +87,8 @@ class ViewRegistry {
 
   /// Read-only lookup: the id of this exact (normalized) view, or nullopt
   /// if it has never been interned. Unlike the intern_* methods this never
-  /// mutates the registry, so it is safe to call concurrently with view()/
-  /// round()/find() from many threads — the parallel construction pipeline
-  /// relies on this during its scratch-expansion phase (two-phase intern).
+  /// creates a view — orbit relabeling uses it to map input vertices only
+  /// onto states that already exist.
   std::optional<StateId> find(const View& v) const;
 
   /// All input values visible in this view, i.e. inputs of processes the

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "obs/obs.h"
-#include "util/parallel.h"
 
 namespace psph::math {
 
@@ -118,31 +117,17 @@ SmithResult smith_normal_form_dense(std::vector<std::vector<BigInt>> a) {
     }
 
     // Phase B: the pivot now divides everything in its row and column, so
-    // each remaining row update is an exact, independent elimination —
-    // row i changes only itself and reads only row t. That makes the block
-    // safe (and bit-identical) to run on the pool at any thread count; the
-    // size gate keeps small submatrices on the calling thread where the
-    // fork overhead would dominate.
-    {
-      const std::size_t tail_rows = rows - t - 1;
-      const auto clear_row = [&](std::size_t offset) {
-        const std::size_t i = t + 1 + offset;
-        if (is_zero(a[i][t])) return;
-        const BigInt q = a[i][t] / a[t][t];
-        row_axpy(a, i, t, q);
-      };
-      if (tail_rows >= 4 && (rows - t) * (cols - t) >= 2048) {
-        util::parallel_for(tail_rows, clear_row);
-      } else {
-        for (std::size_t offset = 0; offset < tail_rows; ++offset) {
-          clear_row(offset);
-        }
-      }
-      // With column t cleared below the pivot, zeroing row t is a pure
-      // column operation that touches only row t: a[t][j] -= q * pivot
-      // with q exact, i.e. the entries just vanish.
-      for (std::size_t j = t + 1; j < cols; ++j) a[t][j] = BigInt(0);
+    // each remaining row update is an exact elimination that reads only
+    // row t.
+    for (std::size_t i = t + 1; i < rows; ++i) {
+      if (is_zero(a[i][t])) continue;
+      const BigInt q = a[i][t] / a[t][t];
+      row_axpy(a, i, t, q);
     }
+    // With column t cleared below the pivot, zeroing row t is a pure
+    // column operation that touches only row t: a[t][j] -= q * pivot
+    // with q exact, i.e. the entries just vanish.
+    for (std::size_t j = t + 1; j < cols; ++j) a[t][j] = BigInt(0);
 
     // Enforce the divisibility chain: if some entry in the remaining
     // submatrix is not divisible by the pivot, fold its row into row t and

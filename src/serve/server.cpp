@@ -316,8 +316,8 @@ void Server::process_batch(std::vector<Pending> batch) {
   if (groups.empty()) return;
 
   in_flight_.store(groups.size(), std::memory_order_relaxed);
-  // Nested parallel_for calls inside a query run inline on this worker, so
-  // the DeadlineScope set here governs the whole computation.
+  // A query computes on the thread that runs it, so the DeadlineScope set
+  // here governs the whole computation.
   util::parallel_for(groups.size(), [&](std::size_t i) {
     Group& group = groups[i];
     obs::SpanTimer query_span("serve.query");

@@ -8,9 +8,10 @@
 //     compute requests admitted into a bounded queue),
 //   * one dispatcher thread that drains the queue in batches, coalesces
 //     identical queries (one computation, N responders), and fans the
-//     unique jobs out over util::parallel_for — whose nested calls run
-//     inline, so the thread-local DeadlineScope a job sets governs all of
-//     its computation.
+//     unique jobs out over util::parallel_for. A job computes on the thread
+//     that runs it, so the thread-local DeadlineScope it sets governs all
+//     of its computation (the solve portfolio re-installs it on each
+//     racer).
 //
 // Back-pressure is explicit: when the queue is full the reader answers
 // `overloaded` immediately instead of buffering without bound. Deadlines

@@ -50,9 +50,8 @@ class VertexArena {
   }
 
   /// Read-only lookup: the id for this label, or nullopt if it was never
-  /// interned. Never mutates, so it is safe to call concurrently with other
-  /// const access — the parallel construction pipeline's scratch arenas
-  /// resolve against the shared arena this way during fan-out.
+  /// interned. Unlike intern() this never creates a vertex — orbit
+  /// relabeling uses it to map input vertices only onto existing ones.
   std::optional<VertexId> find(ProcessId pid, StateId state) const {
     const auto it = index_.find(VertexLabel{pid, state});
     if (it == index_.end()) return std::nullopt;

@@ -8,7 +8,6 @@
 #include "topology/collapse.h"
 #include "util/cancel.h"
 #include "util/logging.h"
-#include "util/parallel.h"
 
 namespace psph::topology {
 
@@ -82,11 +81,8 @@ HomologyReport reduced_homology(const SimplicialComplex& k,
   std::vector<math::SparseMatrix> boundaries(
       static_cast<std::size_t>(options.max_dim) + 2);
 
-  // One face enumeration serves every dimension: warming the cache up
-  // front makes the counts O(1) and lets the per-dimension boundary-rank
-  // computations below read the tables concurrently. Each dimension is
-  // independent and writes only its own slots, so the results are
-  // bit-identical at every thread count.
+  // One face enumeration serves every dimension. Building it up front, under
+  // its own span, keeps its cost out of the Morse and rank spans below.
   {
     obs::SpanTimer span("homology.warm_face_cache");
     k.warm_face_cache();
@@ -98,8 +94,6 @@ HomologyReport reduced_homology(const SimplicialComplex& k,
   if (options.morse) {
     // Morse preprocessing: the critical-cell complex has the same homology
     // (Betti and torsion) as the full one, with typically far fewer cells.
-    // The cascade is serial and deterministic, so counts/boundaries — and
-    // everything downstream — are identical at every thread count.
     MorseComplex mc = morse_reduce(k, options.max_dim + 1);
     for (std::size_t slot = 0; slot < counts.size(); ++slot) {
       counts[slot] = mc.critical[slot];
@@ -110,12 +104,11 @@ HomologyReport reduced_homology(const SimplicialComplex& k,
       counts[static_cast<std::size_t>(d)] = k.count_of_dim(d);
     }
   }
-  util::parallel_for(counts.size(), [&](std::size_t slot) {
+  for (std::size_t slot = 0; slot < counts.size(); ++slot) {
     if (counts[slot] == 0) {
       // No d-cells: the boundary map is zero from an empty space.
       if (!options.morse) boundaries[slot] = math::SparseMatrix(0, 0);
-      ranks[slot] = 0;
-      return;
+      continue;
     }
     util::poll_deadline();
     obs::SpanTimer span("homology.rank", static_cast<std::int64_t>(slot));
@@ -124,7 +117,7 @@ HomologyReport reduced_homology(const SimplicialComplex& k,
       boundaries[slot] = boundary_matrix(k, static_cast<int>(slot));
     }
     ranks[slot] = boundaries[slot].rank_mod_p(options.prime);
-  });
+  }
 
   for (int d = 0; d <= options.max_dim; ++d) {
     const std::size_t slot = static_cast<std::size_t>(d);
@@ -135,23 +128,16 @@ HomologyReport reduced_homology(const SimplicialComplex& k,
   }
 
   if (options.exact) {
-    // The per-dimension SNF cross-checks are independent; run them on the
-    // pool, then fold the results in serially so warnings and report slots
-    // are filled in deterministic dimension order.
-    std::vector<math::SmithResult> snfs(
-        static_cast<std::size_t>(options.max_dim) + 1);
-    util::parallel_for(snfs.size(), [&](std::size_t slot) {
-      if (counts[slot + 1] == 0) return;
-      util::poll_deadline();
-      obs::SpanTimer span("homology.snf",
-                          static_cast<std::int64_t>(slot + 1));
-      g_obs_snf_dims.add(1);
-      snfs[slot] = math::smith_normal_form(boundaries[slot + 1]);
-    });
+    // Exact cross-check: SNF of each boundary map gives the integral rank
+    // and the torsion coefficients.
     for (int d = 0; d <= options.max_dim; ++d) {
       const std::size_t slot = static_cast<std::size_t>(d);
       if (counts[slot + 1] == 0) continue;
-      const math::SmithResult& snf = snfs[slot];
+      util::poll_deadline();
+      obs::SpanTimer span("homology.snf", static_cast<std::int64_t>(slot + 1));
+      g_obs_snf_dims.add(1);
+      const math::SmithResult snf =
+          math::smith_normal_form(boundaries[slot + 1]);
       // Cross-check the GF(p) rank against the exact one.
       if (snf.rank() != ranks[slot + 1]) {
         PSPH_LOG(warn) << "GF(p) rank " << ranks[slot + 1]

@@ -2,8 +2,8 @@
 
 namespace psph::util::detail {
 
-thread_local std::int64_t t_deadline_ns = 0;
-thread_local const std::atomic<bool>* t_cancel_flag = nullptr;
+constinit thread_local std::int64_t t_deadline_ns = 0;
+constinit thread_local const std::atomic<bool>* t_cancel_flag = nullptr;
 
 void throw_deadline_exceeded() { throw DeadlineExceeded(); }
 

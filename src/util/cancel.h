@@ -11,10 +11,11 @@
 // state behind (the engines build into local structures until they return).
 //
 // The deadline is thread-local: a worker sets it with a DeadlineScope before
-// running a query, and every computation nested on that thread (including
-// parallel_for bodies, which run inline when nested) sees it. With no scope
-// active, poll_deadline() is a single thread-local load and compare — the
-// batch binaries pay nothing for the hook.
+// running a query, and a query computes on the thread that runs it, so every
+// poll in it sees the deadline (the one fan-out inside a query, the solve
+// portfolio, re-installs it on each racer). With no scope active,
+// poll_deadline() is a single thread-local load and compare — the batch
+// binaries pay nothing for the hook.
 //
 // Cancellation never changes results: a query either completes with bytes
 // identical to an undeadlined run, or throws and produces no result at all.
@@ -51,10 +52,13 @@ class OperationCancelled : public std::runtime_error {
 };
 
 namespace detail {
+// constinit lets other translation units access both directly instead of
+// through GCC's TLS wrapper function, on which -fsanitize=undefined reports
+// a null-pointer load in CancelScope.
 // Absolute steady-clock deadline in nanoseconds since epoch; 0 = none.
-extern thread_local std::int64_t t_deadline_ns;
+extern constinit thread_local std::int64_t t_deadline_ns;
 // Cooperative cancellation flag installed by a CancelScope; null = none.
-extern thread_local const std::atomic<bool>* t_cancel_flag;
+extern constinit thread_local const std::atomic<bool>* t_cancel_flag;
 [[noreturn]] void throw_deadline_exceeded();
 [[noreturn]] void throw_operation_cancelled();
 std::int64_t steady_now_ns();

@@ -1,7 +1,7 @@
-// Thread pool unit tests plus the homology thread-parity guarantee: Betti
-// numbers and torsion must be byte-identical at every thread count (the
-// pool only changes *when* a dimension's rank is computed, never its
-// value). Run these under -DPSPH_SANITIZE=thread to validate the pool.
+// Thread pool unit tests plus the thread-parity guarantee: Betti numbers,
+// torsion and constructed complexes must be byte-identical at every thread
+// count, and one query's compute never reaches the pool. Run these under
+// -DPSPH_SANITIZE=thread to validate the pool.
 
 #include "util/parallel.h"
 
@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -24,6 +25,7 @@
 #include "core/theorems.h"
 #include "math/simd.h"
 #include "math/smith.h"
+#include "obs/obs.h"
 #include "topology/homology.h"
 #include "util/random.h"
 
@@ -565,6 +567,36 @@ TEST_F(ParallelTest, ConstructionCacheRejectsForeignRegistry) {
   EXPECT_THROW(core::async_protocol_complex(other_input, {3, 1, 1},
                                             other_views, other_arena, cache),
                std::logic_error);
+}
+
+// ------------------------------------------------ query thread affinity --
+
+// A query computes on the thread that runs it: serve installs each batch
+// group's DeadlineScope on its worker, and work handed to pool threads would
+// run with no deadline. Construction, connectivity and exact homology must
+// therefore never reach the pool, however many threads it has.
+TEST_F(ParallelTest, QueryComputeRunsOnCallingThread) {
+  const bool obs_was_enabled = obs::enabled();
+  util::set_thread_count(8);
+  obs::set_enabled(true);
+  obs::reset();
+
+  EXPECT_TRUE(core::check_async_connectivity(3, 3, 1, 2).satisfied);
+  EXPECT_TRUE(core::check_sync_connectivity(4, 4, 1, 2).satisfied);
+  const topology::HomologyReport report = topology::reduced_homology(
+      fig1_binary_pseudosphere(3), {.max_dim = 0, .exact = true});
+  EXPECT_EQ(report.reduced_betti, std::vector<long long>{0});
+
+  const obs::Snapshot snapshot = obs::snapshot();
+  obs::reset();
+  obs::set_enabled(obs_was_enabled);
+  std::set<std::string> names;
+  for (const obs::SpanStat& span : snapshot.spans) names.insert(span.name);
+  // The compute really ran under instrumentation...
+  EXPECT_EQ(names.count("construction.expand"), 1u);
+  EXPECT_EQ(names.count("homology.reduced"), 1u);
+  // ...and none of it was handed to pool workers.
+  EXPECT_EQ(names.count("pool.run"), 0u) << "a query fanned out to the pool";
 }
 
 }  // namespace
