@@ -16,7 +16,6 @@
 
 #include <utility>
 
-#include "math/simd.h"
 #include "obs/obs.h"
 #include "util/cli.h"
 #include "util/parallel.h"
@@ -54,17 +53,16 @@ inline bool warn_if_unoptimized_build() {
 }
 
 /// The measurement context every JSON-emitting benchmark stamps into its
-/// output: build type, visible CPUs, pool size, and the SIMD dispatch level
-/// actually selected at runtime. The google-benchmark binaries feed these
-/// to AddCustomContext; hand-rolled emitters (psph_loadgen) write them into
-/// their own JSON — one definition keeps the field set in sync.
+/// output: build type, visible CPUs and pool size. The google-benchmark
+/// binaries feed these to AddCustomContext; hand-rolled emitters
+/// (psph_loadgen) write them into their own JSON — one definition keeps the
+/// field set in sync.
 inline std::vector<std::pair<std::string, std::string>> bench_context() {
   return {
       {"build_type", build_type()},
       {"hardware_concurrency",
        std::to_string(std::thread::hardware_concurrency())},
       {"psph_threads", std::to_string(util::thread_count())},
-      {"simd_dispatch", math::simd_level_name(math::simd_level())},
   };
 }
 

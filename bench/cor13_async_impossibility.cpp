@@ -1,13 +1,14 @@
 // Corollary 13: no asynchronous f-resilient k-set agreement for k <= f —
-// decided exhaustively on explicit r-round complexes — while k = f + 1 is
-// achievable (witness found, and the min-seen rule independently passes).
-// The table shows the threshold sitting exactly at k = f + 1.
+// decided exhaustively by solve::decide on explicit r-round complexes —
+// while k = f + 1 is achievable (witness found, and the min-seen rule
+// independently passes). The table shows the threshold sitting exactly at
+// k = f + 1.
 
 #include "bench_util.h"
 #include "core/agreement.h"
 #include "core/async_complex.h"
 #include "core/pseudosphere.h"
-#include "core/theorems.h"
+#include "solve/decide.h"
 #include "util/timer.h"
 
 int main() {
@@ -33,17 +34,21 @@ int main() {
            {4, 1, 2, 1, false},
        }) {
     util::Timer timer;
-    const core::AgreementCheck check =
-        core::check_async_agreement(c.n1, c.f, c.k, c.r);
-    const char* verdict = check.impossible   ? "impossible"
-                          : check.possible   ? "solvable"
+    const solve::DecideResult decided =
+        solve::decide({solve::Model::kAsync, c.n1, c.f, c.k, 0, c.r});
+    const store::DecisionRecord& record = decided.record;
+    const bool impossible = record.exhausted && !record.solvable;
+    const char* verdict = impossible         ? "impossible"
+                          : record.solvable  ? "solvable"
                                              : "inconclusive";
-    report.row("  %3d %2d %2d %2d %8zu %8zu %10llu   %-12s %s", c.n1, c.f,
-               c.k, c.r, check.protocol_facets, check.protocol_vertices,
-               static_cast<unsigned long long>(check.nodes), verdict,
+    report.row("  %3d %2d %2d %2d %8llu %8llu %10llu   %-12s %s", c.n1, c.f,
+               c.k, c.r,
+               static_cast<unsigned long long>(record.protocol_facets),
+               static_cast<unsigned long long>(record.protocol_vertices),
+               static_cast<unsigned long long>(decided.stats.nodes), verdict,
                timer.pretty().c_str());
-    report.check(check.search_exhausted, "search exhausted");
-    report.check(check.impossible == c.expect_impossible,
+    report.check(record.exhausted, "search exhausted");
+    report.check(impossible == c.expect_impossible,
                  "threshold at n+1=" + std::to_string(c.n1) + " f=" +
                      std::to_string(c.f) + " k=" + std::to_string(c.k));
   }

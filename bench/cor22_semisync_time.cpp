@@ -1,7 +1,7 @@
 // Corollary 22: wait-free semi-synchronous k-set agreement requires time
 // ⌊f/k⌋·d + C·d. Two regenerations:
 //   1. the round-structure core — k-set agreement is impossible on the
-//      r-round complex M^r while n >= (r+1)k (exhaustive search on a small
+//      r-round complex M^r while n >= (r+1)k (solve::decide on a small
 //      instance);
 //   2. the timed simulator — the FloodMin-over-timeouts protocol is run
 //      under the slowest-execution adversary across sweeps of f/k (with d
@@ -10,8 +10,8 @@
 
 #include "bench_util.h"
 #include "check/soak.h"
-#include "core/theorems.h"
 #include "protocols/semisync_kset.h"
+#include "solve/decide.h"
 #include "util/cli.h"
 #include "util/timer.h"
 
@@ -45,13 +45,15 @@ int main(int argc, char** argv) {
   report.header("  complex core: n+1 f k mu r -> verdict");
   {
     util::Timer timer;
-    const core::AgreementCheck check =
-        core::check_semisync_agreement(3, 1, 1, 2, 1);
+    const solve::DecideResult decided =
+        solve::decide({solve::Model::kSemiSync, 3, 1, 1, 2, 1});
+    const bool impossible =
+        decided.record.exhausted && !decided.record.solvable;
     report.row("                 3  1 1  2 1 -> %s (%llu nodes, %s)",
-               check.impossible ? "impossible" : "UNEXPECTED",
-               static_cast<unsigned long long>(check.nodes),
+               impossible ? "impossible" : "UNEXPECTED",
+               static_cast<unsigned long long>(decided.stats.nodes),
                timer.pretty().c_str());
-    report.check(check.search_exhausted && check.impossible,
+    report.check(impossible,
                  "one-round semi-sync consensus impossible at n+1=3");
   }
 

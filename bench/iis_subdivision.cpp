@@ -7,9 +7,10 @@
 
 #include "bench_util.h"
 #include "core/async_complex.h"
-#include "core/decision_search.h"
 #include "core/iis_complex.h"
 #include "core/theorems.h"
+#include "solve/csp.h"
+#include "solve/engine.h"
 #include "topology/collapse.h"
 #include "topology/homology.h"
 #include "util/timer.h"
@@ -73,12 +74,12 @@ int main() {
     const topology::Simplex input = core::rainbow_input(n1, views, arena);
     const topology::SimplicialComplex protocol =
         core::iis_protocol_complex(input, 1, views, arena);
-    const core::SearchResult result =
-        core::search_decision_map(protocol, k, views, arena);
-    const bool impossible = result.exhausted && !result.decidable;
+    const solve::SolveOutcome outcome =
+        solve::solve(solve::compile_csp(protocol, k, views, arena));
+    const bool impossible = outcome.exhausted && !outcome.solvable;
     report.row("               %3d %2d -> %s (%llu nodes)", n1, k,
                impossible ? "impossible" : "solvable",
-               static_cast<unsigned long long>(result.nodes_explored));
+               static_cast<unsigned long long>(outcome.stats.nodes));
     report.check(impossible == (expect_impossible == 1),
                  "IIS threshold at n+1=" + std::to_string(n1) + " k=" +
                      std::to_string(k));

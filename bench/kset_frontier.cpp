@@ -20,7 +20,6 @@
 
 #include "bench_util.h"
 #include "solve/decide.h"
-#include "solve/engine.h"
 #include "store/serialize.h"
 #include "sweep/sweep.h"
 #include "util/cli.h"
@@ -31,7 +30,6 @@ int main(int argc, char** argv) {
   using namespace psph;
 
   std::string model_name = "async";
-  std::string engine_name = "portfolio";
   std::string cache_dir;
   int max_processes = 3;
   int rounds = 1;
@@ -43,8 +41,6 @@ int main(int argc, char** argv) {
                 "with cached, sweep-driven decide queries");
   cli.flag_choice("model", &model_name, {"async", "sync", "semisync", "iis"},
                   "timing model");
-  cli.flag_choice("engine", &engine_name,
-                  {"propagate", "learn", "portfolio"}, "engine stage");
   cli.flag("cache-dir", &cache_dir,
            "ResultStore root shared with psph_serve / other sweeps "
            "(empty = no caching)");
@@ -56,12 +52,6 @@ int main(int argc, char** argv) {
   if (threads > 0) util::set_thread_count(threads);
 
   const solve::Model model = *solve::parse_model(model_name);
-  solve::EngineOptions engine_options;
-  engine_options.stage = engine_name == "propagate"
-                             ? solve::EngineStage::kPropagate
-                         : engine_name == "learn"
-                             ? solve::EngineStage::kLearn
-                             : solve::EngineStage::kPortfolio;
 
   // One job per grid point. The JobSpec key doubles as the sweep's cache
   // key; decide() keys its own kDecision entry independently.
@@ -102,14 +92,14 @@ int main(int argc, char** argv) {
           sweep_engine, jobs,
           [&](const sweep::JobSpec&, std::size_t index) {
             return store::deserialize_decision(solve::decide_sealed(
-                points[index].request, engine_options, sweep_engine.store()));
+                points[index].request, {}, sweep_engine.store()));
           },
           store::serialize_decision, store::deserialize_decision);
   const std::string wall = timer.pretty();
 
   bench::Report report(
       "k-set agreement frontier (" + model_name + ", r=" +
-          std::to_string(rounds) + ", engine=" + engine_name + ")",
+          std::to_string(rounds) + ")",
       "least solvable k per (processes, f); solvability is upward closed "
       "in k");
   report.header("  n+1  f   verdicts by k=1.. (s=solvable, x=impossible)"

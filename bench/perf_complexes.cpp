@@ -1,6 +1,7 @@
 // Performance of the protocol-complex constructions and the simulator
 // (google-benchmark): r-round complex builds in all three models, the
-// decision-map search, and executor throughput.
+// solvability engine, a storeless connectivity sweep, and executor
+// throughput.
 
 #include <benchmark/benchmark.h>
 
@@ -12,18 +13,18 @@
 
 #include "core/async_complex.h"
 #include "core/construction.h"
-#include "core/decision_search.h"
 #include "core/pseudosphere.h"
 #include "core/semisync_complex.h"
 #include "core/sync_complex.h"
 #include "core/theorems.h"
-#include "math/simd.h"
 #include "solve/decide.h"
 #include "solve/engine.h"
 #include "obs/obs.h"
 #include "protocols/floodset.h"
 #include "protocols/semisync_kset.h"
 #include "sim/semisync_executor.h"
+#include "store/serialize.h"
+#include "sweep/sweep.h"
 #include "topology/homology.h"
 #include "util/random.h"
 
@@ -436,20 +437,53 @@ void BM_ObsSpanEnabled(benchmark::State& state) {
 BENCHMARK(BM_ObsSpanEnabled);
 
 void BM_DecisionSearchSolvable(benchmark::State& state) {
-  // k = f + 1: a witness exists; measures time-to-first-witness.
+  // k = f + 1: a witness exists; end-to-end decide (build, compile,
+  // search, canonical witness, verification).
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::check_async_agreement(3, 1, 2, 1));
+    benchmark::DoNotOptimize(
+        solve::decide({solve::Model::kAsync, 3, 1, 2, 0, 1}));
   }
 }
 BENCHMARK(BM_DecisionSearchSolvable);
 
 void BM_DecisionSearchImpossible(benchmark::State& state) {
-  // Exhaustive refutation of 2-process consensus.
+  // Exhaustive refutation of 2-process consensus, end to end.
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::check_async_agreement(2, 1, 1, 1));
+    benchmark::DoNotOptimize(
+        solve::decide({solve::Model::kAsync, 2, 1, 1, 0, 1}));
   }
 }
 BENCHMARK(BM_DecisionSearchImpossible);
+
+// A storeless sweep over fixed Lemma 12 points: the jobs fan out on the
+// util::parallel pool — the only use of the pool in this binary, so this is
+// what the thread-scaling rig times. Wall time, since the work runs on pool
+// threads.
+void BM_SweepConnectivityGrid(benchmark::State& state) {
+  // The larger lemma12_async_connectivity points, heaviest first.
+  static const std::vector<std::array<int, 4>> kGrid{
+      {3, 3, 2, 2}, {5, 5, 1, 1}, {4, 4, 3, 1}, {4, 4, 2, 1},
+      {3, 3, 1, 2}, {4, 4, 1, 1}, {3, 3, 2, 1}, {3, 3, 1, 1}};
+  std::vector<sweep::JobSpec> jobs;
+  for (const auto& [n1, m1, f, r] : kGrid) {
+    jobs.push_back({"lemma12/connectivity", {n1, m1, f, r}, {}});
+  }
+  for (auto _ : state) {
+    sweep::SweepEngine engine({});
+    benchmark::DoNotOptimize(sweep::run_sweep<core::ConnectivityCheck>(
+        engine, jobs,
+        [](const sweep::JobSpec& spec, std::size_t) {
+          const std::vector<std::int64_t>& p = spec.params;
+          return core::check_async_connectivity(
+              static_cast<int>(p[0]), static_cast<int>(p[1]),
+              static_cast<int>(p[2]), static_cast<int>(p[3]));
+        },
+        store::serialize_connectivity_check,
+        store::deserialize_connectivity_check));
+  }
+}
+BENCHMARK(BM_SweepConnectivityGrid)->UseRealTime()->Unit(
+    benchmark::kMillisecond);
 
 void BM_FloodSetExecution(benchmark::State& state) {
   const int n1 = static_cast<int>(state.range(0));
@@ -490,10 +524,8 @@ BENCHMARK(BM_SemiSyncExecution)->DenseRange(3, 8);
 //
 // BM_DecisionEngine*: decide k-set agreement on a pre-built, pre-compiled
 // instance — construction is hoisted out of the loop so the numbers time
-// the decision procedures alone. Seq is the seed backtracker on the same
-// complex; Propagate/Learn/Portfolio are the engine stages. The IIS hard
-// case (3 processes, k=2 — the verdict the seq backtracker cannot reach in
-// bounded time) is engine-only.
+// the two engine stages alone. The IIS hard case (3 processes, k=2) is the
+// verdict the seed backtracker cannot reach in bounded time.
 
 solve::DecideRequest decision_request(const benchmark::State& state) {
   solve::DecideRequest request;
@@ -504,18 +536,6 @@ solve::DecideRequest decision_request(const benchmark::State& state) {
   request.rounds = 1;
   return request;
 }
-
-void BM_DecisionEngineSeq(benchmark::State& state) {
-  const std::unique_ptr<solve::Instance> instance =
-      solve::build_instance(decision_request(state));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::search_decision_map_seq(
-        instance->protocol, static_cast<int>(state.range(2)), instance->views,
-        instance->arena));
-  }
-}
-BENCHMARK(BM_DecisionEngineSeq)->ArgNames({"n", "f", "k"})->Args({3, 1, 2})
-    ->Args({3, 2, 2})->Args({4, 1, 2});
 
 void decision_engine_stage(benchmark::State& state,
                            solve::EngineStage stage) {
@@ -535,19 +555,14 @@ void BM_DecisionEnginePropagate(benchmark::State& state) {
 void BM_DecisionEngineLearn(benchmark::State& state) {
   decision_engine_stage(state, solve::EngineStage::kLearn);
 }
-void BM_DecisionEnginePortfolio(benchmark::State& state) {
-  decision_engine_stage(state, solve::EngineStage::kPortfolio);
-}
 BENCHMARK(BM_DecisionEnginePropagate)->ArgNames({"n", "f", "k"})
     ->Args({3, 1, 2})->Args({3, 2, 2})->Args({4, 1, 2});
 BENCHMARK(BM_DecisionEngineLearn)->ArgNames({"n", "f", "k"})
     ->Args({3, 1, 2})->Args({3, 2, 2})->Args({4, 1, 2});
-BENCHMARK(BM_DecisionEnginePortfolio)->ArgNames({"n", "f", "k"})
-    ->Args({3, 1, 2})->Args({3, 2, 2})->Args({4, 1, 2});
 
 void BM_DecisionEngineIisHard(benchmark::State& state) {
   // The separation instance: one-round IIS 2-set agreement over 3
-  // processes. The seq backtracker runs past 60 s without reaching the
+  // processes. The seed backtracker runs past 60 s without reaching the
   // verdict (14 s buys it just 2M of its 200M-node budget); the engine
   // refutes it per-iteration here, in microseconds.
   solve::DecideRequest request;
@@ -557,10 +572,8 @@ void BM_DecisionEngineIisHard(benchmark::State& state) {
   request.rounds = static_cast<int>(state.range(0));
   const std::unique_ptr<solve::Instance> instance =
       solve::build_instance(request);
-  solve::EngineOptions options;
-  options.stage = solve::EngineStage::kLearn;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(solve::solve(instance->problem, options));
+    benchmark::DoNotOptimize(solve::solve(instance->problem));
   }
 }
 BENCHMARK(BM_DecisionEngineIisHard)->ArgNames({"r"})->Arg(1);

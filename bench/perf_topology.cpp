@@ -8,7 +8,6 @@
 
 #include "bench_util.h"
 #include "core/pseudosphere.h"
-#include "math/simd.h"
 #include "math/smith.h"
 #include "topology/collapse.h"
 #include "topology/homology.h"
@@ -124,11 +123,10 @@ void BM_MorseReduce(benchmark::State& state) {
 }
 BENCHMARK(BM_MorseReduce)->DenseRange(3, 6);
 
-// GF(2) elimination kernel, SIMD dispatch vs forced scalar. The paper's
-// boundary matrices are only a handful of 64-bit words wide, so a fixed
-// seeded random matrix with a few thousand columns is used to expose the
-// XOR kernel itself; arg 0 is the column count in units of 1024. Restores
-// the dispatch level afterwards.
+// GF(2) elimination kernel. The paper's boundary matrices are only a
+// handful of 64-bit words wide, so a fixed seeded random matrix with a few
+// thousand columns is used to expose the XOR loop itself; arg 0 is the
+// column count in units of 1024.
 void BM_RankMod2(benchmark::State& state) {
   const std::size_t cols = static_cast<std::size_t>(state.range(0)) * 1024;
   const std::size_t rows = cols / 4;
@@ -139,17 +137,11 @@ void BM_RankMod2(benchmark::State& state) {
       if (rng.next_below(16) == 0) matrix.set(r, c, 1);
     }
   }
-  const math::SimdLevel previous = math::simd_level();
-  math::set_simd_level(state.range(1) != 0 ? math::max_supported_simd_level()
-                                           : math::SimdLevel::kScalar);
   for (auto _ : state) {
     benchmark::DoNotOptimize(matrix.rank_mod_p(2));
   }
-  math::set_simd_level(previous);
 }
-BENCHMARK(BM_RankMod2)
-    ->ArgsProduct({{1, 4}, {0, 1}})
-    ->ArgNames({"kcols", "simd"});
+BENCHMARK(BM_RankMod2)->Arg(1)->Arg(4)->ArgNames({"kcols"});
 
 // Exact SNF on a raw boundary matrix, bypassing the Morse preprocessor so
 // the dense elimination (and its parallel row phase) is what's timed.

@@ -12,7 +12,7 @@
 //
 //   psph_loadgen                         # in-process server, 2000 queries
 //   psph_loadgen --socket=/tmp/p.sock    # against an external daemon
-//   psph_loadgen --fault-seed=7 --json-out=BENCH_serve.json   # soak
+//   psph_loadgen --fault-seed=7 --json-out=loadgen.json   # soak
 //
 // Exits nonzero on any verification mismatch, wedged connection, or if the
 // run produced no successful responses.

@@ -2,8 +2,8 @@
 // rounds when n > f + k, and ⌊f/k⌋ rounds when n < f + k (the easier case:
 // fewer processes than failures-plus-degree). Three independent
 // regenerations of the bound:
-//   1. the decision-map search proves impossibility at r = ⌊f/k⌋ on small
-//      instances and finds a witness at r = ⌊f/k⌋ + 1;
+//   1. the decision-map search (solve::decide) proves impossibility at
+//      r = ⌊f/k⌋ on small instances and finds a witness at r = ⌊f/k⌋ + 1;
 //   2. the FloodMin rule fails below the bound and succeeds at it on the
 //      full constructed complex;
 //   3. the FloodSet protocol, run through the simulator against random
@@ -13,6 +13,7 @@
 #include "check/soak.h"
 #include "core/theorems.h"
 #include "protocols/floodset.h"
+#include "solve/decide.h"
 #include "util/cli.h"
 #include "util/timer.h"
 
@@ -57,17 +58,19 @@ int main(int argc, char** argv) {
            {4, 2, 2, 2, false},   //   suffice (Theorem 18, second case)
        }) {
     util::Timer timer;
-    const core::AgreementCheck check =
-        core::check_sync_agreement(c.n1, c.f, c.k, c.r);
-    const char* verdict = check.impossible ? "impossible"
-                          : check.possible ? "solvable"
-                                           : "inconclusive";
-    report.row("          %3d %2d %2d %2d %9zu %10llu   %-10s %s", c.n1, c.f,
-               c.k, c.r, check.protocol_facets,
-               static_cast<unsigned long long>(check.nodes), verdict,
+    const solve::DecideResult decided =
+        solve::decide({solve::Model::kSync, c.n1, c.f, c.k, 0, c.r});
+    const store::DecisionRecord& record = decided.record;
+    const bool impossible = record.exhausted && !record.solvable;
+    const char* verdict = impossible        ? "impossible"
+                          : record.solvable ? "solvable"
+                                            : "inconclusive";
+    report.row("          %3d %2d %2d %2d %9llu %10llu   %-10s %s", c.n1, c.f,
+               c.k, c.r,
+               static_cast<unsigned long long>(record.protocol_facets),
+               static_cast<unsigned long long>(decided.stats.nodes), verdict,
                timer.pretty().c_str());
-    report.check(check.search_exhausted &&
-                 check.impossible == c.expect_impossible,
+    report.check(record.exhausted && impossible == c.expect_impossible,
                  "search verdict at n+1=" + std::to_string(c.n1) + " f=" +
                      std::to_string(c.f) + " k=" + std::to_string(c.k) +
                      " r=" + std::to_string(c.r));

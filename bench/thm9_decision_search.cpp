@@ -1,6 +1,6 @@
 // Theorem 9 (and its Sperner engine): (k-1)-connected protocol complexes
 // over every input pseudosphere admit no k-set agreement map. We pair the
-// connectivity measurements with the exhaustive search verdicts on the same
+// connectivity measurements with solve::decide's verdicts on the same
 // instances — connectivity high ⇔ search refutes — and exercise the Sperner
 // machinery the proof rests on (panchromatic counts are odd for every
 // coloring tried).
@@ -9,27 +9,13 @@
 #include "core/sperner.h"
 #include "core/theorems.h"
 #include "solve/decide.h"
-#include "solve/engine.h"
-#include "util/cli.h"
 #include "util/random.h"
 #include "util/timer.h"
 
-int main(int argc, char** argv) {
+int main() {
   using namespace psph;
-  // --engine selects who produces the search verdict: the seed backtracker
-  // (seq, the default — the seed behavior) or the solvability engine at one
-  // of its stages. Theorem 9's connectivity side is engine-independent, so
-  // the agreement column doubles as a cross-check of the chosen engine.
-  std::string engine = "seq";
-  util::Cli cli("thm9_decision_search",
-                "Theorem 9: connectivity forbids k-set agreement");
-  cli.flag_choice("engine", &engine,
-                  {"seq", "propagate", "learn", "portfolio"},
-                  "decision-search engine for the verdict column");
-  cli.parse(argc, argv);
-
   bench::Report report(
-      "Theorem 9 (engine=" + engine + ")",
+      "Theorem 9",
       "(k-1)-connectivity forbids k-set agreement; Sperner counts are odd");
 
   report.header(
@@ -46,27 +32,11 @@ int main(int argc, char** argv) {
            {"sync", 3, 1, 1, 2},
        }) {
     const bool is_async = std::string(row.model) == "async";
-    bool impossible = false;
-    if (engine == "seq") {
-      const core::AgreementCheck check =
-          is_async ? core::check_async_agreement(row.n1, row.f, row.k, row.r)
-                   : core::check_sync_agreement(row.n1, row.f, row.k, row.r);
-      impossible = check.impossible;
-    } else {
-      solve::DecideRequest request;
-      request.model = is_async ? solve::Model::kAsync : solve::Model::kSync;
-      request.processes = row.n1;
-      request.f = row.f;
-      request.k = row.k;
-      request.rounds = row.r;
-      solve::EngineOptions options;
-      options.stage = engine == "propagate" ? solve::EngineStage::kPropagate
-                      : engine == "learn"   ? solve::EngineStage::kLearn
-                                            : solve::EngineStage::kPortfolio;
-      const store::DecisionRecord record =
-          solve::decide(request, options).record;
-      impossible = record.exhausted && !record.solvable;
-    }
+    const store::DecisionRecord record =
+        solve::decide({is_async ? solve::Model::kAsync : solve::Model::kSync,
+                       row.n1, row.f, row.k, 0, row.r})
+            .record;
+    const bool impossible = record.exhausted && !record.solvable;
     const core::ConnectivityCheck conn =
         is_async
             ? core::check_async_connectivity(row.n1, row.n1, row.f, row.r)

@@ -3,7 +3,7 @@
 
 Runs a perf binary once per requested thread count (via its --threads flag),
 merges the per-thread-count timings into one JSON document, and stamps the
-measurement context (num_cpus, build type, SIMD dispatch) at the top level:
+measurement context (num_cpus, build type, pool size) at the top level:
 
     {
       "context": {..., "num_cpus": 8, "thread_counts": [1, 2, 4, 8]},
@@ -19,7 +19,7 @@ purpose (and says so in its context block).
 
 Usage:
     python3 bench/thread_scaling.py --binary build/bench/perf_complexes \
-        --filter BM_DecisionEnginePortfolio/ --threads 1,2,4 \
+        --filter BM_SweepConnectivityGrid --threads 1,2,4 \
         --out BENCH_scaling.json
 """
 

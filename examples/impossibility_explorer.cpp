@@ -1,7 +1,7 @@
 // Impossibility explorer: pick a timing model and parameters; the tool
 // builds the r-round protocol complex over the full input complex, measures
-// its connectivity, runs the exhaustive decision-map search, and reports
-// whether k-set agreement is solvable on that instance.
+// its connectivity, decides with solve::decide (exhaustive search), and
+// reports whether k-set agreement is solvable on that instance.
 //
 //   ./impossibility_explorer --model async --n 3 --f 1 --k 1 --r 1
 //   ./impossibility_explorer --model sync  --n 3 --f 1 --k 1 --r 2
@@ -11,6 +11,7 @@
 #include <string>
 
 #include "core/theorems.h"
+#include "solve/decide.h"
 #include "util/cli.h"
 #include "util/timer.h"
 
@@ -32,40 +33,43 @@ int main(int argc, char** argv) {
   cli.parse(argc, argv);
 
   util::Timer timer;
-  core::SearchOptions options;
+  solve::EngineOptions options;
   options.node_limit = static_cast<std::uint64_t>(node_limit);
 
-  core::AgreementCheck check;
+  solve::DecideRequest request{solve::Model::kAsync, n, f, k, 0, r};
   core::ConnectivityCheck connectivity;
   if (model == "async") {
-    check = core::check_async_agreement(n, f, k, r, options);
     connectivity = core::check_async_connectivity(n, n, f, r);
   } else if (model == "sync") {
-    check = core::check_sync_agreement(n, f, k, r, options);
+    request.model = solve::Model::kSync;
     connectivity = core::check_sync_connectivity(n, n, k, r);
   } else if (model == "semisync") {
-    check = core::check_semisync_agreement(n, f, k, mu, r, options);
+    request.model = solve::Model::kSemiSync;
+    request.mu = mu;
     connectivity = core::check_semisync_connectivity(n, n, k, mu, r);
   } else {
     std::fprintf(stderr, "unknown model '%s'\n", model.c_str());
     return 2;
   }
+  const solve::DecideResult decided = solve::decide(request, options);
+  const store::DecisionRecord& record = decided.record;
 
   std::printf("model=%s n=%d f=%d k=%d r=%d%s\n", model.c_str(), n, f, k, r,
               model == "semisync" ? (" mu=" + std::to_string(mu)).c_str()
                                   : "");
-  std::printf("protocol complex: %zu facets, %zu vertices\n",
-              check.protocol_facets, check.protocol_vertices);
+  std::printf("protocol complex: %llu facets, %llu vertices\n",
+              static_cast<unsigned long long>(record.protocol_facets),
+              static_cast<unsigned long long>(record.protocol_vertices));
   std::printf("homological connectivity (rainbow input): %d\n",
               connectivity.measured);
   std::printf("search: %llu nodes, %s\n",
-              static_cast<unsigned long long>(check.nodes),
-              check.search_exhausted ? "exhausted" : "node limit hit");
-  if (check.impossible) {
+              static_cast<unsigned long long>(decided.stats.nodes),
+              record.exhausted ? "exhausted" : "node limit hit");
+  if (record.exhausted && !record.solvable) {
     std::printf("verdict: IMPOSSIBLE — no decision map exists for %d-set "
                 "agreement on this complex (exhaustively proven)\n",
                 k);
-  } else if (check.possible) {
+  } else if (record.solvable) {
     std::printf("verdict: SOLVABLE — a decision map exists\n");
   } else {
     std::printf("verdict: inconclusive (raise --node-limit)\n");

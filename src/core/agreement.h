@@ -9,8 +9,8 @@
 //   (agreement)   no simplex of the protocol complex receives more than k
 //                 distinct values.
 // This header checks concrete rules (e.g. FloodSet's "decide the minimum
-// value seen") against explicitly constructed complexes; decision_search.h
-// decides whether *any* rule exists.
+// value seen") against explicitly constructed complexes; solve::decide
+// (src/solve) decides whether *any* rule exists.
 
 #include <cstdint>
 #include <functional>

@@ -35,22 +35,6 @@ std::vector<std::int64_t> value_range(int count) {
   return values;
 }
 
-AgreementCheck run_search(const topology::SimplicialComplex& protocol, int k,
-                          const ViewRegistry& views,
-                          const topology::VertexArena& arena,
-                          const SearchOptions& options) {
-  AgreementCheck check;
-  check.protocol_facets = protocol.facet_count();
-  check.protocol_vertices = protocol.vertex_ids().size();
-  const SearchResult result =
-      search_decision_map(protocol, k, views, arena, options);
-  check.search_exhausted = result.exhausted;
-  check.nodes = result.nodes_explored;
-  check.possible = result.decidable;
-  check.impossible = result.exhausted && !result.decidable;
-  return check;
-}
-
 }  // namespace
 
 std::string ConnectivityCheck::to_string() const {
@@ -149,46 +133,8 @@ ConnectivityCheck check_semisync_connectivity(int num_processes,
   return measure(complex, m - (n - k) - 1);
 }
 
-AgreementCheck check_async_agreement(int num_processes, int f, int k, int r,
-                                     const SearchOptions& options) {
-  ViewRegistry views;
-  topology::VertexArena arena;
-  const topology::SimplicialComplex inputs =
-      input_complex(num_processes, value_range(k + 1), views, arena);
-  AsyncParams params{num_processes, f, r};
-  const topology::SimplicialComplex protocol =
-      async_protocol_complex_over(inputs, params, views, arena);
-  return run_search(protocol, k, views, arena, options);
-}
-
-AgreementCheck check_sync_agreement(int num_processes, int f, int k, int r,
-                                    const SearchOptions& options) {
-  ViewRegistry views;
-  topology::VertexArena arena;
-  const topology::SimplicialComplex inputs =
-      input_complex(num_processes, value_range(k + 1), views, arena);
-  SyncParams params{num_processes, f, k, r};
-  const topology::SimplicialComplex protocol =
-      sync_protocol_complex_over(inputs, params, views, arena);
-  return run_search(protocol, k, views, arena, options);
-}
-
-AgreementCheck check_semisync_agreement(int num_processes, int f, int k,
-                                        int mu, int r,
-                                        const SearchOptions& options) {
-  ViewRegistry views;
-  topology::VertexArena arena;
-  const topology::SimplicialComplex inputs =
-      input_complex(num_processes, value_range(k + 1), views, arena);
-  SemiSyncParams params{num_processes, f, k, mu, r};
-  const topology::SimplicialComplex protocol =
-      semisync_protocol_complex_over(inputs, params, views, arena);
-  return run_search(protocol, k, views, arena, options);
-}
-
 Corollary10Check check_corollary10_async(int num_processes, int f, int k,
-                                         int r,
-                                         const SearchOptions& options) {
+                                         int r) {
   Corollary10Check check;
   const int n = num_processes - 1;
   bool all_ok = true;
@@ -207,11 +153,6 @@ Corollary10Check check_corollary10_async(int num_processes, int f, int k,
     check.levels.push_back(level);
   }
   check.hypothesis_holds = all_ok;
-
-  const AgreementCheck agreement =
-      check_async_agreement(num_processes, f, k, r, options);
-  check.search_impossible = agreement.impossible;
-  check.search_exhausted = agreement.search_exhausted;
   return check;
 }
 

@@ -1,9 +1,10 @@
 #pragma once
 
 // Machine checks for the paper's numbered results. Each function builds the
-// relevant construction, runs the homological-connectivity engine and/or
-// decision-map search, and returns a structured verdict that tests assert
-// on and bench binaries print.
+// relevant construction, runs the homological-connectivity engine, and
+// returns a structured verdict that tests assert on and bench binaries
+// print. Core measures connectivity; whether a decision map exists is
+// decided by solve::decide (src/solve), which core does not link.
 
 #include <cstdint>
 #include <string>
@@ -11,7 +12,6 @@
 
 #include "core/async_complex.h"
 #include "core/construction.h"
-#include "core/decision_search.h"
 #include "core/semisync_complex.h"
 #include "core/sync_complex.h"
 #include "core/view.h"
@@ -65,33 +65,6 @@ ConnectivityCheck check_semisync_connectivity(
     int num_processes, int participants, int k, int mu, int r,
     const ConstructionOptions& options = {});
 
-struct AgreementCheck {
-  bool impossible = false;     // search proved no decision map exists
-  bool possible = false;       // search found a witness
-  bool search_exhausted = false;
-  std::uint64_t nodes = 0;
-  std::size_t protocol_facets = 0;
-  std::size_t protocol_vertices = 0;
-};
-
-/// Corollary 13 instance: k-set agreement over inputs {0..k} on the
-/// f-resilient r-round asynchronous complex with n+1 processes. The paper:
-/// impossible whenever k <= f.
-AgreementCheck check_async_agreement(int num_processes, int f, int k, int r,
-                                     const SearchOptions& options = {});
-
-/// Theorem 18 instance: k-set agreement on the r-round synchronous complex
-/// (per-round failure cap k, budget f). Impossible while r <= floor(f/k)
-/// (for n > f + k); the FloodSet rule succeeds at floor(f/k) + 1.
-AgreementCheck check_sync_agreement(int num_processes, int f, int k, int r,
-                                    const SearchOptions& options = {});
-
-/// Corollary 22's round-structure core: k-set agreement on the r-round
-/// semi-synchronous complex with per-round cap k.
-AgreementCheck check_semisync_agreement(int num_processes, int f, int k,
-                                        int mu, int r,
-                                        const SearchOptions& options = {});
-
 /// The FloodSet/min-seen rule on the r-round synchronous complex: returns
 /// true if it solves k-set agreement on every facet (inputs {0..k}).
 bool floodmin_solves_sync(int num_processes, int f, int k, int r);
@@ -109,17 +82,13 @@ struct Corollary10Check {
   /// All levels satisfied: Corollary 10's hypothesis holds, so k-set
   /// agreement must be impossible with f failures.
   bool hypothesis_holds = false;
-  /// The search's verdict on the same instance (full input complex).
-  bool search_impossible = false;
-  bool search_exhausted = false;
 };
 
 /// Corollary 10 instantiated for the asynchronous model: measures
-/// P(S^m)-connectivity for every m with n-f <= m <= n, and cross-checks the
-/// implied impossibility against the exhaustive search.
+/// P(S^m)-connectivity for every m with n-f <= m <= n. Callers cross-check
+/// the implied impossibility with solve::decide on the same instance.
 Corollary10Check check_corollary10_async(int num_processes, int f, int k,
-                                         int r,
-                                         const SearchOptions& options = {});
+                                         int r);
 
 struct Theorem5Check {
   int c = 0;  // the constant in the theorem (n - f for the async protocol)

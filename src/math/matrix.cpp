@@ -2,14 +2,9 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdlib>
-#include <cstring>
-#include <memory>
-#include <new>
 #include <stdexcept>
 
 #include "math/modular.h"
-#include "math/simd.h"
 
 namespace psph::math {
 
@@ -168,12 +163,8 @@ std::size_t SparseMatrix::rank_mod_2() const {
   const std::size_t words = (cols_ + 63) / 64;
   if (words == 0) return 0;
 
-  // Rows as bitsets in one contiguous 64-byte-aligned arena: over GF(2)
-  // elimination is a word-wise XOR, which runs through the runtime-
-  // dispatched SIMD kernel (simd.h). The stride is padded to a whole
-  // cache line so every row start is aligned and every XOR span is a
-  // multiple of the kernel's 8-word block.
-  const std::size_t stride = (words + 7) & ~std::size_t{7};
+  // Rows as bitsets in one contiguous arena: over GF(2) elimination is a
+  // word-wise XOR.
   std::size_t nonzero_rows = 0;
   for (const Row& row : entries_) {
     for (const auto& [c, v] : row) {
@@ -186,26 +177,18 @@ std::size_t SparseMatrix::rank_mod_2() const {
   }
   if (nonzero_rows == 0) return 0;
 
-  struct FreeDeleter {
-    void operator()(std::uint64_t* p) const { std::free(p); }
-  };
-  const std::size_t arena_bytes = nonzero_rows * stride * sizeof(std::uint64_t);
-  std::unique_ptr<std::uint64_t[], FreeDeleter> arena(
-      static_cast<std::uint64_t*>(std::aligned_alloc(64, arena_bytes)));
-  if (!arena) throw std::bad_alloc();
-  std::memset(arena.get(), 0, arena_bytes);
+  std::vector<std::uint64_t> arena(nonzero_rows * words, 0);
 
   // Fill the arena and record each row's population count; processing rows
   // sparsest-first keeps the recorded pivots low-weight, which both shrinks
   // the XOR cascade and mirrors the classical low-fill pivoting heuristic.
   // The (weight, slot) sort key is total, so the elimination order — and
-  // the intermediate bit patterns — are identical at every dispatch level
-  // and thread count.
+  // the intermediate bit patterns — are deterministic.
   std::vector<std::pair<std::uint32_t, std::uint32_t>> order;  // weight, slot
   order.reserve(nonzero_rows);
   std::size_t slot = 0;
   for (const Row& row : entries_) {
-    std::uint64_t* bits = arena.get() + slot * stride;
+    std::uint64_t* bits = arena.data() + slot * words;
     std::uint32_t weight = 0;
     for (const auto& [c, v] : row) {
       if ((v & 1) != 0) {
@@ -220,12 +203,11 @@ std::size_t SparseMatrix::rank_mod_2() const {
   }
   std::sort(order.begin(), order.end());
 
-  const SimdLevel level = simd_level();
   std::vector<std::uint32_t> pivot_of(cols_, kNoPivot32);
 
   std::size_t rank = 0;
   for (const auto& [weight, s] : order) {
-    std::uint64_t* bits = arena.get() + s * stride;
+    std::uint64_t* bits = arena.data() + s * words;
     std::size_t w = 0;
     for (;;) {
       while (w < words && bits[w] == 0) ++w;
@@ -238,11 +220,10 @@ std::size_t SparseMatrix::rank_mod_2() const {
         ++rank;
         break;
       }
-      // XOR from the cache line holding the leading word: everything
-      // before it is already zero in both rows.
-      const std::size_t off = w & ~std::size_t{7};
-      xor_words(bits + off, arena.get() + pivot * stride + off, stride - off,
-                level);
+      // XOR from the leading word: everything before it is already zero
+      // in both rows.
+      const std::uint64_t* pivot_bits = arena.data() + pivot * words;
+      for (std::size_t i = w; i < words; ++i) bits[i] ^= pivot_bits[i];
     }
   }
   return rank;

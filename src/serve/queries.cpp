@@ -238,7 +238,7 @@ Json render_decide(const std::vector<std::uint8_t>& sealed) {
   body.set("possible", Json::boolean(record.solvable));
   body.set("search_exhausted", Json::boolean(record.exhausted));
   // No node counts here: the record holds only deterministic fields, so a
-  // cache hit and a fresh portfolio run render byte-identically.
+  // cache hit and a fresh search render byte-identically.
   body.set("protocol_facets",
            Json::integer(static_cast<std::int64_t>(record.protocol_facets)));
   body.set("protocol_vertices",

@@ -10,8 +10,7 @@
 //     identical queries (one computation, N responders), and fans the
 //     unique jobs out over util::parallel_for. A job computes on the thread
 //     that runs it, so the thread-local DeadlineScope it sets governs all
-//     of its computation (the solve portfolio re-installs it on each
-//     racer).
+//     of its computation.
 //
 // Back-pressure is explicit: when the queue is full the reader answers
 // `overloaded` immediately instead of buffering without bound. Deadlines

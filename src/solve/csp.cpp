@@ -6,6 +6,7 @@
 #include <unordered_map>
 
 #include "core/agreement.h"
+#include "obs/obs.h"
 
 namespace psph::solve {
 
@@ -85,6 +86,7 @@ CspProblem compile_csp(const topology::SimplicialComplex& protocol, int k,
   problem.sym_value.push_back(identity_value);
 
   if (symmetry != nullptr && symmetry->size() > 1) {
+    obs::SpanTimer span("solve.symmetry");
     core::OrbitContext orbit(*symmetry, views, arena);
     for (std::size_t g = 1; g < symmetry->size(); ++g) {
       const core::SymmetryElement& element = symmetry->element(g);

@@ -6,9 +6,9 @@
 // a finite constraint problem: one variable per protocol vertex, the
 // variable's domain the inputs visible in its view (validity), and one
 // at-most-k-distinct-values constraint per facet (agreement). The seed
-// backtracker (core/decision_search.cpp) re-derives this structure at every
-// search node; the solvability engine compiles it once into flat arrays the
-// propagator can update incrementally:
+// backtracker (the test oracle under tests/oracle) re-derives this
+// structure at every search node; the solvability engine compiles it once
+// into flat arrays the propagator can update incrementally:
 //
 //   * values are dense-indexed (0..num_values-1) so a domain is one 64-bit
 //     mask — the engine supports up to 64 distinct decision values, far

@@ -133,15 +133,15 @@ std::unique_ptr<Instance> build_instance(const DecideRequest& raw,
           inputs, request.rounds, views, arena);
       break;
   }
+  std::optional<core::SymmetryGroup> symmetry;
   if (with_symmetry) {
-    const core::SymmetryGroup symmetry =
-        core::SymmetryGroup::for_input_complex(inputs, views, arena);
-    instance->problem = compile_csp(instance->protocol, request.k, views,
-                                    arena, &symmetry);
-  } else {
-    instance->problem =
-        compile_csp(instance->protocol, request.k, views, arena);
+    obs::SpanTimer span("solve.symmetry");
+    symmetry = core::SymmetryGroup::for_input_complex(inputs, views, arena);
   }
+  obs::SpanTimer span("solve.compile");
+  instance->problem =
+      compile_csp(instance->protocol, request.k, views, arena,
+                  symmetry ? &*symmetry : nullptr);
   return instance;
 }
 
@@ -200,8 +200,13 @@ DecideResult decide(const DecideRequest& raw, const EngineOptions& options,
   }
 
   if (store != nullptr && result.record.exhausted) {
-    store->save(decide_cache_key(request),
-                store::serialize_decision(result.record));
+    try {
+      store->save(decide_cache_key(request),
+                  store::serialize_decision(result.record));
+    } catch (const std::exception&) {
+      // A failed publish costs only the cache entry: the verdict is already
+      // verified, and the next query recomputes it.
+    }
   }
   return result;
 }
@@ -210,30 +215,6 @@ std::vector<std::uint8_t> decide_sealed(const DecideRequest& request,
                                         const EngineOptions& options,
                                         store::ResultStore* store) {
   return store::serialize_decision(decide(request, options, store).record);
-}
-
-store::DecisionRecord decide_seq(const DecideRequest& raw,
-                                 const core::SearchOptions& options) {
-  const DecideRequest request = normalize(raw);
-  validate(request);
-  const std::unique_ptr<Instance> instance =
-      build_instance(request, /*with_symmetry=*/false);
-  const core::SearchResult result = core::search_decision_map_seq(
-      instance->protocol, request.k, instance->views, instance->arena,
-      options);
-  store::DecisionRecord record = make_record(request);
-  record.protocol_facets = instance->problem.facets.size();
-  record.protocol_vertices = instance->problem.vertex_ids.size();
-  record.exhausted = result.exhausted;
-  record.solvable = result.exhausted && result.decidable;
-  if (record.solvable) {
-    record.witness.reserve(result.assignment.size());
-    for (const auto& [vertex, value] : result.assignment) {
-      record.witness.emplace_back(static_cast<std::uint64_t>(vertex), value);
-    }
-    std::sort(record.witness.begin(), record.witness.end());
-  }
-  return record;
 }
 
 }  // namespace psph::solve

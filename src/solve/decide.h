@@ -12,9 +12,10 @@
 // the request's parameters on load: a corrupted or aliased entry degrades
 // to a miss plus recomputation, never a wrong answer.
 //
-// decide_seq() is the seed backtracker (core/decision_search) run on the
-// identical complex — the oracle the differential suite compares every
-// engine stage against.
+// This is the one way the shipped code decides solvability: the paper
+// benches, the examples, sweeps and psph_serve all call decide(). A
+// hand-built complex goes through compile_csp + solve directly. The seed
+// backtracker the differential suite compares against lives in tests/.
 
 #include <cstdint>
 #include <memory>
@@ -22,7 +23,6 @@
 #include <string_view>
 #include <vector>
 
-#include "core/decision_search.h"
 #include "core/view.h"
 #include "solve/csp.h"
 #include "solve/engine.h"
@@ -72,7 +72,10 @@ struct Instance {
 
 /// Builds the protocol complex for `request` and compiles it; when
 /// `with_symmetry` is set the input complex's symmetry group is lowered
-/// into the problem (decide() always does).
+/// into the problem (decide() always does). Spans: solve.compile times
+/// compile_csp, and solve.symmetry times building the group plus lowering
+/// it (the lowering runs inside solve.compile); the protocol build reports
+/// its own construction spans.
 std::unique_ptr<Instance> build_instance(const DecideRequest& request,
                                          bool with_symmetry = true);
 
@@ -86,7 +89,8 @@ struct DecideResult {
 /// Decides the instance, store-first when `store` is non-null. A hit costs
 /// one load — no complex is built. On compute, the witness (when solvable)
 /// is independently re-verified against the protocol complex before the
-/// record is returned or cached.
+/// record is returned or cached. A store that fails to publish the record
+/// costs only the cache entry, never the answer.
 DecideResult decide(const DecideRequest& request,
                     const EngineOptions& options = {},
                     store::ResultStore* store = nullptr);
@@ -96,11 +100,5 @@ DecideResult decide(const DecideRequest& request,
 std::vector<std::uint8_t> decide_sealed(const DecideRequest& request,
                                         const EngineOptions& options = {},
                                         store::ResultStore* store = nullptr);
-
-/// Seed-backtracker oracle on the identical protocol complex. Exhaustive
-/// up to `options.node_limit`; the witness is the backtracker's first find
-/// (NOT canonical — compare verdicts and validity, not bytes).
-store::DecisionRecord decide_seq(const DecideRequest& request,
-                                 const core::SearchOptions& options = {});
 
 }  // namespace psph::solve

@@ -1,15 +1,12 @@
 #include "solve/engine.h"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cstddef>
 #include <unordered_set>
 
 #include "obs/obs.h"
 #include "util/cancel.h"
-#include "util/parallel.h"
-#include "util/random.h"
 
 namespace psph::solve {
 
@@ -20,38 +17,6 @@ obs::Counter g_propagations("solve.propagations");
 obs::Counter g_learned("solve.learned_nogoods");
 obs::Counter g_nogood_hits("solve.nogood_hits");
 obs::Counter g_probes("solve.probes");
-obs::Gauge g_winner("solve.portfolio_winner");
-
-constexpr int kDefaultPortfolioWidth = 8;
-
-/// Per-worker diversification: the order values are tried in and the
-/// static tie-break priority per vertex. Worker 0 is the canonical
-/// deterministic configuration (ascending values, index tie-breaks).
-struct WorkerConfig {
-  std::vector<int> value_order;
-  std::vector<std::uint64_t> vertex_priority;
-  bool learning = true;
-};
-
-WorkerConfig make_config(const CspProblem& p, int worker, bool learning,
-                         std::uint64_t seed) {
-  WorkerConfig cfg;
-  cfg.learning = learning;
-  cfg.value_order.resize(static_cast<std::size_t>(p.num_values));
-  for (int i = 0; i < p.num_values; ++i) {
-    cfg.value_order[static_cast<std::size_t>(i)] = i;
-  }
-  cfg.vertex_priority.assign(p.vertex_ids.size(), 0);
-  if (worker > 0) {
-    util::Rng rng(seed + 0x9e3779b97f4a7c15ULL *
-                             static_cast<std::uint64_t>(worker));
-    rng.shuffle(cfg.value_order);
-    for (std::uint64_t& priority : cfg.vertex_priority) {
-      priority = rng.next();
-    }
-  }
-  return cfg;
-}
 
 std::uint64_t hash_lits(const std::vector<Lit>& lits) {
   std::uint64_t h = 1469598103934665603ULL;
@@ -64,15 +29,15 @@ std::uint64_t hash_lits(const std::vector<Lit>& lits) {
 
 enum Verdict { kAborted = -1, kUnsat = 0, kSat = 1 };
 
-/// One complete propagate/learn search worker over a compiled problem.
-/// Holds all mutable search state; solve_under() may be called repeatedly
-/// (the lex-min witness extraction does), with only the learned-nogood
-/// database persisting between calls.
+/// One complete propagate/learn search over a compiled problem. Holds all
+/// mutable search state; solve_under() may be called repeatedly (the
+/// lex-min witness extraction does), with only the learned-nogood database
+/// persisting between calls.
 class Searcher {
  public:
-  Searcher(const CspProblem& p, WorkerConfig cfg, const EngineOptions& opt)
+  Searcher(const CspProblem& p, bool learning, const EngineOptions& opt)
       : p_(p),
-        cfg_(std::move(cfg)),
+        learning_(learning),
         opt_(opt),
         vertex_count_(static_cast<int>(p.vertex_ids.size())),
         domain_(p.domains),
@@ -156,7 +121,7 @@ class Searcher {
   };
 
   const CspProblem& p_;
-  WorkerConfig cfg_;
+  bool learning_;
   const EngineOptions& opt_;
   int vertex_count_;
 
@@ -532,7 +497,7 @@ class Searcher {
   /// counts one learned nogood per new canonical class, and instantiates
   /// the class's images so symmetric re-entries prune too.
   void learn(const std::vector<Lit>& decisions) {
-    if (!cfg_.learning || decisions.empty()) return;
+    if (!learning_ || decisions.empty()) return;
     // Canonical form: lex-min sorted image over the usable group elements.
     std::vector<Lit> canonical = decisions;
     std::vector<Lit> image(decisions.size());
@@ -621,26 +586,23 @@ class Searcher {
 
   // ---- search ----
 
+  /// Smallest domain first; ties go to the vertex in the most facets, then
+  /// to the lowest index.
   int pick_vertex() const {
     int best = -1;
     int best_size = 0;
-    std::uint64_t best_priority = 0;
     for (int v = 0; v < vertex_count_; ++v) {
       const auto vs = static_cast<std::size_t>(v);
       if (assigned_[vs]) continue;
       const int size = std::popcount(domain_[vs]);
-      const std::uint64_t priority = cfg_.vertex_priority[vs];
       const bool better =
           best < 0 || size < best_size ||
           (size == best_size &&
-           (priority < best_priority ||
-            (priority == best_priority &&
-             p_.facets_of[vs].size() >
-                 p_.facets_of[static_cast<std::size_t>(best)].size())));
+           p_.facets_of[vs].size() >
+               p_.facets_of[static_cast<std::size_t>(best)].size());
       if (better) {
         best = v;
         best_size = size;
-        best_priority = priority;
       }
     }
     return best;
@@ -660,8 +622,7 @@ class Searcher {
       return kSat;
     }
     const auto vs = static_cast<std::size_t>(v);
-    for (int order_pos = 0; order_pos < p_.num_values; ++order_pos) {
-      const int value = cfg_.value_order[static_cast<std::size_t>(order_pos)];
+    for (int value = 0; value < p_.num_values; ++value) {
       if ((domain_[vs] & (std::uint64_t{1} << value)) == 0) continue;
       push_level();
       assign(v, value, /*decision=*/true);
@@ -678,15 +639,6 @@ class Searcher {
   }
 };
 
-void accumulate(EngineStats* total, const EngineStats& part) {
-  total->nodes += part.nodes;
-  total->propagations += part.propagations;
-  total->learned_nogoods += part.learned_nogoods;
-  total->nogood_hits += part.nogood_hits;
-  total->probes += part.probes;
-  total->probe_failures += part.probe_failures;
-}
-
 /// Lexicographically least decision map: fix vertices in index order, each
 /// to the smallest value whose prefix still completes. The completion
 /// oracle is a deterministic learning searcher whose nogood database
@@ -698,8 +650,7 @@ std::vector<int> lex_min_witness(const CspProblem& p,
   obs::SpanTimer span("solve.canonical_witness");
   EngineOptions oracle_opt = opt;
   oracle_opt.node_limit = 0;  // completeness required
-  Searcher oracle(p, make_config(p, 0, /*learning=*/true, opt.seed),
-                  oracle_opt);
+  Searcher oracle(p, /*learning=*/true, oracle_opt);
   std::vector<int> current = start;
   std::vector<Lit> prefix;
   prefix.reserve(p.vertex_ids.size());
@@ -729,74 +680,17 @@ std::vector<int> lex_min_witness(const CspProblem& p,
   return current;
 }
 
-SolveOutcome run_single(const CspProblem& p, const EngineOptions& opt,
-                        bool learning) {
+SolveOutcome run(const CspProblem& p, const std::vector<Lit>& assumptions,
+                 bool probe, const EngineOptions& opt) {
   SolveOutcome out;
-  Searcher searcher(p, make_config(p, 0, learning, opt.seed), opt);
+  Searcher searcher(p, opt.stage == EngineStage::kLearn, opt);
   std::vector<int> witness;
-  const Verdict verdict = searcher.solve_under({}, /*probe=*/true, &witness);
+  const Verdict verdict = searcher.solve_under(assumptions, probe, &witness);
   out.stats = searcher.stats;
   out.learned = std::move(searcher.learned_originals);
   out.exhausted = verdict != kAborted;
   out.solvable = verdict == kSat;
   if (out.solvable) out.witness = std::move(witness);
-  return out;
-}
-
-SolveOutcome run_portfolio(const CspProblem& p, const EngineOptions& opt) {
-  const int width =
-      opt.portfolio_width > 0 ? opt.portfolio_width : kDefaultPortfolioWidth;
-  std::atomic<bool> cancel{false};
-  std::atomic<int> winner{-1};
-  std::vector<int> verdicts(static_cast<std::size_t>(width), kAborted);
-  std::vector<std::vector<int>> witnesses(static_cast<std::size_t>(width));
-  std::vector<EngineStats> worker_stats(static_cast<std::size_t>(width));
-  std::vector<std::vector<std::vector<Lit>>> worker_learned(
-      static_cast<std::size_t>(width));
-  const std::int64_t parent_deadline = util::current_deadline_ns();
-
-  util::parallel_for(static_cast<std::size_t>(width), [&](std::size_t w) {
-    // Pool threads have no deadline of their own; re-establish the
-    // caller's budget, then race under the shared cancellation flag.
-    util::DeadlineScope deadline(parent_deadline);
-    util::CancelScope scope(cancel);
-    try {
-      Searcher searcher(
-          p, make_config(p, static_cast<int>(w), /*learning=*/true, opt.seed),
-          opt);
-      std::vector<int> witness;
-      const Verdict verdict =
-          searcher.solve_under({}, /*probe=*/true, &witness);
-      worker_stats[w] = searcher.stats;
-      worker_learned[w] = std::move(searcher.learned_originals);
-      verdicts[w] = verdict;
-      witnesses[w] = std::move(witness);
-      if (verdict != kAborted) {
-        int expected = -1;
-        winner.compare_exchange_strong(expected, static_cast<int>(w));
-        cancel.store(true, std::memory_order_relaxed);
-      }
-    } catch (const util::OperationCancelled&) {
-      // Lost the race; partial stats are discarded (they would make the
-      // aggregate depend on cancellation timing anyway).
-    }
-  });
-
-  SolveOutcome out;
-  out.stats.workers = width;
-  for (const EngineStats& part : worker_stats) accumulate(&out.stats, part);
-  const int win = winner.load();
-  out.stats.portfolio_winner = win;
-  g_winner.set(win);
-  if (win < 0) {
-    out.exhausted = false;  // every worker hit the node limit
-    return out;
-  }
-  const auto ws = static_cast<std::size_t>(win);
-  out.exhausted = true;
-  out.solvable = verdicts[ws] == kSat;
-  if (out.solvable) out.witness = std::move(witnesses[ws]);
-  out.learned = std::move(worker_learned[ws]);
   return out;
 }
 
@@ -806,25 +700,13 @@ const char* stage_name(EngineStage stage) {
   switch (stage) {
     case EngineStage::kPropagate: return "propagate";
     case EngineStage::kLearn: return "learn";
-    case EngineStage::kPortfolio: return "portfolio";
   }
   return "?";
 }
 
 SolveOutcome solve(const CspProblem& problem, const EngineOptions& options) {
   obs::SpanTimer span("solve.search");
-  SolveOutcome out;
-  switch (options.stage) {
-    case EngineStage::kPropagate:
-      out = run_single(problem, options, /*learning=*/false);
-      break;
-    case EngineStage::kLearn:
-      out = run_single(problem, options, /*learning=*/true);
-      break;
-    case EngineStage::kPortfolio:
-      out = run_portfolio(problem, options);
-      break;
-  }
+  SolveOutcome out = run(problem, {}, /*probe=*/true, options);
   g_propagations.add(out.stats.propagations);
   g_nogood_hits.add(out.stats.nogood_hits);
   if (out.solvable && options.canonical_witness) {
@@ -836,21 +718,7 @@ SolveOutcome solve(const CspProblem& problem, const EngineOptions& options) {
 SolveOutcome solve_under(const CspProblem& problem,
                          const std::vector<Lit>& assumptions,
                          const EngineOptions& options) {
-  // Assumption solving is a single deterministic searcher (the portfolio
-  // stage degrades to kLearn here; races add nothing under assumptions).
-  const bool learning = options.stage != EngineStage::kPropagate;
-  SolveOutcome out;
-  Searcher searcher(problem,
-                    make_config(problem, 0, learning, options.seed), options);
-  std::vector<int> witness;
-  const Verdict verdict =
-      searcher.solve_under(assumptions, /*probe=*/false, &witness);
-  out.stats = searcher.stats;
-  out.learned = std::move(searcher.learned_originals);
-  out.exhausted = verdict != kAborted;
-  out.solvable = verdict == kSat;
-  if (out.solvable) out.witness = std::move(witness);
-  return out;
+  return run(problem, assumptions, /*probe=*/false, options);
 }
 
 }  // namespace psph::solve

@@ -1,43 +1,41 @@
 #pragma once
 
-// The solvability engine (DESIGN §5.17): propagating, learning,
-// portfolio-parallel decision search over a compiled CSP (csp.h).
+// The solvability engine (DESIGN §5.17): propagating, learning decision
+// search over a compiled CSP (csp.h).
 //
-// Three stages, each subsuming the previous and independently selectable
-// (the differential suite toggles them one at a time):
+// Two stages, the second subsuming the first and each independently
+// selectable (the differential suite toggles them one at a time):
 //
 //   kPropagate — arc consistency over the carrier/validity structure:
 //     per-vertex domain masks pruned through saturated facets with
-//     incremental per-facet distinct-value counters (the seed backtracker
-//     re-derives this per node), unit assignments, wipeout detection, and
-//     failed-literal probing at the root.
+//     incremental per-facet distinct-value counters, unit assignments,
+//     wipeout detection, and failed-literal probing at the root. It is the
+//     no-learning baseline the ablation and the nogood replay test use.
 //
-//   kLearn — adds conflict-driven learning: every dead branch is analysed
-//     back through its propagation reasons to the minimal implicated set
-//     of *decisions* (the saturated-facet conflict set), which becomes a
-//     nogood. Nogoods are orbit-canonicalized through the instance's input
-//     symmetry group (core/orbit, lowered to dense permutations at compile
-//     time) and instantiated across their symmetry class, so one learned
-//     conflict prunes every symmetric re-entry. Nogoods propagate through
-//     a two-watch scheme like SAT clauses.
+//   kLearn (the default, and the only production stage) — adds conflict-
+//     driven learning: every dead branch is analysed back through its
+//     propagation reasons to the minimal implicated set of *decisions*
+//     (the saturated-facet conflict set), which becomes a nogood. Nogoods
+//     are orbit-canonicalized through the instance's input symmetry group
+//     (core/orbit, lowered to dense permutations at compile time) and
+//     instantiated across their symmetry class, so one learned conflict
+//     prunes every symmetric re-entry. Nogoods propagate through a
+//     two-watch scheme like SAT clauses.
 //
-//   kPortfolio — runs diversified kLearn workers (seeded value orders and
-//     tie-breaks) over util::parallel_for with first-finisher-wins
-//     cancellation through util/cancel.h. The verdict is deterministic
-//     regardless of which worker wins (solvable/unsolvable is a property
-//     of the instance, and every worker is a complete solver).
+// Both stages branch on the smallest domain (ties to the vertex in most
+// facets, then the lowest index) and try values in ascending order, so a
+// run is a deterministic function of the problem and the options.
 //
 // Witness canonicalization: when an instance is solvable and
 // canonical_witness is on (default), the reported witness is the
 // lexicographically least decision map (vertex index order, ascending
 // values), computed by a deterministic completion search seeded from the
 // first witness found. This makes the full result — verdict AND witness —
-// bit-identical across stages, seeds, thread counts, and portfolio race
-// outcomes; only the stats (nodes, winner) reflect the actual run.
+// bit-identical across stages; only the stats reflect the actual run.
 //
 // Cooperative deadlines: the search loop and the propagation loop both
 // poll util::poll_deadline(), so a psph_serve deadline fires mid-
-// propagation, not just every few thousand nodes (the seed behavior).
+// propagation, not just every few thousand nodes.
 
 #include <cstdint>
 #include <vector>
@@ -46,14 +44,14 @@
 
 namespace psph::solve {
 
-enum class EngineStage { kPropagate, kLearn, kPortfolio };
+enum class EngineStage { kPropagate, kLearn };
 
 const char* stage_name(EngineStage stage);
 
 struct EngineOptions {
-  EngineStage stage = EngineStage::kPortfolio;
-  /// Abort a worker after this many search nodes (0 = unlimited). An
-  /// aborted worker reports exhausted = false.
+  EngineStage stage = EngineStage::kLearn;
+  /// Abort the search after this many nodes (0 = unlimited). An aborted
+  /// search reports exhausted = false.
   std::uint64_t node_limit = 0;
   /// Failed-literal probing at the root before branching.
   bool root_probing = true;
@@ -62,11 +60,6 @@ struct EngineOptions {
   bool symmetric_nogoods = true;
   std::size_t max_nogoods = 200'000;
   std::size_t max_symmetric_images = 256;
-  /// Portfolio width (number of diversified workers); 0 = default (8).
-  /// Fixed independent of thread count so results never depend on it.
-  int portfolio_width = 0;
-  /// Seed for worker diversification (value orders, tie-break priorities).
-  std::uint64_t seed = 0x50561C0DE;
   /// Canonicalize the witness to the lex-min decision map (see above).
   bool canonical_witness = true;
   /// Return the learned nogoods in SolveOutcome (tests; off in production
@@ -91,10 +84,6 @@ struct EngineStats {
   std::uint64_t nogood_hits = 0;
   std::uint64_t probes = 0;
   std::uint64_t probe_failures = 0;
-  /// Index of the portfolio worker whose verdict was used (-1 outside
-  /// portfolio mode). Timing-dependent; never part of sealed results.
-  int portfolio_winner = -1;
-  int workers = 1;
 };
 
 struct SolveOutcome {

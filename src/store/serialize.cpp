@@ -281,27 +281,6 @@ core::ConnectivityCheck decode_connectivity_check(ByteReader& in) {
   return check;
 }
 
-void encode_agreement_check(ByteWriter& out,
-                            const core::AgreementCheck& check) {
-  out.u8(check.impossible ? 1 : 0);
-  out.u8(check.possible ? 1 : 0);
-  out.u8(check.search_exhausted ? 1 : 0);
-  out.u64(check.nodes);
-  out.u64(check.protocol_facets);
-  out.u64(check.protocol_vertices);
-}
-
-core::AgreementCheck decode_agreement_check(ByteReader& in) {
-  core::AgreementCheck check;
-  check.impossible = in.u8() != 0;
-  check.possible = in.u8() != 0;
-  check.search_exhausted = in.u8() != 0;
-  check.nodes = in.u64();
-  check.protocol_facets = in.u64();
-  check.protocol_vertices = in.u64();
-  return check;
-}
-
 void encode_decision(ByteWriter& out, const DecisionRecord& record) {
   out.u32(record.engine_version);
   out.str(record.model);
@@ -411,17 +390,6 @@ core::ConnectivityCheck deserialize_connectivity_check(
     const std::vector<std::uint8_t>& bytes) {
   return unseal_with(bytes, PayloadKind::kConnectivityCheck,
                      "connectivity check", decode_connectivity_check);
-}
-
-std::vector<std::uint8_t> serialize_agreement_check(
-    const core::AgreementCheck& check) {
-  return seal_with(PayloadKind::kAgreementCheck, check, encode_agreement_check);
-}
-
-core::AgreementCheck deserialize_agreement_check(
-    const std::vector<std::uint8_t>& bytes) {
-  return unseal_with(bytes, PayloadKind::kAgreementCheck, "agreement check",
-                     decode_agreement_check);
 }
 
 std::vector<std::uint8_t> serialize_decision(const DecisionRecord& record) {

@@ -29,7 +29,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/decision_search.h"
 #include "core/theorems.h"
 #include "math/bigint.h"
 #include "topology/complex.h"
@@ -53,7 +52,7 @@ enum class PayloadKind : std::uint16_t {
   kComplex = 2,
   kHomologyReport = 3,
   kConnectivityCheck = 4,
-  kAgreementCheck = 5,
+  kAgreementCheck = 5,  // retired (the seed backtracker's verdict); never reuse
   kBigInt = 6,
   kCacheEntry = 7,    // store.h: key blob + sealed result
   kSchedule = 8,      // check/schedule.h: recorded adversary schedule
@@ -64,7 +63,7 @@ enum class PayloadKind : std::uint16_t {
 /// A decided solvability query (solve/decide.h), the payload behind
 /// PayloadKind::kDecision. Holds only deterministic fields — the verdict,
 /// the canonical (lex-min) witness, and the instance parameters echoed for
-/// defence-in-depth on load. Never node counts or portfolio winners, so a
+/// defence-in-depth on load. Never node counts or other search stats, so a
 /// cached record is bit-identical to a recomputed one.
 struct DecisionRecord {
   std::uint32_t engine_version = 1;
@@ -179,9 +178,6 @@ void encode_connectivity_check(ByteWriter& out,
                                const core::ConnectivityCheck& check);
 core::ConnectivityCheck decode_connectivity_check(ByteReader& in);
 
-void encode_agreement_check(ByteWriter& out, const core::AgreementCheck& check);
-core::AgreementCheck decode_agreement_check(ByteReader& in);
-
 void encode_decision(ByteWriter& out, const DecisionRecord& record);
 DecisionRecord decode_decision(ByteReader& in);
 
@@ -203,11 +199,6 @@ topology::HomologyReport deserialize_homology_report(
 std::vector<std::uint8_t> serialize_connectivity_check(
     const core::ConnectivityCheck& check);
 core::ConnectivityCheck deserialize_connectivity_check(
-    const std::vector<std::uint8_t>& bytes);
-
-std::vector<std::uint8_t> serialize_agreement_check(
-    const core::AgreementCheck& check);
-core::AgreementCheck deserialize_agreement_check(
     const std::vector<std::uint8_t>& bytes);
 
 std::vector<std::uint8_t> serialize_decision(const DecisionRecord& record);

@@ -6,10 +6,9 @@
 //
 //   util::parallel_for(n, [&](std::size_t i) { results[i] = f(i); });
 //
-// Each index is a whole job: a sweep's uncached grid points, a serve
-// batch's query groups, the solve portfolio's racers. One query's compute
-// path (construction, homology) never fans out; it runs on the thread that
-// calls it.
+// Each index is a whole job: a sweep's uncached grid points, or a serve
+// batch's query groups. One query's compute path (construction, homology,
+// decision search) never fans out; it runs on the thread that calls it.
 //
 // The calling thread participates, so thread_count() == 1 means "run
 // inline" and the pool holds thread_count() - 1 workers. Work is handed out

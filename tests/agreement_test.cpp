@@ -1,15 +1,15 @@
 // Tests for the agreement-rule layer: allowed values, validity and
 // agreement violations reported by the rule checker, the min rule, and the
-// MRV ablation knob of the search.
+// MRV ablation knob of the seed-backtracker oracle.
 
 #include <gtest/gtest.h>
 
 #include "core/agreement.h"
 #include "core/async_complex.h"
-#include "core/decision_search.h"
 #include "core/pseudosphere.h"
 #include "core/sync_complex.h"
 #include "core/theorems.h"
+#include "oracle/decision_search.h"
 
 namespace psph::core {
 namespace {
@@ -86,32 +86,40 @@ TEST(RuleChecker, MinRulePassesOnFailureFreeRound) {
   EXPECT_EQ(result.vertices_checked, 3u);
 }
 
+/// The oracle on one-round async k-set agreement over inputs {0..k}.
+oracle::SearchResult search_async(int n1, int f, int k, bool use_mrv) {
+  Fixture fx;
+  std::vector<std::int64_t> values;
+  for (int v = 0; v <= k; ++v) values.push_back(v);
+  const topology::SimplicialComplex inputs =
+      input_complex(n1, values, fx.views, fx.arena);
+  const topology::SimplicialComplex protocol =
+      async_protocol_complex_over(inputs, {n1, f, 1}, fx.views, fx.arena);
+  oracle::SearchOptions options;
+  options.use_mrv = use_mrv;
+  return oracle::search_decision_map(protocol, k, fx.views, fx.arena,
+                                     options);
+}
+
 TEST(SearchAblation, FixedOrderAgreesWithMrv) {
   // Both orderings are complete searches; verdicts must match wherever the
   // fixed-order run finishes.
   for (const auto& [n1, f, k] :
        std::vector<std::array<int, 3>>{{2, 1, 1}, {3, 1, 2}}) {
-    SearchOptions mrv;
-    SearchOptions fixed;
-    fixed.use_mrv = false;
-    const AgreementCheck a = check_async_agreement(n1, f, k, 1, mrv);
-    const AgreementCheck b = check_async_agreement(n1, f, k, 1, fixed);
-    ASSERT_TRUE(a.search_exhausted);
-    ASSERT_TRUE(b.search_exhausted);
-    EXPECT_EQ(a.impossible, b.impossible);
-    EXPECT_EQ(a.possible, b.possible);
+    const oracle::SearchResult a = search_async(n1, f, k, /*use_mrv=*/true);
+    const oracle::SearchResult b = search_async(n1, f, k, /*use_mrv=*/false);
+    ASSERT_TRUE(a.exhausted);
+    ASSERT_TRUE(b.exhausted);
+    EXPECT_EQ(a.decidable, b.decidable);
   }
 }
 
 TEST(SearchAblation, MrvExploresNoMoreNodesOnImpossibleInstance) {
-  SearchOptions mrv;
-  SearchOptions fixed;
-  fixed.use_mrv = false;
-  const AgreementCheck a = check_async_agreement(3, 1, 1, 1, mrv);
-  const AgreementCheck b = check_async_agreement(3, 1, 1, 1, fixed);
-  ASSERT_TRUE(a.impossible);
-  ASSERT_TRUE(b.impossible);
-  EXPECT_LE(a.nodes, b.nodes);
+  const oracle::SearchResult a = search_async(3, 1, 1, /*use_mrv=*/true);
+  const oracle::SearchResult b = search_async(3, 1, 1, /*use_mrv=*/false);
+  ASSERT_TRUE(a.exhausted && !a.decidable);
+  ASSERT_TRUE(b.exhausted && !b.decidable);
+  EXPECT_LE(a.nodes_explored, b.nodes_explored);
 }
 
 }  // namespace

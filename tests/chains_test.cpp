@@ -7,13 +7,16 @@
 
 #include "core/async_complex.h"
 #include "core/chains.h"
-#include "core/decision_search.h"
 #include "core/pseudosphere.h"
 #include "core/sync_complex.h"
 #include "core/theorems.h"
+#include "oracle/decision_search.h"
 
 namespace psph::core {
 namespace {
+
+using oracle::search_decision_map;
+using oracle::SearchResult;
 
 struct Fixture {
   ViewRegistry views;

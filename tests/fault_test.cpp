@@ -357,6 +357,20 @@ TEST(DecisionFaults, TamperedCacheEntryRecomputesNeverLies) {
   EXPECT_EQ(third.record, first.record);
 }
 
+TEST(DecisionFaults, FailedPublishStillReturnsTheVerdict) {
+  // A store whose publish fails (here at the durability barrier) must cost
+  // only the cache entry: decide still answers, with the verified verdict.
+  TempDir dir;
+  auto faulty = std::make_shared<check::FaultyFsOps>(
+      check::FaultPlan{.fail_dir_syncs = {0}});
+  store::ResultStore store(dir.str(), faulty);
+  const solve::DecideRequest request{solve::Model::kAsync, 3, 1, 2, 0, 1};
+  const solve::DecideResult result = solve::decide(request, {}, &store);
+  EXPECT_FALSE(result.cache_hit);
+  EXPECT_TRUE(result.record.exhausted);
+  EXPECT_EQ(result.record, solve::decide(request).record);
+}
+
 TEST(DecisionFaults, AliasedEntryWithWrongParametersIsIgnored) {
   // A decodable record for DIFFERENT parameters planted under this query's
   // key (a key collision, or a buggy writer) must not satisfy the query:

@@ -6,15 +6,18 @@
 #include <gtest/gtest.h>
 
 #include "core/async_complex.h"
-#include "core/decision_search.h"
 #include "core/iis_complex.h"
 #include "core/pseudosphere.h"
 #include "core/theorems.h"
+#include "oracle/decision_search.h"
 #include "topology/collapse.h"
 #include "topology/homology.h"
 
 namespace psph::core {
 namespace {
+
+using oracle::search_decision_map;
+using oracle::SearchResult;
 
 struct Fixture {
   ViewRegistry views;

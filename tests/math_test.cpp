@@ -13,7 +13,6 @@
 #include "math/combinatorics.h"
 #include "math/matrix.h"
 #include "math/modular.h"
-#include "math/simd.h"
 #include "math/smith.h"
 #include "util/random.h"
 
@@ -363,6 +362,16 @@ TEST(SparseMatrix, RankMod2AgreesWithOddPrimeOnTorsionFreeMatrix) {
   EXPECT_EQ(m.rank_mod_p(2), 4u);
 }
 
+TEST(SparseMatrix, RankMod2ExactOnWideMatrix) {
+  // Identity-with-duplicates: rank known exactly, wide enough to span three
+  // words of the bitset arena.
+  SparseMatrix known(6, 130);
+  for (std::size_t r = 0; r < 3; ++r) known.set(r, 40 * r + 7, 1);
+  for (std::size_t r = 3; r < 6; ++r) known.set(r, 40 * (r - 3) + 7, 1);
+  known.set(5, 129, 1);  // row 5 = row 2 + e_129: independent
+  EXPECT_EQ(known.rank_mod_p(2), 4u);
+}
+
 TEST(SparseMatrix, SetOutOfIncreasingColumnOrder) {
   // The flat rows keep entries sorted even when columns arrive backwards.
   SparseMatrix m(1, 6);
@@ -450,90 +459,6 @@ TEST(Smith, NegativeEntriesGivePositiveInvariants) {
   EXPECT_GT(snf.invariants[0], BigInt(0));
   EXPECT_GT(snf.invariants[1], BigInt(0));
   EXPECT_EQ(snf.invariants[0] * snf.invariants[1], BigInt(15));
-}
-
-// ------------------------------------------------------- SIMD dispatch --
-
-TEST(Simd, LevelNamesAndClamping) {
-  EXPECT_STREQ(simd_level_name(SimdLevel::kScalar), "scalar");
-  EXPECT_STREQ(simd_level_name(SimdLevel::kAvx2), "avx2");
-  EXPECT_STREQ(simd_level_name(SimdLevel::kAvx512), "avx512");
-  const SimdLevel previous = simd_level();
-  // Requests above hardware support clamp instead of faulting.
-  const SimdLevel installed = set_simd_level(SimdLevel::kAvx512);
-  EXPECT_LE(static_cast<int>(installed),
-            static_cast<int>(max_supported_simd_level()));
-  EXPECT_EQ(installed, simd_level());
-  EXPECT_EQ(set_simd_level(SimdLevel::kScalar), SimdLevel::kScalar);
-  set_simd_level(previous);
-}
-
-TEST(Simd, XorKernelsAgreeAcrossLevels) {
-  // Every dispatch level must produce the same bits on the same
-  // 64-byte-aligned, 8-word-multiple spans the GF(2) arena feeds them.
-  util::Rng rng(0x584f52u);
-  alignas(64) std::uint64_t base[64];
-  alignas(64) std::uint64_t src[64];
-  for (std::size_t i = 0; i < 64; ++i) {
-    base[i] = rng.next();
-    src[i] = rng.next();
-  }
-  const int max_level = static_cast<int>(max_supported_simd_level());
-  for (const std::size_t n : {std::size_t{8}, std::size_t{32}, std::size_t{64}}) {
-    alignas(64) std::uint64_t expected[64];
-    std::copy(std::begin(base), std::end(base), std::begin(expected));
-    xor_words(expected, src, n, SimdLevel::kScalar);
-    for (int level = 1; level <= max_level; ++level) {
-      alignas(64) std::uint64_t got[64];
-      std::copy(std::begin(base), std::end(base), std::begin(got));
-      xor_words(got, src, n, static_cast<SimdLevel>(level));
-      for (std::size_t i = 0; i < 64; ++i) {
-        EXPECT_EQ(got[i], expected[i]) << "level=" << level << " n=" << n
-                                       << " word=" << i;
-      }
-    }
-  }
-}
-
-TEST(Simd, RankMod2AgreesAcrossLevelsAndWithOddPath) {
-  // GF(2) rank through every kernel, cross-checked against the generic
-  // sparse elimination with p = 2 semantics via a dense GF(3)-free matrix:
-  // over {0,1} matrices with no 2s, rank mod 2 of the bitset path must
-  // match the rank the generic path computes when fed the same matrix
-  // mod 2 — here enforced by comparing all dispatch levels to each other
-  // and scalar to a hand-computable case.
-  const SimdLevel previous = simd_level();
-  util::Rng rng(0x52414e4bu);
-  const int max_level = static_cast<int>(max_supported_simd_level());
-  for (int trial = 0; trial < 8; ++trial) {
-    const std::size_t rows = 8 + rng.next_below(40);
-    const std::size_t cols = 100 + rng.next_below(500);
-    SparseMatrix matrix(rows, cols);
-    for (std::size_t r = 0; r < rows; ++r) {
-      for (std::size_t c = 0; c < cols; ++c) {
-        if (rng.next_below(6) == 0) matrix.set(r, c, 1);
-      }
-    }
-    std::vector<std::size_t> ranks;
-    for (int level = 0; level <= max_level; ++level) {
-      set_simd_level(static_cast<SimdLevel>(level));
-      ranks.push_back(matrix.rank_mod_p(2));
-    }
-    for (std::size_t i = 1; i < ranks.size(); ++i) {
-      EXPECT_EQ(ranks[0], ranks[i]) << "trial=" << trial << " level=" << i;
-    }
-  }
-  // Identity-with-duplicates: rank known exactly, wide enough to cross a
-  // cache-line stride boundary.
-  SparseMatrix known(6, 130);
-  for (std::size_t r = 0; r < 3; ++r) known.set(r, 40 * r + 7, 1);
-  for (std::size_t r = 3; r < 6; ++r) known.set(r, 40 * (r - 3) + 7, 1);
-  known.set(5, 129, 1);  // row 5 = row 2 + e_129: independent
-  for (int level = 0; level <= max_level; ++level) {
-    set_simd_level(static_cast<SimdLevel>(level));
-    EXPECT_EQ(known.rank_mod_p(2), 4u) << "level=" << level;
-  }
-  set_simd_level(previous);
 }
 
 }  // namespace

@@ -2,7 +2,8 @@
 // properties: Lemma 11 (async round = one pseudosphere), Lemma 12 / Cor. 13
 // (async connectivity & impossibility), Lemmas 14–16 and Figure 3 (sync),
 // Theorem 18 (round bound, via search and the FloodSet rule), Lemmas 19–21
-// (semi-sync), and the decision-map search itself.
+// (semi-sync), and the decision-map search itself. Solvability is decided
+// by solve::decide; hand-built complexes go through compile_csp + solve.
 
 #include <gtest/gtest.h>
 
@@ -10,12 +11,14 @@
 
 #include "core/agreement.h"
 #include "core/async_complex.h"
-#include "core/decision_search.h"
 #include "core/pseudosphere.h"
 #include "core/semisync_complex.h"
 #include "core/sync_complex.h"
 #include "core/theorems.h"
 #include "core/view.h"
+#include "solve/csp.h"
+#include "solve/decide.h"
+#include "solve/engine.h"
 #include "topology/homology.h"
 #include "topology/operations.h"
 
@@ -24,6 +27,16 @@ namespace {
 
 using topology::SimplicialComplex;
 using topology::VertexArena;
+
+/// solve::decide's record for k-set agreement over inputs {0..k}.
+store::DecisionRecord decided(solve::Model model, int n1, int f, int k, int r,
+                              int mu = 0) {
+  return solve::decide({model, n1, f, k, mu, r}).record;
+}
+
+bool impossible(const store::DecisionRecord& record) {
+  return record.exhausted && !record.solvable;
+}
 
 struct Fixture {
   ViewRegistry views;
@@ -98,36 +111,27 @@ TEST(AsyncLemma12, ConnectivitySweep) {
 TEST(AsyncCorollary13, ConsensusImpossibleTwoProcesses) {
   // n+1 = 2, f = 1, k = 1: the 1-round wait-free complex admits no
   // consensus map (exhaustive proof).
-  const AgreementCheck check = check_async_agreement(2, 1, 1, 1);
-  EXPECT_TRUE(check.search_exhausted);
-  EXPECT_TRUE(check.impossible);
+  EXPECT_TRUE(impossible(decided(solve::Model::kAsync, 2, 1, 1, 1)));
 }
 
 TEST(AsyncCorollary13, ConsensusImpossibleTwoRounds) {
-  const AgreementCheck check = check_async_agreement(2, 1, 1, 2);
-  EXPECT_TRUE(check.search_exhausted);
-  EXPECT_TRUE(check.impossible);
+  EXPECT_TRUE(impossible(decided(solve::Model::kAsync, 2, 1, 1, 2)));
 }
 
 TEST(AsyncCorollary13, OneResilientConsensusImpossibleThreeProcesses) {
-  const AgreementCheck check = check_async_agreement(3, 1, 1, 1);
-  EXPECT_TRUE(check.search_exhausted);
-  EXPECT_TRUE(check.impossible);
+  EXPECT_TRUE(impossible(decided(solve::Model::kAsync, 3, 1, 1, 1)));
 }
 
 TEST(AsyncCorollary13, WaitFreeTwoSetAgreementImpossible) {
   // The celebrated instance [BG93, HS93, SZ93]: 3 processes, wait-free
   // (f = 2), k = 2, one round — exhaustively refuted.
-  const AgreementCheck check = check_async_agreement(3, 2, 2, 1);
-  EXPECT_TRUE(check.search_exhausted);
-  EXPECT_TRUE(check.impossible);
+  EXPECT_TRUE(impossible(decided(solve::Model::kAsync, 3, 2, 2, 1)));
 }
 
 TEST(AsyncCorollary13, KGreaterThanFIsSolvable) {
   // k = f + 1 = 2 with 3 processes: min-of-seen works; the search must find
   // some map.
-  const AgreementCheck check = check_async_agreement(3, 1, 2, 1);
-  EXPECT_TRUE(check.possible);
+  EXPECT_TRUE(decided(solve::Model::kAsync, 3, 1, 2, 1).solvable);
 }
 
 TEST(AsyncCorollary13, MinRuleSolvesFPlusOneSetAgreement) {
@@ -251,14 +255,11 @@ TEST(SyncTheorem18, FloodMinFailsBelowTheBound) {
 TEST(SyncTheorem18, ConsensusImpossibleInOneRoundWithOneFailure) {
   // n+1 = 3, f = 1, k = 1, r = 1 <= floor(f/k): exhaustive search refutes
   // every decision map, matching the r >= floor(f/k)+1 bound.
-  const AgreementCheck check = check_sync_agreement(3, 1, 1, 1);
-  EXPECT_TRUE(check.search_exhausted);
-  EXPECT_TRUE(check.impossible);
+  EXPECT_TRUE(impossible(decided(solve::Model::kSync, 3, 1, 1, 1)));
 }
 
 TEST(SyncTheorem18, ConsensusPossibleAtTwoRounds) {
-  const AgreementCheck check = check_sync_agreement(3, 1, 1, 2);
-  EXPECT_TRUE(check.possible);
+  EXPECT_TRUE(decided(solve::Model::kSync, 3, 1, 1, 2).solvable);
 }
 
 // ----------------------------------------------------------- semi-sync ----
@@ -362,9 +363,8 @@ TEST(SemiSyncLemma21, ConnectivitySweep) {
 TEST(SemiSyncAgreement, ConsensusImpossibleOneRound) {
   // 3 processes, one failure per round, one round: n = 2 >= (r+1)k = 2, so
   // Lemma 21 applies and consensus has no decision map.
-  const AgreementCheck check = check_semisync_agreement(3, 1, 1, 2, 1);
-  EXPECT_TRUE(check.search_exhausted);
-  EXPECT_TRUE(check.impossible);
+  EXPECT_TRUE(
+      impossible(decided(solve::Model::kSemiSync, 3, 1, 1, 1, /*mu=*/2)));
 }
 
 TEST(SemiSyncAgreement, TwoProcessOneRoundIsDegenerate) {
@@ -373,9 +373,10 @@ TEST(SemiSyncAgreement, TwoProcessOneRoundIsDegenerate) {
   // removes its vertex entirely), so a decision map exists. The time lower
   // bound for two processes comes from the round-stretching argument of
   // Corollary 22, not from the one-round complex.
-  const AgreementCheck check = check_semisync_agreement(2, 1, 1, 2, 1);
-  EXPECT_TRUE(check.search_exhausted);
-  EXPECT_TRUE(check.possible);
+  const store::DecisionRecord record =
+      decided(solve::Model::kSemiSync, 2, 1, 1, 1, /*mu=*/2);
+  EXPECT_TRUE(record.exhausted);
+  EXPECT_TRUE(record.solvable);
 }
 
 // --------------------------------------------------------- search engine --
@@ -386,29 +387,30 @@ TEST(DecisionSearch, FindsMapOnSingleFacet) {
   const topology::Simplex input = rainbow_input(3, fx.views, fx.arena);
   SimplicialComplex protocol =
       sync_round_complex_for_failset(input, {}, fx.views, fx.arena);
-  const SearchResult result =
-      search_decision_map(protocol, 1, fx.views, fx.arena);
-  EXPECT_TRUE(result.decidable);
-  EXPECT_TRUE(result.exhausted);
-  EXPECT_EQ(result.assignment.size(), 3u);
+  const solve::SolveOutcome outcome =
+      solve::solve(solve::compile_csp(protocol, 1, fx.views, fx.arena));
+  EXPECT_TRUE(outcome.solvable);
+  EXPECT_TRUE(outcome.exhausted);
+  EXPECT_EQ(outcome.witness.size(), 3u);
 }
 
 TEST(DecisionSearch, WitnessSatisfiesConstraints) {
-  const Fixture* dummy = nullptr;
-  (void)dummy;
   Fixture fx;
   const SimplicialComplex inputs =
       input_complex(3, {0, 1, 2}, fx.views, fx.arena);
   const SimplicialComplex protocol = async_protocol_complex_over(
       inputs, {3, 1, 1}, fx.views, fx.arena);
-  const SearchResult result =
-      search_decision_map(protocol, 2, fx.views, fx.arena);
-  ASSERT_TRUE(result.decidable);
+  const solve::CspProblem problem =
+      solve::compile_csp(protocol, 2, fx.views, fx.arena);
+  const solve::SolveOutcome outcome = solve::solve(problem);
+  ASSERT_TRUE(outcome.solvable);
   // Re-check the witness through the independent rule checker.
   const DecisionRule witness_rule = [&](StateId state) {
-    // Find the vertex carrying this state; assignment is per-vertex.
-    for (const auto& [vertex, value] : result.assignment) {
-      if (fx.arena.state(vertex) == state) return value;
+    // Find the vertex carrying this state; the witness is per-vertex.
+    for (std::size_t i = 0; i < problem.vertex_ids.size(); ++i) {
+      if (fx.arena.state(problem.vertex_ids[i]) == state) {
+        return problem.value_of[static_cast<std::size_t>(outcome.witness[i])];
+      }
     }
     throw std::logic_error("state not in witness");
   };
@@ -418,11 +420,13 @@ TEST(DecisionSearch, WitnessSatisfiesConstraints) {
 }
 
 TEST(DecisionSearch, NodeLimitAborts) {
-  const AgreementCheck check =
-      check_async_agreement(3, 2, 2, 1, SearchOptions{.node_limit = 3});
-  EXPECT_FALSE(check.search_exhausted);
-  EXPECT_FALSE(check.impossible);
-  EXPECT_FALSE(check.possible);
+  // Solvable, and the witness search takes ~100 nodes: one is not enough.
+  solve::EngineOptions options;
+  options.node_limit = 1;
+  const store::DecisionRecord record =
+      solve::decide({solve::Model::kAsync, 3, 1, 2, 0, 1}, options).record;
+  EXPECT_FALSE(record.exhausted);
+  EXPECT_FALSE(record.solvable);
 }
 
 }  // namespace

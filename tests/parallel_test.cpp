@@ -23,9 +23,9 @@
 #include "core/semisync_complex.h"
 #include "core/sync_complex.h"
 #include "core/theorems.h"
-#include "math/simd.h"
 #include "math/smith.h"
 #include "obs/obs.h"
+#include "solve/decide.h"
 #include "topology/homology.h"
 #include "util/random.h"
 
@@ -272,46 +272,6 @@ TEST_F(ParallelTest, SmithNormalFormIdenticalAcrossThreadCounts) {
   }
   EXPECT_EQ(renderings[0], renderings[1]);
   EXPECT_EQ(renderings[0], renderings[2]);
-}
-
-TEST_F(ParallelTest, SimdLevelsProduceIdenticalGf2Results) {
-  // Kernel dispatch (scalar / AVX2 / AVX-512) must be observable only in
-  // timing: GF(2) ranks and mod-2 homology identical at every level the
-  // CPU supports. Random matrices come from a seed-reproducible stream.
-  const math::SimdLevel previous = math::simd_level();
-  const int max_level = static_cast<int>(math::max_supported_simd_level());
-  const std::uint64_t seed = test_seed(20260810);
-  util::Rng rng(seed);
-  for (int trial = 0; trial < 10; ++trial) {
-    const std::size_t rows = 16 + rng.next_below(48);
-    const std::size_t cols = 64 + rng.next_below(512);
-    math::SparseMatrix matrix(rows, cols);
-    for (std::size_t r = 0; r < rows; ++r) {
-      for (std::size_t c = 0; c < cols; ++c) {
-        if (rng.next_below(8) == 0) matrix.set(r, c, 1);
-      }
-    }
-    std::vector<std::size_t> ranks;
-    for (int level = 0; level <= max_level; ++level) {
-      math::set_simd_level(static_cast<math::SimdLevel>(level));
-      ranks.push_back(matrix.rank_mod_p(2));
-    }
-    for (std::size_t i = 1; i < ranks.size(); ++i) {
-      EXPECT_EQ(ranks[0], ranks[i])
-          << "level " << i << "; seed=" << seed << " trial=" << trial;
-    }
-  }
-  const topology::SimplicialComplex k = fig1_binary_pseudosphere(4);
-  std::vector<std::string> reports;
-  for (int level = 0; level <= max_level; ++level) {
-    math::set_simd_level(static_cast<math::SimdLevel>(level));
-    reports.push_back(
-        topology::reduced_homology(k, {.max_dim = 3, .prime = 2}).to_string());
-  }
-  math::set_simd_level(previous);
-  for (std::size_t i = 1; i < reports.size(); ++i) {
-    EXPECT_EQ(reports[0], reports[i]) << "level " << i;
-  }
 }
 
 // ------------------------------------- construction thread parity --------
@@ -573,8 +533,9 @@ TEST_F(ParallelTest, ConstructionCacheRejectsForeignRegistry) {
 
 // A query computes on the thread that runs it: serve installs each batch
 // group's DeadlineScope on its worker, and work handed to pool threads would
-// run with no deadline. Construction, connectivity and exact homology must
-// therefore never reach the pool, however many threads it has.
+// run with no deadline. Construction, connectivity, exact homology and a
+// default-options decide must therefore never reach the pool, however many
+// threads it has.
 TEST_F(ParallelTest, QueryComputeRunsOnCallingThread) {
   const bool obs_was_enabled = obs::enabled();
   util::set_thread_count(8);
@@ -586,6 +547,9 @@ TEST_F(ParallelTest, QueryComputeRunsOnCallingThread) {
   const topology::HomologyReport report = topology::reduced_homology(
       fig1_binary_pseudosphere(3), {.max_dim = 0, .exact = true});
   EXPECT_EQ(report.reduced_betti, std::vector<long long>{0});
+  const solve::DecideResult decided =
+      solve::decide({solve::Model::kAsync, 3, 1, 2, 0, 1});
+  EXPECT_TRUE(decided.record.exhausted && decided.record.solvable);
 
   const obs::Snapshot snapshot = obs::snapshot();
   obs::reset();
@@ -595,6 +559,7 @@ TEST_F(ParallelTest, QueryComputeRunsOnCallingThread) {
   // The compute really ran under instrumentation...
   EXPECT_EQ(names.count("construction.expand"), 1u);
   EXPECT_EQ(names.count("homology.reduced"), 1u);
+  EXPECT_EQ(names.count("solve.search"), 1u);
   // ...and none of it was handed to pool workers.
   EXPECT_EQ(names.count("pool.run"), 0u) << "a query fanned out to the pool";
 }

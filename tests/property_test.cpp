@@ -375,38 +375,21 @@ TEST(Property, EulerMatchesComponentsOnGraphs) {
 namespace psph::solve {
 namespace {
 
-std::uint64_t solve_seed(std::uint64_t fallback) {
-  const char* raw = std::getenv("PSPH_TEST_SEED");
-  if (raw == nullptr || *raw == '\0') return fallback;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(raw, &end, 10);
-  if (end == raw || *end != '\0') return fallback;
-  return parsed;
-}
-
-store::DecisionRecord engine_decide(DecideRequest request,
-                                    std::uint64_t seed) {
-  EngineOptions options;
-  options.seed = seed;
-  return decide(request, options).record;
-}
-
 TEST(PropertySolve, MoreRoundsNeverHurt) {
   // A protocol solvable in r rounds is solvable in r+1: extra rounds only
   // refine views, and a decision map factors through the refinement. An
   // engine verdict flipping from solvable to unsolvable as rounds grow is
   // therefore always a bug.
-  const std::uint64_t seed = solve_seed(555001);
   const std::vector<DecideRequest> bases = {
       {Model::kAsync, 3, 1, 2, 0, 1}, {Model::kAsync, 2, 1, 1, 0, 1},
       {Model::kSync, 3, 1, 1, 0, 1},  {Model::kSync, 2, 1, 1, 0, 1},
       {Model::kIis, 2, 0, 1, 0, 1},   {Model::kIis, 3, 0, 1, 0, 1},
   };
   for (DecideRequest base : bases) {
-    const store::DecisionRecord at_r = engine_decide(base, seed);
+    const store::DecisionRecord at_r = decide(base).record;
     DecideRequest next = base;
     next.rounds = base.rounds + 1;
-    const store::DecisionRecord at_r1 = engine_decide(next, seed);
+    const store::DecisionRecord at_r1 = decide(next).record;
     ASSERT_TRUE(at_r.exhausted && at_r1.exhausted);
     if (at_r.solvable) {
       EXPECT_TRUE(at_r1.solvable)
@@ -420,17 +403,16 @@ TEST(PropertySolve, HarderAgreementNeverGetsEasier) {
   // (k-1)-set agreement is strictly more constraining than k-set: any
   // (k-1)-witness is a k-witness. Unsolvable at k must imply unsolvable at
   // k-1 on the same protocol.
-  const std::uint64_t seed = solve_seed(555002);
   const std::vector<DecideRequest> bases = {
       {Model::kAsync, 3, 1, 2, 0, 1}, {Model::kAsync, 3, 2, 2, 0, 1},
       {Model::kAsync, 2, 1, 2, 0, 1}, {Model::kSync, 3, 2, 2, 0, 1},
       {Model::kSync, 3, 1, 2, 0, 2},  {Model::kSemiSync, 3, 1, 2, 1, 1},
   };
   for (DecideRequest base : bases) {
-    const store::DecisionRecord at_k = engine_decide(base, seed);
+    const store::DecisionRecord at_k = decide(base).record;
     DecideRequest harder = base;
     harder.k = base.k - 1;
-    const store::DecisionRecord at_k1 = engine_decide(harder, seed);
+    const store::DecisionRecord at_k1 = decide(harder).record;
     ASSERT_TRUE(at_k.exhausted && at_k1.exhausted);
     if (!at_k.solvable) {
       EXPECT_FALSE(at_k1.solvable)

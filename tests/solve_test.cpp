@@ -1,49 +1,36 @@
 // Differential and behavioral tests for the solvability engine (src/solve).
 //
-// The engine (propagating, learning, portfolio-parallel) must agree with
-// the seed backtracker — search_decision_map_seq, kept verbatim as the
-// oracle — on every oracle-tractable instance: same verdict, and any
-// witness valid vertex-by-vertex (validity) and facet-by-facet (agreement)
-// against the original protocol complex. Witnesses are NOT compared
-// byte-for-byte against the oracle's (the engine canonicalizes to the
-// lex-min decision map; the oracle reports its first find), but they ARE
-// compared across engine stages, seeds, and thread counts, where the
-// canonicalization makes them bit-identical.
+// Both engine stages (propagate, learn) must agree with the seed
+// backtracker — the test-only oracle in oracle/decision_search.h — on
+// every oracle-tractable instance: same verdict, and any witness valid
+// vertex-by-vertex (validity) and facet-by-facet (agreement) against the
+// original protocol complex. Witnesses are NOT compared byte-for-byte
+// against the oracle's (the engine canonicalizes to the lex-min decision
+// map; the oracle reports its first find), but they ARE compared across
+// engine stages and thread counts, where the canonicalization makes them
+// bit-identical.
 
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
 #include <chrono>
-#include <cstdlib>
 #include <filesystem>
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "oracle/decision_search.h"
 #include "solve/csp.h"
 #include "solve/decide.h"
 #include "solve/engine.h"
 #include "store/store.h"
 #include "util/cancel.h"
 #include "util/parallel.h"
-#include "util/random.h"
 
 namespace psph::solve {
 namespace {
-
-/// Seed for the engine's portfolio diversification: PSPH_TEST_SEED
-/// overrides the fallback, so CI's second-seed pass exercises different
-/// value orders and tie-breaks without a rebuild.
-std::uint64_t test_seed(std::uint64_t fallback) {
-  const char* raw = std::getenv("PSPH_TEST_SEED");
-  if (raw == nullptr || *raw == '\0') return fallback;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(raw, &end, 10);
-  if (end == raw || *end != '\0') return fallback;
-  return parsed;
-}
 
 std::string request_name(const DecideRequest& r) {
   return std::string(model_name(r.model)) + " n1=" +
@@ -53,8 +40,8 @@ std::string request_name(const DecideRequest& r) {
 }
 
 /// The oracle-tractable instance grid the differential suite sweeps: all
-/// four models, both verdicts, multiple rounds. Sized so that grid ×
-/// three engine stages lands around 200 differential cases.
+/// four models, both verdicts, multiple rounds: 74 instances, so 148
+/// differential cases across the two engine stages.
 std::vector<DecideRequest> differential_grid() {
   std::vector<DecideRequest> grid;
   // Asynchronous wait-free (Corollary 13 territory).
@@ -110,34 +97,32 @@ std::vector<DecideRequest> differential_grid() {
   return grid;
 }
 
-EngineOptions stage_options(EngineStage stage, std::uint64_t seed) {
+EngineOptions stage_options(EngineStage stage) {
   EngineOptions options;
   options.stage = stage;
-  options.seed = seed;
   return options;
 }
 
 TEST(SolveDifferential, EveryStageMatchesSeqOracleAcrossAllModels) {
-  const std::uint64_t seed = test_seed(424242);
-  core::SearchOptions oracle_options;
+  oracle::SearchOptions oracle_options;
   oracle_options.node_limit = 2'000'000;  // tractability cut, not a verdict
 
   int cases = 0;
   int oracle_skipped = 0;
   for (const DecideRequest& request : differential_grid()) {
     SCOPED_TRACE(request_name(request));
-    const store::DecisionRecord oracle = decide_seq(request, oracle_options);
+    const store::DecisionRecord oracle =
+        oracle::decide_seq(request, oracle_options);
     if (!oracle.exhausted) {
       ++oracle_skipped;
       continue;
     }
     const std::unique_ptr<Instance> instance = build_instance(request);
     for (const EngineStage stage :
-         {EngineStage::kPropagate, EngineStage::kLearn,
-          EngineStage::kPortfolio}) {
+         {EngineStage::kPropagate, EngineStage::kLearn}) {
       SCOPED_TRACE(stage_name(stage));
       const SolveOutcome outcome =
-          solve(instance->problem, stage_options(stage, seed));
+          solve(instance->problem, stage_options(stage));
       ++cases;
       ASSERT_TRUE(outcome.exhausted);
       EXPECT_EQ(outcome.solvable, oracle.solvable);
@@ -166,8 +151,8 @@ TEST(SolveDifferential, EveryStageMatchesSeqOracleAcrossAllModels) {
       EXPECT_TRUE(verify_witness(instance->problem, dense).ok);
     }
   }
-  // ~200 differential cases; the grid is fixed, so a shrink is a bug.
-  EXPECT_GE(cases, 190) << "grid shrank: " << cases << " cases, "
+  // 74 instances x 2 stages; the grid is fixed, so any change is a bug.
+  EXPECT_EQ(cases, 148) << "grid changed: " << cases << " cases, "
                         << oracle_skipped << " oracle-intractable";
   EXPECT_EQ(oracle_skipped, 0)
       << "grid contains instances the oracle cannot decide — move them to "
@@ -177,7 +162,6 @@ TEST(SolveDifferential, EveryStageMatchesSeqOracleAcrossAllModels) {
 TEST(SolveDifferential, StagesAgreeOnTheCanonicalWitnessBytes) {
   // Verdict AND witness are canonical, so the sealed decide record must be
   // bit-identical across stages regardless of search order.
-  const std::uint64_t seed = test_seed(99991);
   const std::vector<DecideRequest> picks = {
       {Model::kAsync, 3, 1, 2, 0, 1},   // solvable with a real witness
       {Model::kAsync, 3, 1, 1, 0, 1},   // impossible
@@ -186,24 +170,14 @@ TEST(SolveDifferential, StagesAgreeOnTheCanonicalWitnessBytes) {
   };
   for (const DecideRequest& request : picks) {
     SCOPED_TRACE(request_name(request));
-    std::vector<std::vector<std::uint8_t>> sealed;
-    for (const EngineStage stage :
-         {EngineStage::kPropagate, EngineStage::kLearn,
-          EngineStage::kPortfolio}) {
-      sealed.push_back(
-          decide_sealed(request, stage_options(stage, seed)));
-    }
-    EXPECT_EQ(sealed[0], sealed[1]);
-    EXPECT_EQ(sealed[1], sealed[2]);
-    // And across a different diversification seed.
-    EXPECT_EQ(sealed[0],
-              decide_sealed(request, stage_options(EngineStage::kPortfolio,
-                                                   seed ^ 0xDEADBEEF)));
+    EXPECT_EQ(decide_sealed(request, stage_options(EngineStage::kPropagate)),
+              decide_sealed(request, stage_options(EngineStage::kLearn)));
   }
 }
 
-TEST(SolvePortfolio, VerdictAndWitnessBitIdenticalAcrossThreadCounts) {
-  const std::uint64_t seed = test_seed(31337);
+TEST(SolveThreads, VerdictAndWitnessBitIdenticalAcrossThreadCounts) {
+  // serve decides on pool workers, whatever the pool size: the default
+  // decide must not depend on it.
   const std::vector<DecideRequest> picks = {
       {Model::kAsync, 3, 1, 2, 0, 1},
       {Model::kAsync, 3, 2, 2, 0, 1},
@@ -218,8 +192,7 @@ TEST(SolvePortfolio, VerdictAndWitnessBitIdenticalAcrossThreadCounts) {
     for (const DecideRequest& request : picks) {
       SCOPED_TRACE(request_name(request) + " threads=" +
                    std::to_string(threads));
-      std::vector<std::uint8_t> sealed =
-          decide_sealed(request, stage_options(EngineStage::kPortfolio, seed));
+      std::vector<std::uint8_t> sealed = decide_sealed(request);
       if (threads == 1) {
         baseline.push_back(std::move(sealed));
       } else {
@@ -242,27 +215,26 @@ TEST(SolveEngine, DeadlineFiresMidPropagationNotJustPerNode) {
   const std::unique_ptr<Instance> instance =
       build_instance({Model::kAsync, 3, 1, 2, 0, 1});
   util::DeadlineScope deadline(std::chrono::steady_clock::now());
-  EXPECT_THROW(solve(instance->problem), util::DeadlineExceeded);
-  // The deadline outranks the portfolio's internal cancellation: no stage
-  // may swallow it and report a verdict.
+  // No stage may swallow the deadline and report a verdict.
   for (const EngineStage stage :
        {EngineStage::kPropagate, EngineStage::kLearn}) {
-    EXPECT_THROW(solve(instance->problem, stage_options(stage, 1)),
+    EXPECT_THROW(solve(instance->problem, stage_options(stage)),
                  util::DeadlineExceeded);
   }
 }
 
 TEST(SolveEngine, NodeLimitReportsUnexhaustedNeverWrong) {
+  // Solvable, with a ~100-node witness search: one node cannot finish it.
+  // (Unsolvable instances of this size die at the root, limit or not.)
   const std::unique_ptr<Instance> instance =
-      build_instance({Model::kAsync, 3, 2, 2, 0, 1});
+      build_instance({Model::kAsync, 3, 1, 2, 0, 1});
   EngineOptions options;
   options.stage = EngineStage::kLearn;
   options.node_limit = 1;
-  options.root_probing = false;  // probing alone could decide it
+  options.root_probing = false;
   const SolveOutcome outcome = solve(instance->problem, options);
-  if (!outcome.exhausted) {
-    EXPECT_FALSE(outcome.solvable);
-  }
+  ASSERT_FALSE(outcome.exhausted);
+  EXPECT_FALSE(outcome.solvable);
 }
 
 TEST(SolveMemo, WarmCacheRedecideIsAPureStoreHit) {
@@ -302,12 +274,13 @@ TEST(SolveMemo, UnexhaustedVerdictsAreNeverCached) {
   std::filesystem::remove_all(root);
   store::ResultStore store(root);
 
-  const DecideRequest request{Model::kAsync, 3, 2, 2, 0, 1};
+  const DecideRequest request{Model::kAsync, 3, 1, 2, 0, 1};
   EngineOptions options;
   options.stage = EngineStage::kLearn;
   options.node_limit = 1;
   options.root_probing = false;
   const DecideResult aborted = decide(request, options, &store);
+  EXPECT_FALSE(aborted.record.exhausted);
   if (!aborted.record.exhausted) {
     EXPECT_EQ(store.stats().writes, 0u);
     // A later complete run computes (no stale abort hit) and caches.
@@ -328,11 +301,12 @@ TEST(SolveEngine, LearnedNogoodsAreNeverSubsetsOfOracleWitnesses) {
       {Model::kSync, 3, 2, 2, 0, 1},
       {Model::kAsync, 4, 1, 2, 0, 1},
   };
-  core::SearchOptions oracle_options;
+  oracle::SearchOptions oracle_options;
   oracle_options.node_limit = 2'000'000;
   for (const DecideRequest& request : picks) {
     SCOPED_TRACE(request_name(request));
-    const store::DecisionRecord oracle = decide_seq(request, oracle_options);
+    const store::DecisionRecord oracle =
+        oracle::decide_seq(request, oracle_options);
     if (!oracle.exhausted || !oracle.solvable) continue;
     const std::unique_ptr<Instance> instance = build_instance(request);
     EngineOptions options;
@@ -374,20 +348,16 @@ TEST(SolveHardInstance, EngineDecidesWhereTheOracleDrowns) {
   // compilation bug that dropped constraints (making the instance
   // spuriously solvable) fails here even without an oracle to compare to.
   const DecideRequest request{Model::kIis, 3, 0, 2, 0, 1};
-  core::SearchOptions oracle_options;
+  oracle::SearchOptions oracle_options;
   oracle_options.node_limit = 200'000;
-  const store::DecisionRecord oracle = decide_seq(request, oracle_options);
+  const store::DecisionRecord oracle =
+      oracle::decide_seq(request, oracle_options);
   EXPECT_FALSE(oracle.exhausted);
 
   const std::unique_ptr<Instance> instance = build_instance(request);
-  for (const EngineStage stage :
-       {EngineStage::kLearn, EngineStage::kPortfolio}) {
-    SCOPED_TRACE(stage_name(stage));
-    const SolveOutcome outcome =
-        solve(instance->problem, stage_options(stage, test_seed(7)));
-    EXPECT_TRUE(outcome.exhausted);
-    EXPECT_FALSE(outcome.solvable);
-  }
+  const SolveOutcome outcome = solve(instance->problem);
+  EXPECT_TRUE(outcome.exhausted);
+  EXPECT_FALSE(outcome.solvable);
 }
 
 TEST(SolveDecide, RejectsNonsenseParameters) {

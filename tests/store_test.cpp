@@ -173,22 +173,6 @@ TEST(Serialize, VerdictRoundTrips) {
   EXPECT_EQ(check_back.facet_count, check.facet_count);
   EXPECT_EQ(check_back.vertex_count, check.vertex_count);
   EXPECT_EQ(check_back.dimension, check.dimension);
-
-  core::AgreementCheck verdict;
-  verdict.impossible = true;
-  verdict.search_exhausted = true;
-  verdict.nodes = 987654321098ULL;
-  verdict.protocol_facets = 42;
-  verdict.protocol_vertices = 7;
-  const core::AgreementCheck verdict_back =
-      store::deserialize_agreement_check(
-          store::serialize_agreement_check(verdict));
-  EXPECT_EQ(verdict_back.impossible, verdict.impossible);
-  EXPECT_EQ(verdict_back.possible, verdict.possible);
-  EXPECT_EQ(verdict_back.search_exhausted, verdict.search_exhausted);
-  EXPECT_EQ(verdict_back.nodes, verdict.nodes);
-  EXPECT_EQ(verdict_back.protocol_facets, verdict.protocol_facets);
-  EXPECT_EQ(verdict_back.protocol_vertices, verdict.protocol_vertices);
 }
 
 TEST(Serialize, RejectsTruncatedEnvelope) {

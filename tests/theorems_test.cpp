@@ -7,9 +7,17 @@
 #include <vector>
 
 #include "core/theorems.h"
+#include "solve/decide.h"
 
 namespace psph::core {
 namespace {
+
+/// solve::decide's verdict on the async instance Corollary 10 names.
+bool search_impossible(int n1, int f, int k, int r) {
+  const store::DecisionRecord record =
+      solve::decide({solve::Model::kAsync, n1, f, k, 0, r}).record;
+  return record.exhausted && !record.solvable;
+}
 
 TEST(Theorem5, HypothesisHoldsForAsyncRound) {
   // Lemma 12 at r = 1 is exactly the hypothesis with c = n - f.
@@ -74,15 +82,14 @@ TEST(Corollary10, HypothesisImpliesSearchImpossibility) {
   const Corollary10Check check = check_corollary10_async(3, 1, 1, 1);
   EXPECT_TRUE(check.hypothesis_holds);
   ASSERT_EQ(check.levels.size(), 2u);  // m+1 in {2, 3}
-  EXPECT_TRUE(check.search_exhausted);
-  EXPECT_TRUE(check.search_impossible);
+  EXPECT_TRUE(search_impossible(3, 1, 1, 1));
 }
 
 TEST(Corollary10, WaitFreeInstance) {
   const Corollary10Check check = check_corollary10_async(3, 2, 2, 1);
   EXPECT_TRUE(check.hypothesis_holds);
   ASSERT_EQ(check.levels.size(), 3u);  // m+1 in {1, 2, 3}
-  EXPECT_TRUE(check.search_impossible);
+  EXPECT_TRUE(search_impossible(3, 2, 2, 1));
 }
 
 TEST(Corollary10, SolvableInstanceBreaksHypothesis) {
@@ -90,7 +97,7 @@ TEST(Corollary10, SolvableInstanceBreaksHypothesis) {
   // which the f = 1 complex does not reach — consistent with solvability.
   const Corollary10Check check = check_corollary10_async(3, 1, 2, 1);
   EXPECT_FALSE(check.hypothesis_holds);
-  EXPECT_FALSE(check.search_impossible);
+  EXPECT_FALSE(search_impossible(3, 1, 2, 1));
 }
 
 TEST(ConnectivityCheck, ToStringMentionsVerdict) {
