@@ -524,40 +524,24 @@ BENCHMARK(BM_SemiSyncExecution)->DenseRange(3, 8);
 //
 // BM_DecisionEngine*: decide k-set agreement on a pre-built, pre-compiled
 // instance — construction is hoisted out of the loop so the numbers time
-// the two engine stages alone. The IIS hard case (3 processes, k=2) is the
-// verdict the seed backtracker cannot reach in bounded time.
+// the engine alone (search plus the lex-min witness completion). The IIS
+// hard case (3 processes, k=2) is the verdict the seed backtracker cannot
+// reach in bounded time.
 
-solve::DecideRequest decision_request(const benchmark::State& state) {
+void BM_DecisionEngine(benchmark::State& state) {
   solve::DecideRequest request;
   request.model = solve::Model::kAsync;
   request.processes = static_cast<int>(state.range(0));
   request.f = static_cast<int>(state.range(1));
   request.k = static_cast<int>(state.range(2));
   request.rounds = 1;
-  return request;
-}
-
-void decision_engine_stage(benchmark::State& state,
-                           solve::EngineStage stage) {
   const std::unique_ptr<solve::Instance> instance =
-      solve::build_instance(decision_request(state));
-  solve::EngineOptions options;
-  options.stage = stage;
-  options.canonical_witness = false;
+      solve::build_instance(request);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(solve::solve(instance->problem, options));
+    benchmark::DoNotOptimize(solve::solve(instance->problem));
   }
 }
-
-void BM_DecisionEnginePropagate(benchmark::State& state) {
-  decision_engine_stage(state, solve::EngineStage::kPropagate);
-}
-void BM_DecisionEngineLearn(benchmark::State& state) {
-  decision_engine_stage(state, solve::EngineStage::kLearn);
-}
-BENCHMARK(BM_DecisionEnginePropagate)->ArgNames({"n", "f", "k"})
-    ->Args({3, 1, 2})->Args({3, 2, 2})->Args({4, 1, 2});
-BENCHMARK(BM_DecisionEngineLearn)->ArgNames({"n", "f", "k"})
+BENCHMARK(BM_DecisionEngine)->ArgNames({"n", "f", "k"})
     ->Args({3, 1, 2})->Args({3, 2, 2})->Args({4, 1, 2});
 
 void BM_DecisionEngineIisHard(benchmark::State& state) {

@@ -6,14 +6,12 @@
 #include <unordered_map>
 
 #include "core/agreement.h"
-#include "obs/obs.h"
 
 namespace psph::solve {
 
 CspProblem compile_csp(const topology::SimplicialComplex& protocol, int k,
-                       core::ViewRegistry& views,
-                       topology::VertexArena& arena,
-                       const core::SymmetryGroup* symmetry) {
+                       const core::ViewRegistry& views,
+                       const topology::VertexArena& arena) {
   CspProblem problem;
   problem.k = k;
   problem.vertex_ids = protocol.vertex_ids();
@@ -70,68 +68,6 @@ CspProblem compile_csp(const topology::SimplicialComplex& protocol, int k,
     problem.facets.push_back(std::move(members));
   });
 
-  // Lower the symmetry group to dense permutations, keeping only elements
-  // that verifiably map the compiled problem onto itself.
-  const std::size_t vertex_count = problem.vertex_ids.size();
-  std::vector<int> identity_vertex(vertex_count);
-  for (std::size_t i = 0; i < vertex_count; ++i) {
-    identity_vertex[i] = static_cast<int>(i);
-  }
-  std::vector<int> identity_value(
-      static_cast<std::size_t>(problem.num_values));
-  for (int i = 0; i < problem.num_values; ++i) {
-    identity_value[static_cast<std::size_t>(i)] = i;
-  }
-  problem.sym_vertex.push_back(identity_vertex);
-  problem.sym_value.push_back(identity_value);
-
-  if (symmetry != nullptr && symmetry->size() > 1) {
-    obs::SpanTimer span("solve.symmetry");
-    core::OrbitContext orbit(*symmetry, views, arena);
-    for (std::size_t g = 1; g < symmetry->size(); ++g) {
-      const core::SymmetryElement& element = symmetry->element(g);
-      std::vector<int> vperm(vertex_count);
-      std::vector<int> valperm(static_cast<std::size_t>(problem.num_values));
-      bool usable = true;
-      for (int i = 0; i < problem.num_values && usable; ++i) {
-        const std::int64_t image =
-            element.map_value(problem.value_of[static_cast<std::size_t>(i)]);
-        const auto it = value_index.find(image);
-        if (it == value_index.end()) {
-          usable = false;
-        } else {
-          valperm[static_cast<std::size_t>(i)] = it->second;
-        }
-      }
-      for (std::size_t i = 0; i < vertex_count && usable; ++i) {
-        const topology::VertexId image =
-            orbit.relabel_vertex(g, problem.vertex_ids[i]);
-        const auto it = vertex_index.find(image);
-        if (it == vertex_index.end()) {
-          usable = false;
-          continue;
-        }
-        vperm[i] = it->second;
-        // The image vertex's validity domain must be exactly the
-        // value-mapped domain, or relabeled nogoods would be unsound.
-        std::uint64_t mapped = 0;
-        std::uint64_t mask = problem.domains[i];
-        while (mask != 0) {
-          const int bit = std::countr_zero(mask);
-          mask &= mask - 1;
-          mapped |= std::uint64_t{1}
-                    << valperm[static_cast<std::size_t>(bit)];
-        }
-        if (mapped != problem.domains[static_cast<std::size_t>(it->second)]) {
-          usable = false;
-        }
-      }
-      if (usable) {
-        problem.sym_vertex.push_back(std::move(vperm));
-        problem.sym_value.push_back(std::move(valperm));
-      }
-    }
-  }
   return problem;
 }
 

@@ -13,11 +13,7 @@
 //   * values are dense-indexed (0..num_values-1) so a domain is one 64-bit
 //     mask — the engine supports up to 64 distinct decision values, far
 //     above what any k-set-agreement instance reaches (k+1 inputs);
-//   * facets and vertex->facet adjacency are index vectors;
-//   * the input symmetry group (core/orbit) is lowered to dense vertex and
-//     value permutations, pre-validated to map the protocol complex onto
-//     itself, so nogood canonicalization in the engine is pure table
-//     lookups — no interning, safe from any thread.
+//   * facets and vertex->facet adjacency are index vectors.
 //
 // The same module owns the engine-independent witness checker the
 // differential tests and the decide layer's final defence both use: a
@@ -29,7 +25,6 @@
 #include <string>
 #include <vector>
 
-#include "core/orbit.h"
 #include "core/view.h"
 #include "topology/arena.h"
 #include "topology/complex.h"
@@ -54,26 +49,14 @@ struct CspProblem {
   std::vector<std::vector<int>> facets;
   /// Dense vertex -> indices of facets containing it.
   std::vector<std::vector<int>> facets_of;
-
-  /// Usable symmetry elements lowered to dense permutations. Element 0 is
-  /// always the identity; elements whose vertex image leaves the complex or
-  /// whose value map does not permute the dense value set are dropped at
-  /// compile time (they cannot arise for inputs the constructions build,
-  /// but the engine must never relabel through an unverified map).
-  std::vector<std::vector<int>> sym_vertex;  // g -> dense vertex permutation
-  std::vector<std::vector<int>> sym_value;   // g -> dense value permutation
-
-  std::size_t group_order() const { return sym_vertex.size(); }
 };
 
-/// Compiles the decision-map CSP for `protocol` under k-set agreement.
-/// `symmetry`, when non-null, is lowered through an OrbitContext bound to
-/// (views, arena) — the same registry the complex was built in, so relabeled
-/// views intern to their existing ids.
+/// Compiles the decision-map CSP for `protocol` under k-set agreement;
+/// validity domains are read from the views in (views, arena), the
+/// registries the complex was built in.
 CspProblem compile_csp(const topology::SimplicialComplex& protocol, int k,
-                       core::ViewRegistry& views,
-                       topology::VertexArena& arena,
-                       const core::SymmetryGroup* symmetry = nullptr);
+                       const core::ViewRegistry& views,
+                       const topology::VertexArena& arena);
 
 struct WitnessCheck {
   bool ok = true;

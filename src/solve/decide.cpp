@@ -7,7 +7,6 @@
 #include "core/async_complex.h"
 #include "core/construction.h"
 #include "core/iis_complex.h"
-#include "core/orbit.h"
 #include "core/pseudosphere.h"
 #include "core/semisync_complex.h"
 #include "core/sync_complex.h"
@@ -101,8 +100,7 @@ store::CacheKeyBuilder decide_cache_key(const DecideRequest& request) {
   return key;
 }
 
-std::unique_ptr<Instance> build_instance(const DecideRequest& raw,
-                                         bool with_symmetry) {
+std::unique_ptr<Instance> build_instance(const DecideRequest& raw, bool) {
   const DecideRequest request = normalize(raw);
   validate(request);
   auto instance = std::make_unique<Instance>();
@@ -133,15 +131,8 @@ std::unique_ptr<Instance> build_instance(const DecideRequest& raw,
           inputs, request.rounds, views, arena);
       break;
   }
-  std::optional<core::SymmetryGroup> symmetry;
-  if (with_symmetry) {
-    obs::SpanTimer span("solve.symmetry");
-    symmetry = core::SymmetryGroup::for_input_complex(inputs, views, arena);
-  }
   obs::SpanTimer span("solve.compile");
-  instance->problem =
-      compile_csp(instance->protocol, request.k, views, arena,
-                  symmetry ? &*symmetry : nullptr);
+  instance->problem = compile_csp(instance->protocol, request.k, views, arena);
   return instance;
 }
 
@@ -171,8 +162,7 @@ DecideResult decide(const DecideRequest& raw, const EngineOptions& options,
     }
   }
 
-  const std::unique_ptr<Instance> instance =
-      build_instance(request, /*with_symmetry=*/true);
+  const std::unique_ptr<Instance> instance = build_instance(request);
   const SolveOutcome outcome = solve(instance->problem, options);
 
   DecideResult result;

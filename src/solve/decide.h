@@ -61,8 +61,8 @@ DecideRequest normalize(DecideRequest request);
 store::CacheKeyBuilder decide_cache_key(const DecideRequest& request);
 
 /// A built instance: the protocol complex plus its compiled CSP, with the
-/// registries that own the vertex views. Tests use this to replay learned
-/// nogoods and verify witnesses against the same structures the engine saw.
+/// registries that own the vertex views. Tests use this to verify witnesses
+/// against the same structures the engine saw.
 struct Instance {
   core::ViewRegistry views;
   topology::VertexArena arena;
@@ -70,14 +70,13 @@ struct Instance {
   CspProblem problem;
 };
 
-/// Builds the protocol complex for `request` and compiles it; when
-/// `with_symmetry` is set the input complex's symmetry group is lowered
-/// into the problem (decide() always does). Spans: solve.compile times
-/// compile_csp, and solve.symmetry times building the group plus lowering
-/// it (the lowering runs inside solve.compile); the protocol build reports
-/// its own construction spans.
+/// Builds the protocol complex for `request` and compiles it. The span
+/// solve.compile times compile_csp; the protocol build reports its own
+/// construction spans. The bool parameter is retired (it once selected
+/// lowering the input symmetry group into the CSP) and is ignored; only
+/// the ledger still passes it.
 std::unique_ptr<Instance> build_instance(const DecideRequest& request,
-                                         bool with_symmetry = true);
+                                         bool /*retired*/ = false);
 
 struct DecideResult {
   store::DecisionRecord record;

@@ -191,7 +191,7 @@ store::DecisionRecord decide_seq(const solve::DecideRequest& raw,
                                  const SearchOptions& options) {
   const solve::DecideRequest request = solve::normalize(raw);
   const std::unique_ptr<solve::Instance> instance =
-      solve::build_instance(request, /*with_symmetry=*/false);
+      solve::build_instance(request);
   const SearchResult result = search_decision_map(
       instance->protocol, request.k, instance->views, instance->arena,
       options);

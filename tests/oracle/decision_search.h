@@ -53,7 +53,7 @@ SearchResult search_decision_map(const topology::SimplicialComplex& protocol,
                                  const SearchOptions& options = {});
 
 /// The backtracker on the protocol complex solve::decide would build for
-/// `request` (symmetry-free). Exhaustive up to `options.node_limit`; the
+/// `request`. Exhaustive up to `options.node_limit`; the
 /// witness is the backtracker's first find (NOT canonical — compare
 /// verdicts and validity, not bytes).
 store::DecisionRecord decide_seq(const solve::DecideRequest& request,

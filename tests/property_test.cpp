@@ -7,13 +7,11 @@
 
 #include <cstdint>
 #include <cstdlib>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "math/smith.h"
 #include "solve/decide.h"
-#include "solve/engine.h"
 #include "store/serialize.h"
 #include "topology/collapse.h"
 #include "topology/components.h"
@@ -418,44 +416,6 @@ TEST(PropertySolve, HarderAgreementNeverGetsEasier) {
       EXPECT_FALSE(at_k1.solvable)
           << model_name(base.model) << " unsolvable at k=" << base.k
           << " but solvable at k=" << harder.k;
-    }
-  }
-}
-
-TEST(PropertySolve, LearnedNogoodsAreRefutableWithoutLearning) {
-  // Every learned nogood claims its assignments are jointly unextendable.
-  // Replaying the nogood as assumptions into a propagate-only *complete*
-  // search (no learning, no inherited database) must reproduce the
-  // refutation from first principles — a nogood that a plain search can
-  // satisfy would prune a live branch and could flip verdicts.
-  const std::vector<DecideRequest> picks = {
-      {Model::kAsync, 3, 1, 2, 0, 1},
-      {Model::kAsync, 3, 2, 1, 0, 1},
-      {Model::kSync, 3, 2, 2, 0, 1},
-  };
-  for (const DecideRequest& request : picks) {
-    SCOPED_TRACE(model_name(request.model));
-    const std::unique_ptr<Instance> instance = build_instance(request);
-    EngineOptions learn;
-    learn.stage = EngineStage::kLearn;
-    learn.collect_nogoods = true;
-    learn.canonical_witness = false;
-    const SolveOutcome outcome = solve(instance->problem, learn);
-    ASSERT_TRUE(outcome.exhausted);
-
-    EngineOptions replay;
-    replay.stage = EngineStage::kPropagate;
-    replay.root_probing = false;
-    std::size_t checked = 0;
-    for (const std::vector<Lit>& nogood : outcome.learned) {
-      if (nogood.empty() || checked >= 25) break;  // bound test cost
-      ++checked;
-      const SolveOutcome refute =
-          solve_under(instance->problem, nogood, replay);
-      ASSERT_TRUE(refute.exhausted);
-      EXPECT_FALSE(refute.solvable)
-          << "learned nogood of size " << nogood.size()
-          << " is satisfiable — it would prune a live branch";
     }
   }
 }

@@ -1,14 +1,13 @@
 // Differential and behavioral tests for the solvability engine (src/solve).
 //
-// Both engine stages (propagate, learn) must agree with the seed
-// backtracker — the test-only oracle in oracle/decision_search.h — on
-// every oracle-tractable instance: same verdict, and any witness valid
-// vertex-by-vertex (validity) and facet-by-facet (agreement) against the
-// original protocol complex. Witnesses are NOT compared byte-for-byte
-// against the oracle's (the engine canonicalizes to the lex-min decision
-// map; the oracle reports its first find), but they ARE compared across
-// engine stages and thread counts, where the canonicalization makes them
-// bit-identical.
+// The engine must agree with the seed backtracker — the test-only oracle in
+// oracle/decision_search.h — on every oracle-tractable instance: same
+// verdict, and any witness valid vertex-by-vertex (validity) and
+// facet-by-facet (agreement) against the original protocol complex.
+// Witnesses are NOT compared byte-for-byte against the oracle's (the engine
+// canonicalizes to the lex-min decision map; the oracle reports its first
+// find), but they ARE compared across thread counts and against digests
+// pinned in this file, where the canonicalization makes them bit-identical.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +18,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "oracle/decision_search.h"
@@ -27,6 +27,7 @@
 #include "solve/engine.h"
 #include "store/store.h"
 #include "util/cancel.h"
+#include "util/hash.h"
 #include "util/parallel.h"
 
 namespace psph::solve {
@@ -40,8 +41,7 @@ std::string request_name(const DecideRequest& r) {
 }
 
 /// The oracle-tractable instance grid the differential suite sweeps: all
-/// four models, both verdicts, multiple rounds: 74 instances, so 148
-/// differential cases across the two engine stages.
+/// four models, both verdicts, multiple rounds: 74 instances.
 std::vector<DecideRequest> differential_grid() {
   std::vector<DecideRequest> grid;
   // Asynchronous wait-free (Corollary 13 territory).
@@ -97,13 +97,7 @@ std::vector<DecideRequest> differential_grid() {
   return grid;
 }
 
-EngineOptions stage_options(EngineStage stage) {
-  EngineOptions options;
-  options.stage = stage;
-  return options;
-}
-
-TEST(SolveDifferential, EveryStageMatchesSeqOracleAcrossAllModels) {
+TEST(SolveDifferential, EngineMatchesSeqOracleAcrossAllModels) {
   oracle::SearchOptions oracle_options;
   oracle_options.node_limit = 2'000'000;  // tractability cut, not a verdict
 
@@ -118,19 +112,14 @@ TEST(SolveDifferential, EveryStageMatchesSeqOracleAcrossAllModels) {
       continue;
     }
     const std::unique_ptr<Instance> instance = build_instance(request);
-    for (const EngineStage stage :
-         {EngineStage::kPropagate, EngineStage::kLearn}) {
-      SCOPED_TRACE(stage_name(stage));
-      const SolveOutcome outcome =
-          solve(instance->problem, stage_options(stage));
-      ++cases;
-      ASSERT_TRUE(outcome.exhausted);
-      EXPECT_EQ(outcome.solvable, oracle.solvable);
-      if (outcome.solvable) {
-        const WitnessCheck check =
-            verify_witness(instance->problem, outcome.witness);
-        EXPECT_TRUE(check.ok) << check.reason;
-      }
+    const SolveOutcome outcome = solve(instance->problem);
+    ++cases;
+    ASSERT_TRUE(outcome.exhausted);
+    EXPECT_EQ(outcome.solvable, oracle.solvable);
+    if (outcome.solvable) {
+      const WitnessCheck check =
+          verify_witness(instance->problem, outcome.witness);
+      EXPECT_TRUE(check.ok) << check.reason;
     }
     // The oracle's own witness must satisfy the same checker (it is
     // engine-independent — a broken checker would vacuously pass both).
@@ -151,27 +140,32 @@ TEST(SolveDifferential, EveryStageMatchesSeqOracleAcrossAllModels) {
       EXPECT_TRUE(verify_witness(instance->problem, dense).ok);
     }
   }
-  // 74 instances x 2 stages; the grid is fixed, so any change is a bug.
-  EXPECT_EQ(cases, 148) << "grid changed: " << cases << " cases, "
-                        << oracle_skipped << " oracle-intractable";
+  // The grid is fixed, so any change in the count is a bug.
+  EXPECT_EQ(cases, 74) << "grid changed: " << cases << " cases, "
+                       << oracle_skipped << " oracle-intractable";
   EXPECT_EQ(oracle_skipped, 0)
       << "grid contains instances the oracle cannot decide — move them to "
          "SolveHardInstance";
 }
 
-TEST(SolveDifferential, StagesAgreeOnTheCanonicalWitnessBytes) {
-  // Verdict AND witness are canonical, so the sealed decide record must be
-  // bit-identical across stages regardless of search order.
-  const std::vector<DecideRequest> picks = {
-      {Model::kAsync, 3, 1, 2, 0, 1},   // solvable with a real witness
-      {Model::kAsync, 3, 1, 1, 0, 1},   // impossible
-      {Model::kSync, 3, 2, 1, 0, 2},    // sync, multi-round
-      {Model::kIis, 3, 0, 2, 0, 1},     // iis
+TEST(SolveDecide, SealedRecordsMatchPinnedDigests) {
+  // Verdict AND witness are canonical, so the sealed decide record is a
+  // function of the request alone, whatever the search order. Stored
+  // records are keyed by kDecisionEngineVersion: changing any digest below
+  // (a different verdict, witness order or record layout) requires bumping
+  // kDecisionEngineVersion, or stale cache entries would answer new queries.
+  const std::vector<std::pair<DecideRequest, std::uint64_t>> pinned = {
+      {{Model::kAsync, 3, 1, 2, 0, 1}, 0xcb8404ec2f6c9dd4ULL},     // solvable
+      {{Model::kAsync, 3, 1, 1, 0, 1}, 0xeb7646d517454216ULL},     // impossible
+      {{Model::kSync, 3, 2, 1, 0, 2}, 0x89efbaf2ca1f8ce1ULL},      // solvable
+      {{Model::kIis, 3, 0, 2, 0, 1}, 0x502d8c57a5eb7f55ULL},       // impossible
+      {{Model::kSemiSync, 3, 1, 2, 1, 1}, 0xc21738a022fdb460ULL},  // solvable
+      {{Model::kIis, 2, 0, 2, 0, 2}, 0x650b6bbd44c6a2b4ULL},       // solvable
   };
-  for (const DecideRequest& request : picks) {
+  for (const auto& [request, digest] : pinned) {
     SCOPED_TRACE(request_name(request));
-    EXPECT_EQ(decide_sealed(request, stage_options(EngineStage::kPropagate)),
-              decide_sealed(request, stage_options(EngineStage::kLearn)));
+    const std::vector<std::uint8_t> sealed = decide_sealed(request);
+    EXPECT_EQ(util::hash_bytes(sealed.data(), sealed.size()), digest);
   }
 }
 
@@ -215,12 +209,8 @@ TEST(SolveEngine, DeadlineFiresMidPropagationNotJustPerNode) {
   const std::unique_ptr<Instance> instance =
       build_instance({Model::kAsync, 3, 1, 2, 0, 1});
   util::DeadlineScope deadline(std::chrono::steady_clock::now());
-  // No stage may swallow the deadline and report a verdict.
-  for (const EngineStage stage :
-       {EngineStage::kPropagate, EngineStage::kLearn}) {
-    EXPECT_THROW(solve(instance->problem, stage_options(stage)),
-                 util::DeadlineExceeded);
-  }
+  // The engine may not swallow the deadline and report a verdict.
+  EXPECT_THROW(solve(instance->problem), util::DeadlineExceeded);
 }
 
 TEST(SolveEngine, NodeLimitReportsUnexhaustedNeverWrong) {
@@ -229,9 +219,7 @@ TEST(SolveEngine, NodeLimitReportsUnexhaustedNeverWrong) {
   const std::unique_ptr<Instance> instance =
       build_instance({Model::kAsync, 3, 1, 2, 0, 1});
   EngineOptions options;
-  options.stage = EngineStage::kLearn;
   options.node_limit = 1;
-  options.root_probing = false;
   const SolveOutcome outcome = solve(instance->problem, options);
   ASSERT_FALSE(outcome.exhausted);
   EXPECT_FALSE(outcome.solvable);
@@ -276,9 +264,7 @@ TEST(SolveMemo, UnexhaustedVerdictsAreNeverCached) {
 
   const DecideRequest request{Model::kAsync, 3, 1, 2, 0, 1};
   EngineOptions options;
-  options.stage = EngineStage::kLearn;
   options.node_limit = 1;
-  options.root_probing = false;
   const DecideResult aborted = decide(request, options, &store);
   EXPECT_FALSE(aborted.record.exhausted);
   if (!aborted.record.exhausted) {
@@ -292,59 +278,14 @@ TEST(SolveMemo, UnexhaustedVerdictsAreNeverCached) {
   std::filesystem::remove_all(root);
 }
 
-TEST(SolveEngine, LearnedNogoodsAreNeverSubsetsOfOracleWitnesses) {
-  // Refutation soundness, differential form: a learned nogood claims its
-  // assignments are jointly unextendable, so no oracle witness may satisfy
-  // all of them at once.
-  const std::vector<DecideRequest> picks = {
-      {Model::kAsync, 3, 1, 2, 0, 1},
-      {Model::kSync, 3, 2, 2, 0, 1},
-      {Model::kAsync, 4, 1, 2, 0, 1},
-  };
-  oracle::SearchOptions oracle_options;
-  oracle_options.node_limit = 2'000'000;
-  for (const DecideRequest& request : picks) {
-    SCOPED_TRACE(request_name(request));
-    const store::DecisionRecord oracle =
-        oracle::decide_seq(request, oracle_options);
-    if (!oracle.exhausted || !oracle.solvable) continue;
-    const std::unique_ptr<Instance> instance = build_instance(request);
-    EngineOptions options;
-    options.stage = EngineStage::kLearn;
-    options.collect_nogoods = true;
-    options.canonical_witness = false;
-    const SolveOutcome outcome = solve(instance->problem, options);
-    ASSERT_TRUE(outcome.exhausted);
-
-    std::map<topology::VertexId, std::int64_t> witness(
-        oracle.witness.begin(), oracle.witness.end());
-    for (const std::vector<Lit>& nogood : outcome.learned) {
-      bool all_match = !nogood.empty();
-      for (const Lit& lit : nogood) {
-        const topology::VertexId vertex =
-            instance->problem.vertex_ids[static_cast<std::size_t>(
-                lit.vertex)];
-        const std::int64_t value =
-            instance->problem.value_of[static_cast<std::size_t>(lit.value)];
-        if (witness.at(vertex) != value) {
-          all_match = false;
-          break;
-        }
-      }
-      EXPECT_FALSE(all_match)
-          << "learned nogood is satisfied by the oracle witness";
-    }
-  }
-}
-
 TEST(SolveHardInstance, EngineDecidesWhereTheOracleDrowns) {
   // 2-set agreement over 3 IIS processes is unsolvable (more processes
   // than k), but the seed backtracker must enumerate an enormous branch
   // space to prove it: it returns undecided at a 200k-node budget here,
   // and at the 2M-node budget the differential suite uses it burns minutes
-  // without exhausting. The engine's propagation plus symmetric learning
-  // refutes the instance outright — this is the separation the engine
-  // exists for. The verdict asserted is the known impossibility, so a
+  // without exhausting. The engine's root failed-literal probing refutes
+  // the instance before the first branch — this is the separation the
+  // engine exists for. The verdict asserted is the known impossibility, so a
   // compilation bug that dropped constraints (making the instance
   // spuriously solvable) fails here even without an oracle to compare to.
   const DecideRequest request{Model::kIis, 3, 0, 2, 0, 1};
