@@ -1,33 +1,25 @@
 // Beyond-the-(n, r)-wall driver: builds one protocol complex through either
-// the full level-synchronous pipeline or the symmetry-reduced orbit pipeline
-// (DESIGN §5.16), optionally spilling the inter-level frontier to sealed
-// psph_store chunks under a byte budget. Prints the exact full-complex facet
-// count and f-vector either way; with --verify-full the full pipeline runs
-// too and the numbers must agree bit for bit (exit 1 otherwise). With
-// --json-out a machine-readable record (parameters, timings, counters,
-// spill stats, build context) is written for the experiment logs;
-// --stats / --trace-out report the obs spans (build phases, f-vector).
+// the full level loop or the symmetry-reduced orbit pipeline (DESIGN §5.16).
+// Prints the exact full-complex facet count and f-vector either way; with
+// --verify-full the full pipeline runs too and the numbers must agree bit
+// for bit (exit 1 otherwise). With --json-out a machine-readable record
+// (parameters, timings, counters, build context) is written for the
+// experiment logs; --stats / --trace-out report the obs spans (build phases,
+// f-vector).
 //
-// The point of the binary: datapoints whose *full* frontier no longer fits
-// in bench time or RAM stay reachable under --mode=orbit, and tiny
-// --frontier-budget values force many spill/reload cycles so CI can smoke
-// the out-of-core path end to end.
-
-#include <unistd.h>
+// The point of the binary: datapoints whose *full* complex no longer fits in
+// bench time or RAM stay reachable under --mode=orbit.
 
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
-#include <filesystem>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
 #include "core/construction.h"
+#include "core/iis_complex.h"
 #include "core/theorems.h"
-#include "store/fs_ops.h"
-#include "store/frontier.h"
 #include "util/cli.h"
 #include "util/timer.h"
 
@@ -55,15 +47,13 @@ int main(int argc, char** argv) {
   int k = 1;
   int mu = 2;
   int rounds = 2;
-  std::int64_t frontier_budget = 0;
-  std::string spool_dir;
   bool verify_full = false;
   std::string json_out;
   bench::ObsOptions obs_options;
 
   util::Cli cli("orbit_wall",
                 "Build one protocol complex past the (n, r) wall via the "
-                "symmetry-reduced, out-of-core pipeline");
+                "symmetry-reduced pipeline");
   cli.flag_choice("model", &model, {"async", "sync", "semisync", "iis"},
                   "timing model");
   cli.flag_choice("mode", &mode, {"full", "orbit"}, "construction backend");
@@ -73,11 +63,6 @@ int main(int argc, char** argv) {
   cli.flag("k", &k, "per-round failure cap (sync/semisync)");
   cli.flag("mu", &mu, "semisync micro-round spacing");
   cli.flag("r", &rounds, "rounds");
-  cli.flag("frontier-budget", &frontier_budget,
-           "spill the inter-level frontier in chunks of ~budget/2 bytes "
-           "(0 = keep in RAM)");
-  cli.flag("spool-dir", &spool_dir,
-           "directory for spilled chunks (default: a fresh temp dir)");
   cli.flag("verify-full", &verify_full,
            "also run the full pipeline and require identical counts");
   cli.flag("json-out", &json_out, "write a JSON record of the run here");
@@ -88,40 +73,37 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--m must be <= --n\n");
     return 2;
   }
-  if (frontier_budget < 0) {
-    std::fprintf(stderr, "--frontier-budget must be >= 0\n");
-    return 2;
-  }
-
-  core::ConstructionOptions options;
-  options.frontier_budget_bytes = static_cast<std::size_t>(frontier_budget);
-  std::unique_ptr<store::FrontierSpool> spool;
-  if (frontier_budget > 0) {
-    std::filesystem::path dir = spool_dir.empty()
-                                    ? std::filesystem::temp_directory_path() /
-                                          ("psph_orbit_wall_" +
-                                           std::to_string(::getpid()))
-                                    : std::filesystem::path(spool_dir);
-    spool = std::make_unique<store::FrontierSpool>(store::FsOps::real(),
-                                                   std::move(dir));
-    options.storage = spool.get();
-  }
 
   bench::Report report("orbit_wall",
                        "orbit-reduced construction reproduces the full "
                        "complex's counts exactly");
   std::printf("model=%s mode=%s n+1=%d m+1=%d f=%d k=%d mu=%d r=%d "
-              "frontier-budget=%" PRId64 " build=%s\n",
+              "build=%s\n",
               model.c_str(), mode.c_str(), n1, m1, f, k, mu, rounds,
-              frontier_budget, bench::build_type());
+              bench::build_type());
 
-  core::ViewRegistry views;
-  topology::VertexArena arena;
-  core::ConstructionCache cache;
-  const topology::Simplex input = core::rainbow_input(m1, views, arena);
   const core::AsyncParams async_params{n1, f, rounds};
   const core::SyncParams sync_params{n1, rounds * k, k, rounds};
   const core::SemiSyncParams semisync_params{n1, rounds * k, k, mu, rounds};
+  // The full pipeline over a fresh rainbow input in its own registries.
+  const auto build_full = [&](core::ViewRegistry& views,
+                              topology::VertexArena& arena) {
+    const topology::Simplex input = core::rainbow_input(m1, views, arena);
+    if (model == "async") {
+      return core::async_protocol_complex(input, async_params, views, arena);
+    }
+    if (model == "sync") {
+      return core::sync_protocol_complex(input, sync_params, views, arena);
+    }
+    if (model == "semisync") {
+      return core::semisync_protocol_complex(input, semisync_params, views,
+                                             arena);
+    }
+    return core::iis_protocol_complex(input, rounds, views, arena);
+  };
+
+  core::ViewRegistry views;
+  topology::VertexArena arena;
 
   std::uint64_t full_facets = 0;
   std::vector<std::size_t> fvec;
@@ -133,23 +115,22 @@ int main(int argc, char** argv) {
   double fvector_seconds = 0;
 
   if (mode == "orbit") {
-    options.mode = core::ConstructionMode::kOrbit;
+    const topology::Simplex input = core::rainbow_input(m1, views, arena);
     util::Timer build_timer;
     core::OrbitComplexResult result = [&] {
       if (model == "async") {
         return core::async_protocol_complex_orbit(input, async_params, views,
-                                                  arena, cache, options);
+                                                  arena);
       }
       if (model == "sync") {
         return core::sync_protocol_complex_orbit(input, sync_params, views,
-                                                 arena, cache, options);
+                                                 arena);
       }
       if (model == "semisync") {
-        return core::semisync_protocol_complex_orbit(
-            input, semisync_params, views, arena, cache, options);
+        return core::semisync_protocol_complex_orbit(input, semisync_params,
+                                                     views, arena);
       }
-      return core::iis_protocol_complex_orbit(input, rounds, views, arena,
-                                              cache, options);
+      return core::iis_protocol_complex_orbit(input, rounds, views, arena);
     }();
     build_seconds = build_timer.seconds();
     group_order = result.group.size();
@@ -167,22 +148,7 @@ int main(int argc, char** argv) {
                 group_order, orbit_reps, dominated, reduced_facets);
   } else {
     util::Timer build_timer;
-    const topology::SimplicialComplex complex = [&] {
-      if (model == "async") {
-        return core::async_protocol_complex(input, async_params, views, arena,
-                                            cache, options);
-      }
-      if (model == "sync") {
-        return core::sync_protocol_complex(input, sync_params, views, arena,
-                                           cache, options);
-      }
-      if (model == "semisync") {
-        return core::semisync_protocol_complex(input, semisync_params, views,
-                                               arena, cache, options);
-      }
-      return core::iis_protocol_complex(input, rounds, views, arena, cache,
-                                        options);
-    }();
+    const topology::SimplicialComplex complex = build_full(views, arena);
     build_seconds = build_timer.seconds();
     full_facets = complex.facet_count();
     fvec = complex.f_vector();
@@ -192,46 +158,15 @@ int main(int argc, char** argv) {
               fvec_string(fvec).c_str());
   std::printf("build %.3fs", build_seconds);
   if (mode == "orbit") std::printf(", f-vector %.3fs", fvector_seconds);
-  if (spool != nullptr) {
-    std::printf(", spill: %" PRIu64 " chunks written / %" PRIu64
-                " read / %" PRIu64 " bytes",
-                spool->stats().chunks_written, spool->stats().chunks_read,
-                spool->stats().bytes_written);
-  }
   std::printf("\n");
-  if (spool != nullptr && frontier_budget > 0 && rounds > 1) {
-    report.check(spool->stats().chunks_written > 0,
-                 "a multi-round run under a budget actually spilled");
-    report.check(spool->stats().chunks_read == spool->stats().chunks_written,
-                 "every spilled chunk was read back exactly once");
-  }
 
   double verify_seconds = 0;
   if (verify_full) {
     core::ViewRegistry full_views;
     topology::VertexArena full_arena;
-    core::ConstructionCache full_cache;
-    const topology::Simplex full_input =
-        core::rainbow_input(m1, full_views, full_arena);
     util::Timer verify_timer;
-    const topology::SimplicialComplex complex = [&] {
-      if (model == "async") {
-        return core::async_protocol_complex(full_input, async_params,
-                                            full_views, full_arena,
-                                            full_cache);
-      }
-      if (model == "sync") {
-        return core::sync_protocol_complex(full_input, sync_params, full_views,
-                                           full_arena, full_cache);
-      }
-      if (model == "semisync") {
-        return core::semisync_protocol_complex(full_input, semisync_params,
-                                               full_views, full_arena,
-                                               full_cache);
-      }
-      return core::iis_protocol_complex(full_input, rounds, full_views,
-                                        full_arena, full_cache);
-    }();
+    const topology::SimplicialComplex complex =
+        build_full(full_views, full_arena);
     verify_seconds = verify_timer.seconds();
     report.check(complex.facet_count() == full_facets,
                  "facet count matches the full pipeline (" +
@@ -263,10 +198,8 @@ int main(int argc, char** argv) {
     std::fprintf(out,
                  "  \"model\": \"%s\",\n  \"mode\": \"%s\",\n"
                  "  \"n\": %d,\n  \"m\": %d,\n  \"f\": %d,\n  \"k\": %d,\n"
-                 "  \"mu\": %d,\n  \"rounds\": %d,\n"
-                 "  \"frontier_budget_bytes\": %" PRId64 ",\n",
-                 model.c_str(), mode.c_str(), n1, m1, f, k, mu, rounds,
-                 frontier_budget);
+                 "  \"mu\": %d,\n  \"rounds\": %d,\n",
+                 model.c_str(), mode.c_str(), n1, m1, f, k, mu, rounds);
     std::fprintf(out,
                  "  \"full_facets\": %" PRIu64 ",\n  \"group_order\": %" PRIu64
                  ",\n  \"orbit_reps\": %" PRIu64
@@ -277,15 +210,8 @@ int main(int argc, char** argv) {
     std::fprintf(out, "  \"f_vector\": %s,\n", fvec_string(fvec).c_str());
     std::fprintf(out,
                  "  \"build_seconds\": %.6f,\n  \"fvector_seconds\": %.6f,\n"
-                 "  \"verify_seconds\": %.6f,\n",
+                 "  \"verify_seconds\": %.6f\n}\n",
                  build_seconds, fvector_seconds, verify_seconds);
-    std::fprintf(out,
-                 "  \"spill\": {\"chunks_written\": %" PRIu64
-                 ", \"chunks_read\": %" PRIu64 ", \"bytes_written\": %" PRIu64
-                 "}\n}\n",
-                 spool != nullptr ? spool->stats().chunks_written : 0,
-                 spool != nullptr ? spool->stats().chunks_read : 0,
-                 spool != nullptr ? spool->stats().bytes_written : 0);
     std::fclose(out);
     std::printf("json -> %s\n", json_out.c_str());
   }

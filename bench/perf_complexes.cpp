@@ -82,19 +82,14 @@ BENCHMARK(BM_SemiSyncRoundComplex)->DenseRange(3, 5);
 
 // ---- Multi-round construction: pipeline vs sequential reference ----
 //
-// Three variants per model, all over Args({n, rounds}):
-//   *ProtocolComplex      — level-synchronous pipeline, cold memo cache per
-//                           iteration (the default path users hit).
-//   *ProtocolComplexSeq   — the `_seq` depth-first reference construction,
-//                           single-threaded and unmemoized; the baseline the
-//                           pipeline speedup is measured against.
-//   *ProtocolComplexCached — pipeline with registries and memo cache kept
-//                           warm across iterations: the rebuild-after-the-
-//                           first cost, i.e. the memoization win for sweeps
-//                           that reconstruct the same complexes repeatedly.
+// Two variants per model, all over Args({n, rounds}):
+//   *ProtocolComplex      — the level loop, fresh registries per iteration
+//                           (the default path users hit).
+//   *ProtocolComplexSeq   — the `_seq` depth-first reference construction;
+//                           the baseline the level loop is measured against.
 //
-// Run with --threads=N to size the pool; thread scaling needs a multi-core
-// host (results are bit-identical at every thread count either way).
+// Construction runs on the calling thread, so --threads does not change
+// these numbers.
 
 void BM_AsyncProtocolComplex(benchmark::State& state) {
   const int n1 = static_cast<int>(state.range(0));
@@ -125,24 +120,6 @@ void BM_AsyncProtocolComplexSeq(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AsyncProtocolComplexSeq)
-    ->ArgNames({"n", "r"})
-    ->Args({3, 2})
-    ->Args({3, 3})
-    ->Args({4, 2});
-
-void BM_AsyncProtocolComplexCached(benchmark::State& state) {
-  const int n1 = static_cast<int>(state.range(0));
-  const int rounds = static_cast<int>(state.range(1));
-  core::ViewRegistry views;
-  topology::VertexArena arena;
-  core::ConstructionCache cache;
-  const topology::Simplex input = core::rainbow_input(n1, views, arena);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::async_protocol_complex(
-        input, {n1, 1, rounds}, views, arena, cache));
-  }
-}
-BENCHMARK(BM_AsyncProtocolComplexCached)
     ->ArgNames({"n", "r"})
     ->Args({3, 2})
     ->Args({3, 3})
@@ -184,25 +161,6 @@ BENCHMARK(BM_SyncProtocolComplexSeq)
     ->Args({5, 2})
     ->Args({5, 3});
 
-void BM_SyncProtocolComplexCached(benchmark::State& state) {
-  const int n1 = static_cast<int>(state.range(0));
-  const int rounds = static_cast<int>(state.range(1));
-  core::ViewRegistry views;
-  topology::VertexArena arena;
-  core::ConstructionCache cache;
-  const topology::Simplex input = core::rainbow_input(n1, views, arena);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::sync_protocol_complex(
-        input, {n1, 2, 1, rounds}, views, arena, cache));
-  }
-}
-BENCHMARK(BM_SyncProtocolComplexCached)
-    ->ArgNames({"n", "r"})
-    ->Args({4, 2})
-    ->Args({4, 3})
-    ->Args({5, 2})
-    ->Args({5, 3});
-
 void BM_SemisyncProtocolComplex(benchmark::State& state) {
   const int n1 = static_cast<int>(state.range(0));
   const int rounds = static_cast<int>(state.range(1));
@@ -237,24 +195,6 @@ BENCHMARK(BM_SemisyncProtocolComplexSeq)
     ->Args({4, 2})
     ->Args({5, 2});
 
-void BM_SemisyncProtocolComplexCached(benchmark::State& state) {
-  const int n1 = static_cast<int>(state.range(0));
-  const int rounds = static_cast<int>(state.range(1));
-  core::ViewRegistry views;
-  topology::VertexArena arena;
-  core::ConstructionCache cache;
-  const topology::Simplex input = core::rainbow_input(n1, views, arena);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::semisync_protocol_complex(
-        input, {n1, 1, 1, 2, rounds}, views, arena, cache));
-  }
-}
-BENCHMARK(BM_SemisyncProtocolComplexCached)
-    ->ArgNames({"n", "r"})
-    ->Args({3, 2})
-    ->Args({4, 2})
-    ->Args({5, 2});
-
 // ---- Symmetry-reduced (orbit) construction ----
 //
 // The BM_*Orbit variants build the same complexes through the orbit-quotient
@@ -274,10 +214,9 @@ void BM_AsyncProtocolComplexOrbit(benchmark::State& state) {
   for (auto _ : state) {
     core::ViewRegistry views;
     topology::VertexArena arena;
-    core::ConstructionCache cache;
     const topology::Simplex input = core::rainbow_input(n1, views, arena);
     const core::OrbitComplexResult result = core::async_protocol_complex_orbit(
-        input, {n1, 1, rounds}, views, arena, cache);
+        input, {n1, 1, rounds}, views, arena);
     full_facets = result.full_facet_count;
     reps = result.orbits.size();
     benchmark::DoNotOptimize(result.reduced.facet_count());
@@ -303,10 +242,9 @@ void BM_SyncProtocolComplexOrbit(benchmark::State& state) {
   for (auto _ : state) {
     core::ViewRegistry views;
     topology::VertexArena arena;
-    core::ConstructionCache cache;
     const topology::Simplex input = core::rainbow_input(n1, views, arena);
     const core::OrbitComplexResult result = core::sync_protocol_complex_orbit(
-        input, {n1, 2, 1, rounds}, views, arena, cache);
+        input, {n1, 2, 1, rounds}, views, arena);
     full_facets = result.full_facet_count;
     reps = result.orbits.size();
     benchmark::DoNotOptimize(result.reduced.facet_count());
@@ -330,11 +268,10 @@ void BM_SemisyncProtocolComplexOrbit(benchmark::State& state) {
   for (auto _ : state) {
     core::ViewRegistry views;
     topology::VertexArena arena;
-    core::ConstructionCache cache;
     const topology::Simplex input = core::rainbow_input(n1, views, arena);
     const core::OrbitComplexResult result =
         core::semisync_protocol_complex_orbit(input, {n1, 1, 1, 2, rounds},
-                                              views, arena, cache);
+                                              views, arena);
     full_facets = result.full_facet_count;
     reps = result.orbits.size();
     benchmark::DoNotOptimize(result.reduced.facet_count());
@@ -347,31 +284,6 @@ BENCHMARK(BM_SemisyncProtocolComplexOrbit)
     ->Args({3, 2})
     ->Args({4, 2})
     ->Args({5, 2})
-    ->Unit(benchmark::kMillisecond);
-
-// Orbit pipeline with the frontier spilled through an in-memory chunk store
-// at a deliberately tiny budget: measures the encode/flush/replay overhead
-// of out-of-core operation, isolated from disk I/O.
-void BM_AsyncOrbitSpill(benchmark::State& state) {
-  const int n1 = static_cast<int>(state.range(0));
-  const int rounds = static_cast<int>(state.range(1));
-  for (auto _ : state) {
-    core::ViewRegistry views;
-    topology::VertexArena arena;
-    core::ConstructionCache cache;
-    core::InMemoryFrontierStorage storage;
-    core::ConstructionOptions options;
-    options.frontier_budget_bytes = 4096;
-    options.storage = &storage;
-    const topology::Simplex input = core::rainbow_input(n1, views, arena);
-    benchmark::DoNotOptimize(core::async_protocol_complex_orbit(
-        input, {n1, 1, rounds}, views, arena, cache, options));
-  }
-}
-BENCHMARK(BM_AsyncOrbitSpill)
-    ->ArgNames({"n", "r"})
-    ->Args({3, 2})
-    ->Args({4, 2})
     ->Unit(benchmark::kMillisecond);
 
 // ---- End-to-end: construction + homology in one measured unit ----

@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "core/construction.h"
 #include "core/round_ops.h"
 #include "math/combinatorics.h"
 
@@ -34,13 +33,6 @@ topology::SimplicialComplex async_round_complex(
   return result;
 }
 
-topology::SimplicialComplex async_protocol_complex(
-    const topology::Simplex& input, const AsyncParams& params,
-    ViewRegistry& views, topology::VertexArena& arena) {
-  ConstructionCache cache;
-  return async_protocol_complex(input, params, views, arena, cache);
-}
-
 topology::SimplicialComplex async_protocol_complex_seq(
     const topology::Simplex& input, const AsyncParams& params,
     ViewRegistry& views, topology::VertexArena& arena) {
@@ -58,13 +50,6 @@ topology::SimplicialComplex async_protocol_complex_seq(
     result.merge(async_protocol_complex_seq(facet, next, views, arena));
   }
   return result;
-}
-
-topology::SimplicialComplex async_protocol_complex_over(
-    const topology::SimplicialComplex& inputs, const AsyncParams& params,
-    ViewRegistry& views, topology::VertexArena& arena) {
-  ConstructionCache cache;
-  return async_protocol_complex_over(inputs, params, views, arena, cache);
 }
 
 }  // namespace psph::core

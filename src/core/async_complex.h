@@ -38,15 +38,15 @@ topology::SimplicialComplex async_round_complex(const topology::Simplex& input,
                                                 topology::VertexArena& arena);
 
 /// A^r(S): the r-round complex by the inductive construction. Runs the
-/// parallel, memoized pipeline of construction.h (with a private cache);
-/// output is bit-identical to the sequential reference at any thread count.
+/// level loop of construction.h; output is bit-identical to the sequential
+/// reference.
 topology::SimplicialComplex async_protocol_complex(
     const topology::Simplex& input, const AsyncParams& params,
     ViewRegistry& views, topology::VertexArena& arena);
 
 /// Sequential depth-first reference construction of A^r(S). Kept as the
 /// correctness oracle for the pipeline (tests) and as the benchmark
-/// baseline; always single-threaded, never memoized.
+/// baseline.
 topology::SimplicialComplex async_protocol_complex_seq(
     const topology::Simplex& input, const AsyncParams& params,
     ViewRegistry& views, topology::VertexArena& arena);

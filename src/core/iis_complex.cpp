@@ -4,7 +4,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "core/construction.h"
 #include "core/round_ops.h"
 #include "math/combinatorics.h"
 #include "topology/simplex.h"
@@ -84,13 +83,6 @@ topology::SimplicialComplex iis_round_complex(const topology::Simplex& input,
   return result;
 }
 
-topology::SimplicialComplex iis_protocol_complex(
-    const topology::Simplex& input, int rounds, ViewRegistry& views,
-    topology::VertexArena& arena) {
-  ConstructionCache cache;
-  return iis_protocol_complex(input, rounds, views, arena, cache);
-}
-
 topology::SimplicialComplex iis_protocol_complex_seq(
     const topology::Simplex& input, int rounds, ViewRegistry& views,
     topology::VertexArena& arena) {
@@ -105,13 +97,6 @@ topology::SimplicialComplex iis_protocol_complex_seq(
     result.merge(iis_protocol_complex_seq(facet, rounds - 1, views, arena));
   }
   return result;
-}
-
-topology::SimplicialComplex iis_protocol_complex_over(
-    const topology::SimplicialComplex& inputs, int rounds,
-    ViewRegistry& views, topology::VertexArena& arena) {
-  ConstructionCache cache;
-  return iis_protocol_complex_over(inputs, rounds, views, arena, cache);
 }
 
 }  // namespace psph::core

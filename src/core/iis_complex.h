@@ -35,16 +35,15 @@ topology::SimplicialComplex iis_round_complex(const topology::Simplex& input,
                                               ViewRegistry& views,
                                               topology::VertexArena& arena);
 
-/// r-round iterated complex. Runs the parallel, memoized pipeline of
-/// construction.h (with a private cache); output is bit-identical to the
-/// sequential reference at any thread count.
+/// r-round iterated complex. Runs the level loop of construction.h; output
+/// is bit-identical to the sequential reference.
 topology::SimplicialComplex iis_protocol_complex(
     const topology::Simplex& input, int rounds, ViewRegistry& views,
     topology::VertexArena& arena);
 
 /// Sequential depth-first reference construction of IIS^r. Kept as the
 /// correctness oracle for the pipeline (tests) and as the benchmark
-/// baseline; always single-threaded, never memoized.
+/// baseline.
 topology::SimplicialComplex iis_protocol_complex_seq(
     const topology::Simplex& input, int rounds, ViewRegistry& views,
     topology::VertexArena& arena);

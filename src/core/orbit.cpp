@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
-#include <set>
 #include <stdexcept>
-
-#include "topology/isomorphism.h"
 
 namespace psph::core {
 
@@ -112,91 +109,6 @@ SymmetryGroup SymmetryGroup::for_input_facet(
   } while (std::next_permutation(perm.begin(), perm.end()));
 
   // next_permutation visited the identity first, so element 0 is id.
-  return group;
-}
-
-SymmetryGroup SymmetryGroup::for_input_complex(
-    const topology::SimplicialComplex& inputs, const ViewRegistry& views,
-    const topology::VertexArena& arena, std::uint64_t max_candidates) {
-  std::set<ProcessId> pid_set;
-  std::set<std::int64_t> value_set;
-  std::vector<topology::VertexId> vertex_ids = inputs.vertex_ids();
-  for (const topology::VertexId v : vertex_ids) {
-    const View& view = views.view(arena.state(v));
-    if (view.round != 0) {
-      throw std::invalid_argument(
-          "SymmetryGroup: input vertex state is not a round-0 view");
-    }
-    pid_set.insert(arena.pid(v));
-    value_set.insert(view.input);
-  }
-  const std::vector<ProcessId> pids(pid_set.begin(), pid_set.end());
-  const std::vector<std::int64_t> values(value_set.begin(), value_set.end());
-
-  std::uint64_t candidates = 1;
-  for (std::size_t i = 2; i <= pids.size(); ++i) candidates *= i;
-  for (std::size_t i = 2; i <= values.size(); ++i) {
-    candidates *= i;
-    if (candidates > max_candidates) {
-      throw std::invalid_argument(
-          "SymmetryGroup::for_input_complex: candidate count exceeds cap");
-    }
-  }
-  if (candidates > max_candidates) {
-    throw std::invalid_argument(
-        "SymmetryGroup::for_input_complex: candidate count exceeds cap");
-  }
-
-  SymmetryGroup group;
-  std::vector<std::size_t> pid_perm(pids.size());
-  std::iota(pid_perm.begin(), pid_perm.end(), std::size_t{0});
-  do {
-    std::vector<std::size_t> value_perm(values.size());
-    std::iota(value_perm.begin(), value_perm.end(), std::size_t{0});
-    do {
-      SymmetryElement element;
-      for (std::size_t i = 0; i < pids.size(); ++i) {
-        element.pid_map.emplace_back(pids[i], pids[pid_perm[i]]);
-      }
-      for (std::size_t i = 0; i < values.size(); ++i) {
-        element.value_map.emplace_back(values[i], values[value_perm[i]]);
-      }
-      // The induced vertex map: (p, v) -> (π(p), σ(v)). It must land on
-      // existing vertices and be an automorphism of the facet set — checked
-      // with the isomorphism certificate machinery.
-      topology::VertexMap vertex_map;
-      bool total = true;
-      for (const topology::VertexId v : vertex_ids) {
-        const View& view = views.view(arena.state(v));
-        const ProcessId target_pid = element.map_pid(arena.pid(v));
-        const std::int64_t target_value = element.map_value(view.input);
-        View target;
-        target.pid = target_pid;
-        target.round = 0;
-        target.input = target_value;
-        const std::optional<StateId> state = views.find(target);
-        if (!state) {
-          total = false;
-          break;
-        }
-        const std::optional<topology::VertexId> image =
-            arena.find(target_pid, *state);
-        if (!image) {
-          total = false;
-          break;
-        }
-        vertex_map[v] = *image;
-      }
-      if (total && topology::is_automorphism(inputs, vertex_map)) {
-        group.elements_.push_back(std::move(element));
-      }
-    } while (std::next_permutation(value_perm.begin(), value_perm.end()));
-  } while (std::next_permutation(pid_perm.begin(), pid_perm.end()));
-
-  if (group.elements_.empty() || !group.elements_.front().is_identity()) {
-    throw std::logic_error(
-        "SymmetryGroup::for_input_complex: identity element missing");
-  }
   return group;
 }
 

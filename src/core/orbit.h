@@ -14,9 +14,9 @@
 //
 // This header provides the group machinery:
 //
-//   * SymmetryGroup — the automorphism group of an input facet or input
-//     complex, enumerated explicitly (|G| ≤ (#participants)!, tiny for the
-//     process counts these constructions reach).
+//   * SymmetryGroup — the automorphism group of an input facet, enumerated
+//     explicitly (|G| ≤ (#participants)!, tiny for the process counts these
+//     constructions reach).
 //   * OrbitContext  — deterministic canonicalization of facets under G.
 //     A facet's canonical form is the lexicographically least relabeled
 //     vertex vector over all g ∈ G, where relabeled views are hash-consed
@@ -28,7 +28,7 @@
 // to its canonical form is |Stab|, hence |orbit| = |G| / |Stab|. Because
 // canonical forms are interned deterministically (facets in frontier order,
 // group elements in enumeration order), orbit-mode output is bit-identical
-// across thread counts and across spill configurations.
+// across thread counts.
 
 #include <cstdint>
 #include <unordered_map>
@@ -72,18 +72,6 @@ class SymmetryGroup {
   static SymmetryGroup for_input_facet(const topology::Simplex& input,
                                        const ViewRegistry& views,
                                        const topology::VertexArena& arena);
-
-  /// Aut of an input complex (round-0 labeled): all (π, σ) whose induced
-  /// vertex map is an automorphism of the complex (checked with
-  /// topology::is_isomorphism). Enumerates π over participant
-  /// permutations and σ over value permutations; throws
-  /// std::invalid_argument when participants! * values! exceeds
-  /// `max_candidates` (defensive cap — the inputs these constructions take
-  /// stay far below it).
-  static SymmetryGroup for_input_complex(
-      const topology::SimplicialComplex& inputs, const ViewRegistry& views,
-      const topology::VertexArena& arena,
-      std::uint64_t max_candidates = 1u << 24);
 
   std::size_t size() const { return elements_.size(); }
   const std::vector<SymmetryElement>& elements() const { return elements_; }

@@ -67,16 +67,15 @@ topology::SimplicialComplex semisync_round_complex(
     ViewRegistry& views, topology::VertexArena& arena);
 
 /// M^r(S): the inductive r-round construction (fresh (K, F) per round,
-/// budget decreasing). Runs the parallel, memoized pipeline of
-/// construction.h (with a private cache); output is bit-identical to the
-/// sequential reference at any thread count.
+/// budget decreasing). Runs the level loop of construction.h; output is
+/// bit-identical to the sequential reference.
 topology::SimplicialComplex semisync_protocol_complex(
     const topology::Simplex& input, const SemiSyncParams& params,
     ViewRegistry& views, topology::VertexArena& arena);
 
 /// Sequential depth-first reference construction of M^r(S). Kept as the
 /// correctness oracle for the pipeline (tests) and as the benchmark
-/// baseline; always single-threaded, never memoized.
+/// baseline.
 topology::SimplicialComplex semisync_protocol_complex_seq(
     const topology::Simplex& input, const SemiSyncParams& params,
     ViewRegistry& views, topology::VertexArena& arena);

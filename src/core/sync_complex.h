@@ -44,16 +44,15 @@ topology::SimplicialComplex sync_round_complex(const topology::Simplex& input,
                                                ViewRegistry& views,
                                                topology::VertexArena& arena);
 
-/// S^r(S): the inductive r-round construction. Runs the parallel, memoized
-/// pipeline of construction.h (with a private cache); output is
-/// bit-identical to the sequential reference at any thread count.
+/// S^r(S): the inductive r-round construction. Runs the level loop of
+/// construction.h; output is bit-identical to the sequential reference.
 topology::SimplicialComplex sync_protocol_complex(
     const topology::Simplex& input, const SyncParams& params,
     ViewRegistry& views, topology::VertexArena& arena);
 
 /// Sequential depth-first reference construction of S^r(S). Kept as the
 /// correctness oracle for the pipeline (tests) and as the benchmark
-/// baseline; always single-threaded, never memoized.
+/// baseline.
 topology::SimplicialComplex sync_protocol_complex_seq(
     const topology::Simplex& input, const SyncParams& params,
     ViewRegistry& views, topology::VertexArena& arena);

@@ -78,9 +78,8 @@ ConnectivityCheck check_async_connectivity(int num_processes,
   const int m = participants - 1;
   const int n = num_processes - 1;
   if (options.mode == ConstructionMode::kOrbit) {
-    ConstructionCache cache;
-    const OrbitComplexResult orbit = async_protocol_complex_orbit(
-        input, params, views, arena, cache, options);
+    const OrbitComplexResult orbit =
+        async_protocol_complex_orbit(input, params, views, arena);
     return measure(reconstitute_full(orbit, views, arena), m - (n - f) - 1);
   }
   const topology::SimplicialComplex complex =
@@ -99,10 +98,8 @@ ConnectivityCheck check_sync_connectivity(int num_processes, int participants,
   const int m = participants - 1;
   const int n = num_processes - 1;
   if (options.mode == ConstructionMode::kOrbit) {
-    ConstructionCache cache;
     const OrbitComplexResult orbit =
-        sync_protocol_complex_orbit(input, params, views, arena, cache,
-                                    options);
+        sync_protocol_complex_orbit(input, params, views, arena);
     return measure(reconstitute_full(orbit, views, arena), m - (n - k) - 1);
   }
   const topology::SimplicialComplex complex =
@@ -123,9 +120,8 @@ ConnectivityCheck check_semisync_connectivity(int num_processes,
   const int m = participants - 1;
   const int n = num_processes - 1;
   if (options.mode == ConstructionMode::kOrbit) {
-    ConstructionCache cache;
-    const OrbitComplexResult orbit = semisync_protocol_complex_orbit(
-        input, params, views, arena, cache, options);
+    const OrbitComplexResult orbit =
+        semisync_protocol_complex_orbit(input, params, views, arena);
     return measure(reconstitute_full(orbit, views, arena), m - (n - k) - 1);
   }
   const topology::SimplicialComplex complex =

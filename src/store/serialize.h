@@ -41,8 +41,9 @@ namespace psph::store {
 /// kMinSupportedFormatVersion are rejected (the cache recomputes rather than
 /// misinterpreting bytes); versions in [kMinSupportedFormatVersion,
 /// kFormatVersion] load, because none of the existing payload encodings
-/// changed between them — v2 only *adds* the frontier-chunk kind and stamps
-/// ResultStore keys so orbit-mode results never alias full-mode ones.
+/// changed between them — v2 only added the (since retired) frontier-chunk
+/// kind and stamps ResultStore keys so orbit-mode results never alias
+/// full-mode ones.
 inline constexpr std::uint16_t kFormatVersion = 2;
 inline constexpr std::uint16_t kMinSupportedFormatVersion = 1;
 
@@ -56,7 +57,7 @@ enum class PayloadKind : std::uint16_t {
   kBigInt = 6,
   kCacheEntry = 7,    // store.h: key blob + sealed result
   kSchedule = 8,      // check/schedule.h: recorded adversary schedule
-  kFrontierChunk = 9,  // frontier.h: spilled construction frontier level
+  kFrontierChunk = 9,  // retired (spilled construction frontier); never reuse
   kDecision = 10,      // solve/decide.h: memoized solvability verdict
 };
 

@@ -4,11 +4,12 @@
 //
 // The serving layer (src/serve) gives each query a wall-clock budget; the
 // engines honour it by calling poll_deadline() at natural safe points — the
-// construction pipeline's level boundaries, the homology engine's
-// per-dimension elimination boundaries, and the solvability engine's
-// search and propagation loops. When the budget is exhausted the poll throws
-// DeadlineExceeded, which unwinds the computation without leaving shared
-// state behind (the engines build into local structures until they return).
+// construction pipeline's levels, items and orbit canonicalizations, the
+// homology engine's per-dimension elimination boundaries, and the
+// solvability engine's search and propagation loops. When the budget is
+// exhausted the poll throws DeadlineExceeded, which unwinds the computation
+// without leaving shared state behind (the engines build into local
+// structures until they return).
 //
 // The deadline is thread-local: a worker sets it with a DeadlineScope before
 // running a query, and a query computes entirely on the thread that runs

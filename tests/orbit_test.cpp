@@ -2,25 +2,25 @@
 // forms, and the differential guarantee — orbit-reduced facet counts,
 // f-vectors, and homology must equal the unreduced pipeline's, value for
 // value, for every model and every (n, r) the unreduced path can reach.
-// Also covers frontier spill (results bit-identical at any budget, in RAM
-// and through sealed on-disk chunks) and the mode-keyed ConstructionCache.
+// Also pins construction output across commits and checks that a deadline
+// reaches inside a construction level.
 
 #include "core/orbit.h"
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
-#include <filesystem>
 #include <numeric>
 #include <vector>
 
 #include "core/construction.h"
+#include "core/iis_complex.h"
 #include "core/pseudosphere.h"
 #include "core/theorems.h"
-#include "store/frontier.h"
-#include "store/fs_ops.h"
-#include "store/serialize.h"
 #include "topology/homology.h"
+#include "util/cancel.h"
+#include "util/hash.h"
 
 namespace {
 
@@ -67,26 +67,12 @@ TEST(SymmetryGroupTest, AsymmetricInputHasPartialGroup) {
   EXPECT_EQ(group.size(), 2u);
 }
 
-TEST(SymmetryGroupTest, InputComplexGroupActsByAutomorphisms) {
-  // psi(3; {0,1}) is symmetric under all pid permutations and the value
-  // swap: |G| = 3! * 2! = 12.
-  core::ViewRegistry views;
-  topology::VertexArena arena;
-  const topology::SimplicialComplex inputs =
-      core::input_complex(3, {0, 1}, views, arena);
-  const core::SymmetryGroup group =
-      core::SymmetryGroup::for_input_complex(inputs, views, arena);
-  EXPECT_EQ(group.size(), 12u);
-  EXPECT_TRUE(group.element(0).is_identity());
-}
-
 TEST(SymmetryGroupTest, NonRoundZeroVertexThrows) {
   core::ViewRegistry views;
   topology::VertexArena arena;
   const topology::Simplex input = core::rainbow_input(3, views, arena);
-  core::ConstructionCache cache;
   const topology::SimplicialComplex one_round =
-      core::async_protocol_complex(input, {3, 1, 1}, views, arena, cache);
+      core::async_protocol_complex(input, {3, 1, 1}, views, arena);
   EXPECT_THROW(core::SymmetryGroup::for_input_facet(one_round.facets().front(),
                                                     views, arena),
                std::invalid_argument);
@@ -98,9 +84,8 @@ TEST(OrbitContextTest, OrbitMembersShareOneCanonicalForm) {
   core::ViewRegistry views;
   topology::VertexArena arena;
   const topology::Simplex input = core::rainbow_input(3, views, arena);
-  core::ConstructionCache cache;
   const topology::SimplicialComplex complex =
-      core::async_protocol_complex(input, {3, 1, 1}, views, arena, cache);
+      core::async_protocol_complex(input, {3, 1, 1}, views, arena);
 
   core::OrbitContext ctx(
       core::SymmetryGroup::for_input_facet(input, views, arena), views, arena);
@@ -168,12 +153,11 @@ TEST(OrbitDifferentialTest, AsyncMatchesFullPipeline) {
     core::ViewRegistry views;
     topology::VertexArena arena;
     const topology::Simplex input = core::rainbow_input(c.n1, views, arena);
-    core::ConstructionCache cache;
     const core::AsyncParams params{c.n1, c.f, c.r};
     const topology::SimplicialComplex full =
-        core::async_protocol_complex(input, params, views, arena, cache);
-    const core::OrbitComplexResult orbit = core::async_protocol_complex_orbit(
-        input, params, views, arena, cache);
+        core::async_protocol_complex(input, params, views, arena);
+    const core::OrbitComplexResult orbit =
+        core::async_protocol_complex_orbit(input, params, views, arena);
     expect_orbit_matches_full(full, orbit, views, arena,
                               "async n1=" + std::to_string(c.n1) +
                                   " f=" + std::to_string(c.f) +
@@ -190,12 +174,11 @@ TEST(OrbitDifferentialTest, SyncMatchesFullPipeline) {
     core::ViewRegistry views;
     topology::VertexArena arena;
     const topology::Simplex input = core::rainbow_input(c.n1, views, arena);
-    core::ConstructionCache cache;
     const core::SyncParams params{c.n1, c.f, c.k, c.r};
     const topology::SimplicialComplex full =
-        core::sync_protocol_complex(input, params, views, arena, cache);
-    const core::OrbitComplexResult orbit = core::sync_protocol_complex_orbit(
-        input, params, views, arena, cache);
+        core::sync_protocol_complex(input, params, views, arena);
+    const core::OrbitComplexResult orbit =
+        core::sync_protocol_complex_orbit(input, params, views, arena);
     expect_orbit_matches_full(full, orbit, views, arena,
                               "sync n1=" + std::to_string(c.n1) +
                                   " f=" + std::to_string(c.f) +
@@ -213,13 +196,11 @@ TEST(OrbitDifferentialTest, SemiSyncMatchesFullPipeline) {
     core::ViewRegistry views;
     topology::VertexArena arena;
     const topology::Simplex input = core::rainbow_input(c.n1, views, arena);
-    core::ConstructionCache cache;
     const core::SemiSyncParams params{c.n1, c.f, c.k, c.mu, c.r};
     const topology::SimplicialComplex full =
-        core::semisync_protocol_complex(input, params, views, arena, cache);
+        core::semisync_protocol_complex(input, params, views, arena);
     const core::OrbitComplexResult orbit =
-        core::semisync_protocol_complex_orbit(input, params, views, arena,
-                                              cache);
+        core::semisync_protocol_complex_orbit(input, params, views, arena);
     expect_orbit_matches_full(full, orbit, views, arena,
                               "semisync n1=" + std::to_string(c.n1) +
                                   " f=" + std::to_string(c.f) +
@@ -233,29 +214,13 @@ TEST(OrbitDifferentialTest, IisMatchesFullPipeline) {
     core::ViewRegistry views;
     topology::VertexArena arena;
     const topology::Simplex input = core::rainbow_input(3, views, arena);
-    core::ConstructionCache cache;
     const topology::SimplicialComplex full =
-        core::iis_protocol_complex(input, r, views, arena, cache);
+        core::iis_protocol_complex(input, r, views, arena);
     const core::OrbitComplexResult orbit =
-        core::iis_protocol_complex_orbit(input, r, views, arena, cache);
+        core::iis_protocol_complex_orbit(input, r, views, arena);
     expect_orbit_matches_full(full, orbit, views, arena,
                               "iis r=" + std::to_string(r));
   }
-}
-
-TEST(OrbitDifferentialTest, InputComplexOverloadMatchesFullPipeline) {
-  core::ViewRegistry views;
-  topology::VertexArena arena;
-  const topology::SimplicialComplex inputs =
-      core::input_complex(3, {0, 1}, views, arena);
-  core::ConstructionCache cache;
-  const core::AsyncParams params{3, 1, 1};
-  const topology::SimplicialComplex full = core::async_protocol_complex_over(
-      inputs, params, views, arena, cache);
-  const core::OrbitComplexResult orbit =
-      core::async_protocol_complex_orbit_over(inputs, params, views, arena,
-                                              cache);
-  expect_orbit_matches_full(full, orbit, views, arena, "async over psi(3)");
 }
 
 TEST(OrbitDifferentialTest, AsymmetricInputDegeneratesGracefully) {
@@ -264,170 +229,186 @@ TEST(OrbitDifferentialTest, AsymmetricInputDegeneratesGracefully) {
   core::ViewRegistry views;
   topology::VertexArena arena;
   const topology::Simplex input = core::input_facet({5, 5, 9}, views, arena);
-  core::ConstructionCache cache;
   const core::AsyncParams params{3, 1, 1};
   const topology::SimplicialComplex full =
-      core::async_protocol_complex(input, params, views, arena, cache);
+      core::async_protocol_complex(input, params, views, arena);
   const core::OrbitComplexResult orbit =
-      core::async_protocol_complex_orbit(input, params, views, arena, cache);
+      core::async_protocol_complex_orbit(input, params, views, arena);
   expect_orbit_matches_full(full, orbit, views, arena, "async {5,5,9}");
 }
 
-// ----------------------------------------------------- frontier spill ----
+// ------------------------------------------------ pinned output digests --
 
-TEST(FrontierSpillTest, TinyBudgetIsBitIdenticalInFullMode) {
-  core::ViewRegistry views;
-  topology::VertexArena arena;
-  const topology::Simplex input = core::rainbow_input(3, views, arena);
-  const core::AsyncParams params{3, 1, 2};
-
-  core::ConstructionCache cache_a;
-  const topology::SimplicialComplex in_ram =
-      core::async_protocol_complex(input, params, views, arena, cache_a);
-
-  // A 64-byte budget forces a flush roughly every other item; the in-memory
-  // chunk store exercises the encode/chunk/drain path exactly.
-  core::InMemoryFrontierStorage chunks;
-  core::ConstructionOptions options;
-  options.frontier_budget_bytes = 64;
-  options.storage = &chunks;
-  core::ConstructionCache cache_b;
-  const topology::SimplicialComplex spilled = core::async_protocol_complex(
-      input, params, views, arena, cache_b, options);
-
-  EXPECT_EQ(in_ram, spilled);
-  EXPECT_EQ(chunks.chunk_count(), 0u);  // every level fully drained
-}
-
-TEST(FrontierSpillTest, DiskSpoolIsBitIdenticalAcrossModels) {
-  const std::filesystem::path dir =
-      std::filesystem::temp_directory_path() / "psph_orbit_test_spool";
-  store::FrontierSpool spool(store::FsOps::real(), dir);
-
-  core::ViewRegistry views;
-  topology::VertexArena arena;
-  const topology::Simplex input = core::rainbow_input(3, views, arena);
-
-  core::ConstructionOptions options;
-  options.frontier_budget_bytes = 48;
-  options.storage = &spool;
-
-  {
-    core::ConstructionCache plain_cache, spool_cache;
-    const core::SyncParams params{3, 2, 1, 2};
-    EXPECT_EQ(core::sync_protocol_complex(input, params, views, arena,
-                                          plain_cache),
-              core::sync_protocol_complex(input, params, views, arena,
-                                          spool_cache, options));
+// Fixed-width little-endian words hashed with util::hash_bytes, so a digest
+// depends on the construction's output alone, never on the platform.
+class Digest {
+ public:
+  void word(std::int64_t value) {
+    const auto bits = static_cast<std::uint64_t>(value);
+    for (int i = 0; i < 8; ++i) {
+      bytes_.push_back(static_cast<std::uint8_t>(bits >> (8 * i)));
+    }
   }
-  {
-    core::ConstructionCache plain_cache, spool_cache;
-    const core::SemiSyncParams params{3, 1, 1, 2, 2};
-    EXPECT_EQ(core::semisync_protocol_complex(input, params, views, arena,
-                                              plain_cache),
-              core::semisync_protocol_complex(input, params, views, arena,
-                                              spool_cache, options));
+  void simplex(const topology::Simplex& s) {
+    word(static_cast<std::int64_t>(s.size()));
+    for (const topology::VertexId v : s.vertices()) word(v);
   }
-  EXPECT_GT(spool.stats().chunks_written, 0u);
-  EXPECT_EQ(spool.stats().chunks_read, spool.stats().chunks_written);
-  std::filesystem::remove_all(dir);
-}
-
-TEST(FrontierSpillTest, OrbitModeWithSpillMatchesOrbitModeInRam) {
-  core::ViewRegistry views;
-  topology::VertexArena arena;
-  const topology::Simplex input = core::rainbow_input(4, views, arena);
-  const core::AsyncParams params{4, 1, 2};
-
-  core::ConstructionCache cache_a;
-  const core::OrbitComplexResult in_ram = core::async_protocol_complex_orbit(
-      input, params, views, arena, cache_a);
-
-  core::ConstructionOptions options;
-  options.frontier_budget_bytes = 128;
-  core::ConstructionCache cache_b;
-  const core::OrbitComplexResult spilled = core::async_protocol_complex_orbit(
-      input, params, views, arena, cache_b, options);
-
-  EXPECT_EQ(in_ram.reduced, spilled.reduced);
-  EXPECT_EQ(in_ram.full_facet_count, spilled.full_facet_count);
-  ASSERT_EQ(in_ram.orbits.size(), spilled.orbits.size());
-  for (std::size_t i = 0; i < in_ram.orbits.size(); ++i) {
-    EXPECT_EQ(in_ram.orbits[i].rep, spilled.orbits[i].rep);
-    EXPECT_EQ(in_ram.orbits[i].stabilizer, spilled.orbits[i].stabilizer);
-    EXPECT_EQ(in_ram.orbits[i].dominated, spilled.orbits[i].dominated);
+  std::uint64_t value() const {
+    return util::hash_bytes(bytes_.data(), bytes_.size());
   }
+
+ private:
+  std::vector<std::uint8_t> bytes_;
+};
+
+// Full mode: the facets in order, then every view and every vertex label in
+// id order.
+std::uint64_t full_digest(const topology::SimplicialComplex& complex,
+                          const core::ViewRegistry& views,
+                          const topology::VertexArena& arena) {
+  Digest d;
+  const std::vector<topology::Simplex> facets = complex.facets();
+  d.word(static_cast<std::int64_t>(facets.size()));
+  for (const topology::Simplex& facet : facets) d.simplex(facet);
+  d.word(static_cast<std::int64_t>(views.size()));
+  for (std::size_t id = 0; id < views.size(); ++id) {
+    const core::View& view = views.view(static_cast<core::StateId>(id));
+    d.word(view.pid);
+    d.word(view.round);
+    d.word(view.input);
+    d.word(static_cast<std::int64_t>(view.heard.size()));
+    for (const core::HeardEntry& e : view.heard) {
+      d.word(e.from);
+      d.word(e.state);
+      d.word(e.last_micro);
+    }
+  }
+  d.word(static_cast<std::int64_t>(arena.size()));
+  for (std::size_t id = 0; id < arena.size(); ++id) {
+    d.word(arena.pid(static_cast<topology::VertexId>(id)));
+    d.word(arena.state(static_cast<topology::VertexId>(id)));
+  }
+  return d.value();
 }
 
-TEST(FrontierSpillTest, CorruptSpilledChunkFailsLoudly) {
-  const std::filesystem::path dir =
-      std::filesystem::temp_directory_path() / "psph_orbit_test_corrupt";
-  store::FrontierSpool spool(store::FsOps::real(), dir);
-  spool.append_chunk({1, 2, 3, 4});
-
-  // Flip one payload byte on disk; the sealed envelope's checksum must
-  // catch it on read.
-  const std::filesystem::path chunk = dir / "chunk-000000.psph";
-  auto fs = store::FsOps::real();
-  std::vector<std::uint8_t> bytes = *fs->read_file(chunk);
-  bytes[bytes.size() / 2] ^= 0x40;
-  fs->write_file(chunk, bytes.data(), bytes.size());
-
-  EXPECT_THROW(spool.read_chunk(0), store::SerializationError);
-  std::filesystem::remove_all(dir);
+// Orbit mode: representatives, stabilizers and dominated flags in record
+// order, then the full f-vector.
+std::uint64_t orbit_digest(const core::OrbitComplexResult& orbit,
+                           core::ViewRegistry& views,
+                           topology::VertexArena& arena) {
+  Digest d;
+  d.word(static_cast<std::int64_t>(orbit.orbits.size()));
+  for (const core::OrbitRecord& rec : orbit.orbits) {
+    d.simplex(rec.rep);
+    d.word(rec.stabilizer);
+    d.word(rec.dominated ? 1 : 0);
+  }
+  const std::vector<std::size_t> f =
+      core::orbit_full_f_vector(orbit, views, arena);
+  d.word(static_cast<std::int64_t>(f.size()));
+  for (const std::size_t count : f) d.word(static_cast<std::int64_t>(count));
+  return d.value();
 }
 
-// --------------------------------------------- mode-keyed memo cache -----
-
-TEST(ConstructionCacheModeTest, MixedModeLookupsNeverCrossHit) {
+// Builds from a fresh rainbow input of n1 processes in fresh registries and
+// digests the result.
+template <typename Build, typename DigestOf>
+std::uint64_t digest_of(int n1, Build build, DigestOf digest) {
   core::ViewRegistry views;
   topology::VertexArena arena;
-  const topology::Simplex input = core::rainbow_input(3, views, arena);
-  const core::AsyncParams params{3, 1, 2};
-
-  core::ConstructionCache cache;
-  core::async_protocol_complex(input, params, views, arena, cache);
-  const core::ConstructionStats full_before =
-      cache.stats(core::ConstructionMode::kFull);
-  EXPECT_GT(full_before.lookups, 0u);
-  EXPECT_EQ(cache.stats(core::ConstructionMode::kOrbit).lookups, 0u);
-
-  // First orbit run: the cache holds full-mode entries for these facets,
-  // but the orbit pipeline must not hit them — its probes are keyed by
-  // mode, so the run is all misses.
-  core::async_protocol_complex_orbit(input, params, views, arena, cache);
-  const core::ConstructionStats orbit_stats =
-      cache.stats(core::ConstructionMode::kOrbit);
-  EXPECT_GT(orbit_stats.lookups, 0u);
-  EXPECT_EQ(orbit_stats.hits, 0u);
-  EXPECT_EQ(orbit_stats.misses, orbit_stats.lookups);
-  // ...and full-mode stats are untouched by the orbit run.
-  const core::ConstructionStats full_after =
-      cache.stats(core::ConstructionMode::kFull);
-  EXPECT_EQ(full_after.lookups, full_before.lookups);
-  EXPECT_EQ(full_after.hits, full_before.hits);
-
-  // A second orbit run hits its own entries.
-  core::async_protocol_complex_orbit(input, params, views, arena, cache);
-  EXPECT_GT(cache.stats(core::ConstructionMode::kOrbit).hits, 0u);
-
-  // The aggregate accessor sums both modes.
-  const core::ConstructionStats total = cache.stats();
-  EXPECT_EQ(total.lookups,
-            cache.stats(core::ConstructionMode::kFull).lookups +
-                cache.stats(core::ConstructionMode::kOrbit).lookups);
+  const topology::Simplex input = core::rainbow_input(n1, views, arena);
+  const auto result = build(input, views, arena);
+  return digest(result, views, arena);
 }
 
-TEST(ConstructionCacheModeTest, FullEntryPointsRejectOrbitMode) {
+TEST(Construction, OutputMatchesPinnedDigests) {
+  // The differential tests compare two constructions within one registry;
+  // these digests pin the ids themselves across commits. A digest may
+  // change only when interning order or the canonical form changes on
+  // purpose.
+  using Views = core::ViewRegistry;
+  using Arena = topology::VertexArena;
+  using Input = topology::Simplex;
+  EXPECT_EQ(digest_of(3,
+                      [](const Input& in, Views& v, Arena& a) {
+                        return core::async_protocol_complex(in, {3, 1, 2}, v,
+                                                            a);
+                      },
+                      full_digest),
+            0x6146ba6ded965a57ULL)
+      << "full async (3,1,2)";
+  EXPECT_EQ(digest_of(4,
+                      [](const Input& in, Views& v, Arena& a) {
+                        return core::sync_protocol_complex(in, {4, 2, 1, 3}, v,
+                                                           a);
+                      },
+                      full_digest),
+            0x77e0dbc015a5efc4ULL)
+      << "full sync (4,2,1,3)";
+  EXPECT_EQ(digest_of(3,
+                      [](const Input& in, Views& v, Arena& a) {
+                        return core::semisync_protocol_complex(
+                            in, {3, 1, 1, 2, 2}, v, a);
+                      },
+                      full_digest),
+            0xf8d26251a39f5779ULL)
+      << "full semisync (3,1,1,2,2)";
+  EXPECT_EQ(digest_of(3,
+                      [](const Input& in, Views& v, Arena& a) {
+                        return core::iis_protocol_complex(in, 2, v, a);
+                      },
+                      full_digest),
+            0xaa2139b1e319b2b5ULL)
+      << "full iis (3,2)";
+  EXPECT_EQ(digest_of(4,
+                      [](const Input& in, Views& v, Arena& a) {
+                        return core::async_protocol_complex_orbit(
+                            in, {4, 1, 2}, v, a);
+                      },
+                      orbit_digest),
+            0x8749994dfc51b8a1ULL)
+      << "orbit async (4,1,2)";
+  EXPECT_EQ(digest_of(4,
+                      [](const Input& in, Views& v, Arena& a) {
+                        return core::sync_protocol_complex_orbit(
+                            in, {4, 2, 1, 2}, v, a);
+                      },
+                      orbit_digest),
+            0x2b4dad45102b8b69ULL)
+      << "orbit sync (4,2,1,2)";
+  EXPECT_EQ(digest_of(4,
+                      [](const Input& in, Views& v, Arena& a) {
+                        return core::semisync_protocol_complex_orbit(
+                            in, {4, 1, 1, 2, 2}, v, a);
+                      },
+                      orbit_digest),
+            0x94b8d3d421f7d45dULL)
+      << "orbit semisync (4,1,1,2,2)";
+  EXPECT_EQ(digest_of(3,
+                      [](const Input& in, Views& v, Arena& a) {
+                        return core::iis_protocol_complex_orbit(in, 3, v, a);
+                      },
+                      orbit_digest),
+            0xff9678a45b3e2784ULL)
+      << "orbit iis (3,3)";
+}
+
+// ------------------------------------------------------------ deadline ----
+
+TEST(OrbitDeadlineTest, OneLevelBuildPollsInsideTheLevel) {
+  // Orbit async (6,1,1) is a single level: its CONSUME canonicalizes 46,656
+  // facets under |G| = 720, seconds of work after the level's opening poll.
+  // The per-facet polls must unwind it once the deadline passes. The point
+  // must stay slower than the deadline; if canonicalization gets that fast,
+  // pick a larger one-level point.
   core::ViewRegistry views;
   topology::VertexArena arena;
-  const topology::Simplex input = core::rainbow_input(3, views, arena);
-  core::ConstructionCache cache;
-  core::ConstructionOptions options;
-  options.mode = core::ConstructionMode::kOrbit;
-  EXPECT_THROW(core::async_protocol_complex(input, {3, 1, 1}, views, arena,
-                                            cache, options),
-               std::invalid_argument);
+  const topology::Simplex input = core::rainbow_input(6, views, arena);
+  const util::DeadlineScope deadline(std::chrono::steady_clock::now() +
+                                     std::chrono::milliseconds(200));
+  EXPECT_THROW(
+      core::async_protocol_complex_orbit(input, {6, 1, 1}, views, arena),
+      util::DeadlineExceeded);
 }
 
 }  // namespace

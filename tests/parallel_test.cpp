@@ -456,32 +456,7 @@ TEST_F(ParallelTest, RandomizedPipelineMatchesSequentialReference) {
   }
 }
 
-// ------------------------------------------- memo-cache accounting -------
-
-TEST_F(ParallelTest, ConstructionCacheHitAndMissAccounting) {
-  core::ViewRegistry views;
-  topology::VertexArena arena;
-  const topology::Simplex input = core::rainbow_input(3, views, arena);
-  const core::AsyncParams params{3, 1, 2};
-
-  core::ConstructionCache cache;
-  const topology::SimplicialComplex first =
-      core::async_protocol_complex(input, params, views, arena, cache);
-  const core::ConstructionStats after_first = cache.stats();
-  EXPECT_GT(after_first.lookups, 0u);
-  EXPECT_EQ(after_first.hits + after_first.misses, after_first.lookups);
-  EXPECT_EQ(after_first.misses, cache.size());  // every miss stored an entry
-
-  // An identical second run is answered entirely from the cache.
-  const topology::SimplicialComplex second =
-      core::async_protocol_complex(input, params, views, arena, cache);
-  EXPECT_EQ(first, second);
-  const core::ConstructionStats after_second = cache.stats();
-  EXPECT_EQ(after_second.misses, after_first.misses);
-  EXPECT_EQ(after_second.hits - after_first.hits,
-            after_second.lookups - after_first.lookups);
-  EXPECT_GT(after_second.hits, after_first.hits);
-}
+// ------------------------------------------------------------ dedupe ----
 
 TEST_F(ParallelTest, ConstructionDedupeCollapsesSharedFrontierItems) {
   // Two input facets of ψ(3; {0,1}) that differ only in one process's input
@@ -491,42 +466,18 @@ TEST_F(ParallelTest, ConstructionDedupeCollapsesSharedFrontierItems) {
   topology::VertexArena arena;
   const topology::SimplicialComplex inputs =
       core::input_complex(3, {0, 1}, views, arena);
-  core::ConstructionCache cache;
-  core::sync_protocol_complex_over(inputs, {3, 1, 1, 2}, views, arena, cache);
-  const core::ConstructionStats stats = cache.stats();
-  EXPECT_GT(stats.deduped, 0u);
-  EXPECT_EQ(stats.hits + stats.misses, stats.lookups);
-}
-
-TEST_F(ParallelTest, ConstructionCacheReusedAcrossRoundDepths) {
-  core::ViewRegistry views;
-  topology::VertexArena arena;
-  const topology::Simplex input = core::rainbow_input(3, views, arena);
-
-  core::ConstructionCache cache;
-  core::sync_protocol_complex(input, {3, 1, 1, 1}, views, arena, cache);
-  const core::ConstructionStats after_r1 = cache.stats();
-  // Entries are keyed without the round count, so the r=2 run's first level
-  // is a pure cache hit.
-  core::sync_protocol_complex(input, {3, 1, 1, 2}, views, arena, cache);
-  const core::ConstructionStats after_r2 = cache.stats();
-  EXPECT_GT(after_r2.hits, after_r1.hits);
-}
-
-TEST_F(ParallelTest, ConstructionCacheRejectsForeignRegistry) {
-  core::ViewRegistry views;
-  topology::VertexArena arena;
-  const topology::Simplex input = core::rainbow_input(3, views, arena);
-  core::ConstructionCache cache;
-  core::async_protocol_complex(input, {3, 1, 1}, views, arena, cache);
-
-  core::ViewRegistry other_views;
-  topology::VertexArena other_arena;
-  const topology::Simplex other_input =
-      core::rainbow_input(3, other_views, other_arena);
-  EXPECT_THROW(core::async_protocol_complex(other_input, {3, 1, 1},
-                                            other_views, other_arena, cache),
-               std::logic_error);
+  const bool obs_was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  obs::reset();
+  core::sync_protocol_complex_over(inputs, {3, 1, 1, 2}, views, arena);
+  const obs::Snapshot snapshot = obs::snapshot();
+  obs::reset();
+  obs::set_enabled(obs_was_enabled);
+  std::uint64_t deduped = 0;
+  for (const obs::CounterStat& counter : snapshot.counters) {
+    if (counter.name == "construction.deduped") deduped = counter.value;
+  }
+  EXPECT_GT(deduped, 0u);
 }
 
 // ------------------------------------------------ query thread affinity --

@@ -492,6 +492,28 @@ TEST_F(ServeTest, RunningComputationIsCancelledCooperatively) {
             "deadline_exceeded");
 }
 
+TEST_F(ServeTest, OrbitDeadlineFiresInsideAConstructionLevel) {
+  StartServer();
+  Client client(socket_path());
+  // Orbit async (6,1,1) is one construction level whose CONSUME phase
+  // canonicalizes for seconds. The pipeline polls the deadline per facet,
+  // so the query must be cancelled mid-level, not finish and be refused as
+  // late. Like OrbitDeadlineTest, this needs a point slower than the
+  // deadline.
+  Json request = make_request(11, "complex_stats", "async");
+  request.set("processes", Json::integer(6))
+      .set("f", Json::integer(1))
+      .set("rounds", Json::integer(1))
+      .set("construction", Json::string("orbit"))
+      .set("deadline_ms", Json::integer(200));
+  const Json response = client.call(request);
+  ASSERT_FALSE(response.get("ok")->as_bool()) << response.dump();
+  EXPECT_EQ(response.get("error")->get("code")->as_string(),
+            "deadline_exceeded");
+  EXPECT_EQ(response.get("error")->get("message")->as_string(),
+            "computation exceeded deadline");
+}
+
 TEST_F(ServeTest, DecideDeadlineFiresMidPropagationNotAsInternalError) {
   StartServer();
   Client client(socket_path());
