@@ -2,10 +2,11 @@
 // the full level loop or the symmetry-reduced orbit pipeline (DESIGN §5.16).
 // Prints the exact full-complex facet count and f-vector either way; with
 // --verify-full the full pipeline runs too and the numbers must agree bit
-// for bit (exit 1 otherwise). With --json-out a machine-readable record
-// (parameters, timings, counters, build context) is written for the
-// experiment logs; --stats / --trace-out report the obs spans (build phases,
-// f-vector).
+// for bit (exit 1 otherwise) — in orbit mode, also those of the complex
+// reconstitute_full rebuilds from the orbit data. With --json-out a
+// machine-readable record (parameters, timings, counters, build context) is
+// written for the experiment logs; --stats / --trace-out report the obs
+// spans (build phases, f-vector, reconstitution).
 //
 // The point of the binary: datapoints whose *full* complex no longer fits in
 // bench time or RAM stay reachable under --mode=orbit.
@@ -113,6 +114,10 @@ int main(int argc, char** argv) {
   std::uint64_t reduced_facets = 0;
   double build_seconds = 0;
   double fvector_seconds = 0;
+  // Orbit mode with --verify-full: the reconstituted complex's counts.
+  std::uint64_t rebuilt_facets = 0;
+  std::vector<std::size_t> rebuilt_fvec;
+  double reconstitute_seconds = 0;
 
   if (mode == "orbit") {
     const topology::Simplex input = core::rainbow_input(m1, views, arena);
@@ -143,6 +148,14 @@ int main(int argc, char** argv) {
     util::Timer fvec_timer;
     fvec = core::orbit_full_f_vector(result, views, arena);
     fvector_seconds = fvec_timer.seconds();
+    if (verify_full) {
+      util::Timer reconstitute_timer;
+      const topology::SimplicialComplex rebuilt =
+          core::reconstitute_full(result, views, arena);
+      reconstitute_seconds = reconstitute_timer.seconds();
+      rebuilt_facets = rebuilt.facet_count();
+      rebuilt_fvec = rebuilt.f_vector();
+    }
     std::printf("group order %" PRIu64 ", %" PRIu64 " orbit reps (%" PRIu64
                 " dominated), reduced facets %" PRIu64 "\n",
                 group_order, orbit_reps, dominated, reduced_facets);
@@ -177,6 +190,15 @@ int main(int argc, char** argv) {
                      fvec_string(complex.f_vector()) + " vs " +
                      fvec_string(fvec) + ")");
     std::printf("verify (full pipeline) %.3fs\n", verify_seconds);
+    if (mode == "orbit") {
+      report.check(rebuilt_facets == complex.facet_count(),
+                   "reconstituted facet count matches the full pipeline (" +
+                       std::to_string(rebuilt_facets) + ")");
+      report.check(rebuilt_fvec == complex.f_vector(),
+                   "reconstituted f-vector matches the full pipeline (" +
+                       fvec_string(rebuilt_fvec) + ")");
+      std::printf("reconstitute %.3fs\n", reconstitute_seconds);
+    }
   }
 
   if (!json_out.empty()) {
@@ -210,8 +232,10 @@ int main(int argc, char** argv) {
     std::fprintf(out, "  \"f_vector\": %s,\n", fvec_string(fvec).c_str());
     std::fprintf(out,
                  "  \"build_seconds\": %.6f,\n  \"fvector_seconds\": %.6f,\n"
+                 "  \"reconstitute_s\": %.6f,\n"
                  "  \"verify_seconds\": %.6f\n}\n",
-                 build_seconds, fvector_seconds, verify_seconds);
+                 build_seconds, fvector_seconds, reconstitute_seconds,
+                 verify_seconds);
     std::fclose(out);
     std::printf("json -> %s\n", json_out.c_str());
   }

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -153,7 +152,7 @@ struct OrbitAccum {
     if (seen.insert(canon.rep).second) {
       g_obs_orbit_reps.add(1);
       records.push_back(OrbitRecord{std::move(canon.rep), canon.stabilizer,
-                                    /*dominated=*/false});
+                                    /*dominated=*/false, /*seed=*/facet});
     }
   }
 };
@@ -273,47 +272,46 @@ topology::SimplicialComplex run_full(Frontier<Model> seeds, ViewRegistry& views,
 // g·F is a strict face of some representative H — g·F ⊊ H' for a full
 // facet H' = h·H reduces to (h⁻¹g)·F ⊊ H. Only possible across different
 // facet sizes, so pure rep sets (async, IIS) skip the scan entirely.
-void finish_orbit_result(OrbitAccum& accum, OrbitContext& ctx,
+void finish_orbit_result(std::vector<OrbitRecord> records,
                          OrbitComplexResult& result) {
   obs::SpanTimer span("construction.orbit_finish",
-                      static_cast<std::int64_t>(accum.records.size()));
+                      static_cast<std::int64_t>(records.size()));
   const std::size_t group_size = result.group.size();
   bool pure = true;
-  for (const OrbitRecord& rec : accum.records) {
-    if (rec.rep.size() != accum.records.front().rep.size()) {
+  for (const OrbitRecord& rec : records) {
+    if (rec.rep.size() != records.front().rep.size()) {
       pure = false;
       break;
     }
   }
   if (!pure) {
     // Every strict face of every representative, one hash set; an orbit is
-    // dominated iff some group image of its representative lands in it.
+    // dominated iff some image of its seed lands in it.
     std::unordered_set<topology::Simplex, topology::SimplexHash> strict_faces;
-    for (const OrbitRecord& rec : accum.records) {
+    for (const OrbitRecord& rec : records) {
       for (topology::Simplex& face : rec.rep.all_faces()) {
         if (face != rec.rep) strict_faces.insert(std::move(face));
       }
     }
-    for (OrbitRecord& rec : accum.records) {
+    for (OrbitRecord& rec : records) {
       util::poll_deadline();
       for (std::size_t gi = 0; gi < group_size && !rec.dominated; ++gi) {
-        if (strict_faces.count(ctx.relabel_facet(gi, rec.rep)) != 0) {
-          rec.dominated = true;
-        }
+        rec.dominated =
+            strict_faces.count(result.images.relabel_facet(gi, rec.seed)) != 0;
       }
     }
   }
 
   std::vector<topology::Simplex> maximal;
-  maximal.reserve(accum.records.size());
-  for (const OrbitRecord& rec : accum.records) {
+  maximal.reserve(records.size());
+  for (const OrbitRecord& rec : records) {
     if (rec.dominated) continue;
     result.full_facet_count +=
         static_cast<std::uint64_t>(group_size) / rec.stabilizer;
     maximal.push_back(rec.rep);
   }
   result.reduced.add_facets(std::move(maximal));
-  result.orbits = std::move(accum.records);
+  result.orbits = std::move(records);
 }
 
 template <typename Model>
@@ -323,12 +321,59 @@ OrbitComplexResult run_orbit(const topology::Simplex& input,
                              topology::VertexArena& arena) {
   OrbitComplexResult result;
   result.group = SymmetryGroup::for_input_facet(input, views, arena);
-  OrbitContext ctx(result.group, views, arena);
-  OrbitAccum accum;
-  accum.ctx = &ctx;
-  run_pipeline<Model>({{input, params}}, views, arena, nullptr, &accum);
-  finish_orbit_result(accum, ctx, result);
+  std::vector<OrbitRecord> records;
+  {
+    OrbitContext ctx(result.group, views, arena);
+    OrbitAccum accum;
+    accum.ctx = &ctx;
+    run_pipeline<Model>({{input, params}}, views, arena, nullptr, &accum);
+    // Only the records and the vertex images outlive the pipeline; the
+    // state memo and the accumulator's rep set are freed before the
+    // post-processing allocates.
+    records = std::move(accum.records);
+    result.images = std::move(ctx).take_images();
+  }
+  finish_orbit_result(std::move(records), result);
   return result;
+}
+
+// One entry of a seed's image row in orbit_full_f_vector.
+struct ImageEntry {
+  topology::VertexId vertex;
+  std::uint32_t position;  // index of the seed vertex it is the image of
+
+  bool operator<(const ImageEntry& other) const {
+    return vertex < other.vertex;
+  }
+};
+
+// Lexicographic order of the subsequences of two k-entry rows (each sorted
+// by vertex) whose seed positions are in `mask`: negative, zero or
+// positive. Both rows select the same number of entries.
+int compare_masked(const ImageEntry* a, const ImageEntry* b, std::size_t k,
+                   std::uint64_t mask) {
+  std::size_t i = 0;
+  std::size_t j = 0;
+  while (true) {
+    while (i < k && ((mask >> a[i].position) & 1U) == 0) ++i;
+    while (j < k && ((mask >> b[j].position) & 1U) == 0) ++j;
+    if (i == k) return 0;
+    if (a[i].vertex != b[j].vertex) return a[i].vertex < b[j].vertex ? -1 : 1;
+    ++i;
+    ++j;
+  }
+}
+
+void require_build_registries(const OrbitComplexResult& result,
+                              const ViewRegistry& views,
+                              const topology::VertexArena& arena,
+                              const char* who) {
+  if (!result.images.bound_to(views, arena)) {
+    throw std::invalid_argument(
+        std::string(who) +
+        ": views/arena are not the registry pair the orbit result was built "
+        "in");
+  }
 }
 
 }  // namespace
@@ -338,28 +383,59 @@ std::vector<std::size_t> orbit_full_f_vector(const OrbitComplexResult& result,
                                              topology::VertexArena& arena) {
   obs::SpanTimer span("construction.orbit_fvector",
                       static_cast<std::int64_t>(result.orbits.size()));
-  OrbitContext ctx(result.group, views, arena);
+  require_build_registries(result, views, arena, "orbit_full_f_vector");
   const std::size_t group_size = result.group.size();
-  // Every face of the full complex is a face of some maximal facet g·H with
-  // H a non-dominated representative, so its orbit shows up among the faces
-  // of H; counting each distinct face orbit once with its orbit size gives
-  // the exact f-vector.
-  std::unordered_map<topology::Simplex, std::uint64_t, topology::SimplexHash>
-      face_orbits;
-  int max_dim = -1;
+  // Every face of the full complex is a face of some maximal facet g·S with
+  // S a non-dominated seed, so its orbit shows up among the faces of S.
+  // Facet orbits count from their records (see construction.h); each proper
+  // face orbit counts the first time its canonical form shows up.
+  std::unordered_set<topology::Simplex, topology::SimplexHash,
+                     topology::SimplexEq>
+      counted;
+  std::vector<std::size_t> f;
+  // rows: the seed's image under each element as one row of (image vertex,
+  // seed position) pairs, sorted, so the image of the face a bit mask over
+  // seed positions selects is the row's masked subsequence, in vertex order.
+  std::vector<ImageEntry> rows;
+  std::vector<topology::VertexId> rep;
   for (const OrbitRecord& rec : result.orbits) {
     if (rec.dominated) continue;
     util::poll_deadline();
-    max_dim = std::max(max_dim, rec.rep.dimension());
-    for (const topology::Simplex& face : rec.rep.all_faces()) {
-      CanonicalFacet canon = ctx.canonicalize(face);
-      face_orbits.emplace(std::move(canon.rep), canon.orbit_size(group_size));
+    const std::vector<topology::VertexId>& seed = rec.seed.vertices();
+    const std::size_t k = seed.size();
+    if (f.size() < k) f.resize(k, 0);
+    f[k - 1] += group_size / rec.stabilizer;
+    rows.clear();
+    for (std::size_t gi = 0; gi < group_size; ++gi) {
+      for (std::uint32_t i = 0; i < k; ++i) {
+        rows.push_back({result.images.image(gi, seed[i]), i});
+      }
+      std::sort(rows.end() - static_cast<std::ptrdiff_t>(k), rows.end());
     }
-  }
-  std::vector<std::size_t> f(static_cast<std::size_t>(max_dim + 1), 0);
-  for (const auto& [face, orbit_size] : face_orbits) {
-    f[static_cast<std::size_t>(face.dimension())] +=
-        static_cast<std::size_t>(orbit_size);
+    // Each proper face: the lexicographically least masked row is its
+    // canonical form, and the rows that tie with it count its stabilizer.
+    const std::uint64_t whole = (std::uint64_t{1} << k) - 1;
+    for (std::uint64_t mask = 1; mask < whole; ++mask) {
+      const ImageEntry* best = rows.data();
+      std::uint32_t stabilizer = 1;
+      for (std::size_t gi = 1; gi < group_size; ++gi) {
+        const ImageEntry* row = rows.data() + gi * k;
+        const int order = compare_masked(row, best, k, mask);
+        if (order < 0) {
+          best = row;
+          stabilizer = 1;
+        } else if (order == 0) {
+          ++stabilizer;
+        }
+      }
+      rep.clear();
+      for (std::size_t i = 0; i < k; ++i) {
+        if ((mask >> best[i].position) & 1U) rep.push_back(best[i].vertex);
+      }
+      if (counted.find(rep) != counted.end()) continue;
+      f[rep.size() - 1] += group_size / stabilizer;
+      counted.emplace(topology::Simplex(rep));
+    }
   }
   return f;
 }
@@ -369,13 +445,23 @@ topology::SimplicialComplex reconstitute_full(const OrbitComplexResult& result,
                                               topology::VertexArena& arena) {
   obs::SpanTimer span("construction.orbit_reconstitute",
                       static_cast<std::int64_t>(result.full_facet_count));
-  OrbitContext ctx(result.group, views, arena);
+  require_build_registries(result, views, arena, "reconstitute_full");
+  // Room for every distinct image plus one orbit's repeats before dedupe.
   std::vector<topology::Simplex> facets;
+  facets.reserve(static_cast<std::size_t>(result.full_facet_count) +
+                 result.group.size());
   for (const OrbitRecord& rec : result.orbits) {
     if (rec.dominated) continue;
     util::poll_deadline();
+    const std::size_t first = facets.size();
     for (std::size_t gi = 0; gi < result.group.size(); ++gi) {
-      facets.push_back(ctx.relabel_facet(gi, rec.rep));
+      facets.push_back(result.images.relabel_facet(gi, rec.seed));
+    }
+    // A nontrivial stabilizer repeats each image |Stab| times; keep one.
+    if (rec.stabilizer > 1) {
+      const auto begin = facets.begin() + static_cast<std::ptrdiff_t>(first);
+      std::sort(begin, facets.end());
+      facets.erase(std::unique(begin, facets.end()), facets.end());
     }
   }
   topology::SimplicialComplex full;

@@ -37,7 +37,10 @@
 // into an orbit table carrying stabilizer sizes, and the exact facet count,
 // f-vector, and homology of the *full* complex are recovered from orbit data
 // (orbit_full_f_vector, reconstitute_full) — equal, value for value, to what
-// the unreduced pipeline reports wherever both can run.
+// the unreduced pipeline reports wherever both can run. Canonicalizing a
+// final facet computes its image under every group element; the result
+// keeps those image tables and, per orbit, the facet that produced them, so
+// nothing after the build relabels or interns anything.
 
 #include <cstdint>
 #include <vector>
@@ -67,13 +70,17 @@ struct ConstructionOptions {
 // ---- orbit-quotient results ----
 
 /// One final-facet orbit: the canonical representative, its stabilizer size
-/// (so |orbit| = |G| / stabilizer), and whether the orbit is dominated in
-/// the full complex (its members are strict faces of some maximal facet;
-/// dominated orbits contribute faces but no maximal facets).
+/// (so |orbit| = |G| / stabilizer), whether the orbit is dominated in the
+/// full complex (its members are strict faces of some maximal facet;
+/// dominated orbits contribute faces but no maximal facets), and its seed.
 struct OrbitRecord {
   topology::Simplex rep;
   std::uint32_t stabilizer = 1;
   bool dominated = false;
+  /// The final facet the build first canonicalized into this record. Its
+  /// image under every group element is in the result's `images`, so the
+  /// whole orbit (= the seed's images) is reachable by table reads.
+  topology::Simplex seed;
 };
 
 /// The orbit pipeline's output. `reduced` is the complex spanned by the
@@ -89,20 +96,28 @@ struct OrbitComplexResult {
   /// Exact maximal-facet count of the full complex:
   /// Σ over non-dominated orbits of |G| / stabilizer.
   std::uint64_t full_facet_count = 0;
+  /// The build's vertex-image tables, bound to the registry pair it ran in:
+  /// every seed vertex's image under every group element.
+  OrbitImages images;
 };
 
-/// Exact f-vector of the full complex from orbit data: every face orbit of
-/// the full complex has a representative among the faces of the
-/// non-dominated facet representatives, so canonicalizing those faces and
-/// summing orbit sizes per dimension counts all faces exactly once.
+/// Exact f-vector of the full complex from orbit data. A non-dominated
+/// facet orbit is maximal, so it counts |G| / stabilizer straight from its
+/// record. Every other face orbit has a member among the proper faces of
+/// the non-dominated seeds; those are canonicalized by reads from the
+/// build's image tables, and each canonical face counts its orbit size
+/// once. `views` and `arena` must be the pair the result was built in
+/// (std::invalid_argument otherwise); neither is touched.
 std::vector<std::size_t> orbit_full_f_vector(const OrbitComplexResult& result,
                                              ViewRegistry& views,
                                              topology::VertexArena& arena);
 
-/// Materializes the full complex by applying every group element to every
-/// non-dominated representative. Memory is proportional to the full facet
-/// count — intended for differential tests and overlap verification, not
-/// for beyond-the-wall sizes.
+/// Materializes the full complex: the distinct images of every
+/// non-dominated seed, read from the build's image tables. The facet set
+/// equals the unreduced pipeline's; the insertion order is per orbit.
+/// Memory is proportional to the full facet count — intended for homology,
+/// differential tests and overlap verification, not for beyond-the-wall
+/// sizes. Same registry-pair contract as orbit_full_f_vector.
 topology::SimplicialComplex reconstitute_full(const OrbitComplexResult& result,
                                               ViewRegistry& views,
                                               topology::VertexArena& arena);

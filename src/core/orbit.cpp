@@ -1,8 +1,11 @@
 #include "core/orbit.h"
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
+
+#include "obs/obs.h"
 
 namespace psph::core {
 
@@ -33,6 +36,24 @@ std::vector<std::pair<ProcessId, std::int64_t>> input_labels(
   }
   std::sort(labels.begin(), labels.end());
   return labels;
+}
+
+/// Sentinel of the state memo: no image computed yet.
+constexpr StateId kNoState = std::numeric_limits<StateId>::max();
+
+/// Counts vertex-memo misses: images computed (and interned) rather than
+/// read back from a table.
+obs::Counter g_obs_relabels("construction.orbit_relabels");
+
+/// The simplex spanned by the images of `facet`'s vertices.
+template <typename Image>
+topology::Simplex relabeled(const topology::Simplex& facet, Image image) {
+  std::vector<topology::VertexId> mapped;
+  mapped.reserve(facet.size());
+  for (const topology::VertexId v : facet.vertices()) {
+    mapped.push_back(image(v));
+  }
+  return topology::Simplex(std::move(mapped));
 }
 
 }  // namespace
@@ -117,13 +138,15 @@ OrbitContext::OrbitContext(SymmetryGroup group, ViewRegistry& views,
     : group_(std::move(group)),
       views_(views),
       arena_(arena),
-      memo_(group_.size()),
-      vertex_memo_(group_.size()) {}
+      memo_(group_.size()) {
+  images_.views_ = &views;
+  images_.arena_ = &arena;
+  images_.tables_.resize(group_.size());
+}
 
 StateId OrbitContext::relabel_state(std::size_t element_index, StateId state) {
-  std::unordered_map<StateId, StateId>& memo = memo_[element_index];
-  const auto hit = memo.find(state);
-  if (hit != memo.end()) return hit->second;
+  std::vector<StateId>& memo = memo_[element_index];
+  if (state < memo.size() && memo[state] != kNoState) return memo[state];
 
   const SymmetryElement& g = group_.element(element_index);
   const View& v = views_.view(state);
@@ -142,38 +165,38 @@ StateId OrbitContext::relabel_state(std::size_t element_index, StateId state) {
     }
     result = views_.intern_round(g.map_pid(v.pid), v.round, std::move(heard));
   }
-  memo.emplace(state, result);
+  if (state >= memo.size()) memo.resize(views_.size(), kNoState);
+  memo[state] = result;
   return result;
 }
 
 topology::VertexId OrbitContext::relabel_vertex(std::size_t element_index,
                                                 topology::VertexId vertex) {
-  std::vector<topology::VertexId>& memo = vertex_memo_[element_index];
+  std::vector<topology::VertexId>& memo = images_.tables_[element_index];
   if (vertex < memo.size() && memo[vertex] != topology::kInvalidVertex) {
     return memo[vertex];
   }
+  g_obs_relabels.add(1);
   const SymmetryElement& g = group_.element(element_index);
   const topology::ProcessId pid = arena_.pid(vertex);
   const StateId state = arena_.state(vertex);
   const topology::VertexId result =
       arena_.intern(g.map_pid(pid), relabel_state(element_index, state));
-  if (vertex >= memo.size()) memo.resize(vertex + 1, topology::kInvalidVertex);
+  if (vertex >= memo.size()) {
+    memo.resize(arena_.size(), topology::kInvalidVertex);
+  }
   memo[vertex] = result;
   return result;
 }
 
 topology::Simplex OrbitContext::relabel_facet(std::size_t element_index,
                                               const topology::Simplex& facet) {
-  std::vector<topology::VertexId> mapped;
-  mapped.reserve(facet.size());
-  for (const topology::VertexId v : facet.vertices()) {
-    mapped.push_back(relabel_vertex(element_index, v));
-  }
-  return topology::Simplex(std::move(mapped));
+  return relabeled(facet, [&](topology::VertexId v) {
+    return relabel_vertex(element_index, v);
+  });
 }
 
 CanonicalFacet OrbitContext::canonicalize(const topology::Simplex& facet) {
-  ++canonicalized_;
   CanonicalFacet best{facet, 1};
   if (group_.size() == 1) return best;
   // Element 0 is the identity: start from the facet itself, then challenge
@@ -196,6 +219,19 @@ CanonicalFacet OrbitContext::canonicalize(const topology::Simplex& facet) {
     }
   }
   return best;
+}
+
+topology::Simplex OrbitImages::relabel_facet(
+    std::size_t element_index, const topology::Simplex& facet) const {
+  return relabeled(facet, [&](topology::VertexId v) {
+    return image(element_index, v);
+  });
+}
+
+void OrbitImages::missing_image() {
+  throw std::logic_error(
+      "OrbitImages: no image was computed for this vertex under this "
+      "element");
 }
 
 }  // namespace psph::core

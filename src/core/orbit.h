@@ -21,8 +21,13 @@
 //     A facet's canonical form is the lexicographically least relabeled
 //     vertex vector over all g ∈ G, where relabeled views are hash-consed
 //     through the same ViewRegistry/VertexArena the pipeline builds in.
-//     Relabeling is memoized per (group element, StateId), so repeated
-//     canonicalizations amortize to hash lookups.
+//     Relabeling is memoized in flat per-element tables indexed by StateId
+//     and by VertexId, so a vertex relabels (and interns) once per element
+//     and every later canonicalization touching it is array reads.
+//   * OrbitImages   — the context's vertex-image tables, detached once a
+//     build is done. The orbit pipeline keeps them in its result, so the
+//     domination scan, the f-vector and reconstitution read every image
+//     the build computed instead of relabeling again (construction.h).
 //
 // Orbit sizes come from orbit–stabilizer: the number of g mapping a facet
 // to its canonical form is |Stab|, hence |orbit| = |G| / |Stab|. Because
@@ -31,7 +36,6 @@
 // across thread counts.
 
 #include <cstdint>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -83,14 +87,50 @@ class SymmetryGroup {
 
 /// The result of canonicalizing one facet: the orbit representative and the
 /// number of group elements that map the facet onto the representative
-/// (= |Stab| by orbit–stabilizer, so orbit_size = |G| / stabilizer).
+/// (= |Stab| by orbit–stabilizer, so |orbit| = |G| / stabilizer).
 struct CanonicalFacet {
   topology::Simplex rep;
   std::uint32_t stabilizer = 1;
+};
 
-  std::uint64_t orbit_size(std::size_t group_size) const {
-    return static_cast<std::uint64_t>(group_size) / stabilizer;
+/// The vertex images an OrbitContext computed, detached from the context
+/// and its state memo: image(g, v) = g·v for every vertex the context
+/// relabeled under element g (element 0, the identity, needs no table).
+/// Read-only: it never interns, so it cannot renumber anything, and reading
+/// an image that was never computed throws std::logic_error. It remembers
+/// the registry pair its ids live in.
+class OrbitImages {
+ public:
+  /// True iff the images were interned in exactly this registry pair.
+  bool bound_to(const ViewRegistry& views,
+                const topology::VertexArena& arena) const {
+    return views_ == &views && arena_ == &arena;
   }
+
+  /// g-image of a vertex.
+  topology::VertexId image(std::size_t element_index,
+                           topology::VertexId vertex) const {
+    if (element_index == 0) return vertex;
+    const std::vector<topology::VertexId>& table = tables_[element_index];
+    if (vertex >= table.size() || table[vertex] == topology::kInvalidVertex) {
+      missing_image();
+    }
+    return table[vertex];
+  }
+
+  /// g-image of a whole facet (vertex set; Simplex re-sorts).
+  topology::Simplex relabel_facet(std::size_t element_index,
+                                  const topology::Simplex& facet) const;
+
+ private:
+  friend class OrbitContext;
+  [[noreturn]] static void missing_image();
+
+  const ViewRegistry* views_ = nullptr;
+  const topology::VertexArena* arena_ = nullptr;
+  /// tables_[g][v] = g·v, kInvalidVertex where not computed. VertexIds are
+  /// dense arena indices, so the hot canonicalize path reads arrays.
+  std::vector<std::vector<topology::VertexId>> tables_;
 };
 
 /// Memoized relabeling + canonicalization engine bound to one registry /
@@ -104,11 +144,8 @@ class OrbitContext {
 
   const SymmetryGroup& group() const { return group_; }
 
-  /// g-image of an interned state, interning the result. Memoized per
-  /// (element index, state).
-  StateId relabel_state(std::size_t element_index, StateId state);
-
-  /// g-image of a vertex (pid, state) as an interned VertexId.
+  /// g-image of a vertex (pid, state) as an interned VertexId, relabeling
+  /// its view (and, recursively, every view it heard) on a memo miss.
   topology::VertexId relabel_vertex(std::size_t element_index,
                                     topology::VertexId vertex);
 
@@ -120,20 +157,21 @@ class OrbitContext {
   /// vertex vector over all g, plus the stabilizer count.
   CanonicalFacet canonicalize(const topology::Simplex& facet);
 
-  /// Cumulative number of canonicalize() calls (obs/stats plumbing).
-  std::uint64_t canonicalized() const { return canonicalized_; }
+  /// Detaches the vertex-image tables filled so far; the context is spent.
+  OrbitImages take_images() && { return std::move(images_); }
 
  private:
+  /// g-image of an interned state, interning the result.
+  StateId relabel_state(std::size_t element_index, StateId state);
+
   SymmetryGroup group_;
   ViewRegistry& views_;
   topology::VertexArena& arena_;
-  /// memo_[g][state] = relabeled state; one map per group element.
-  std::vector<std::unordered_map<StateId, StateId>> memo_;
-  /// vertex_memo_[g][v] = relabeled vertex (kInvalidVertex = not yet
-  /// computed). VertexIds are dense arena indices, so a flat vector turns
-  /// the hot canonicalize path's per-vertex hash lookups into array reads.
-  std::vector<std::vector<topology::VertexId>> vertex_memo_;
-  std::uint64_t canonicalized_ = 0;
+  /// memo_[g][state] = relabeled state (kNoState = not yet computed), flat
+  /// like the vertex memo: StateIds are dense registry indices.
+  std::vector<std::vector<StateId>> memo_;
+  /// The vertex memo, kept in the form the orbit result retains.
+  OrbitImages images_;
 };
 
 }  // namespace psph::core

@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <unordered_set>
 
+#include "util/cancel.h"
 #include "util/hash.h"
 
 namespace psph::topology {
@@ -290,10 +291,17 @@ void SimplicialComplex::build_face_cache() const {
         &facet);
   }
 
+  // Cooperative cancellation (util/cancel.h): polled once per level and
+  // every 4096 rows. A throw leaves the valid flag false (warm_face_cache
+  // sets it only after this returns), so the next query rebuilds.
+  const auto poll_every_4096 = [](std::size_t row) {
+    if ((row & 4095) == 0) util::poll_deadline();
+  };
   std::vector<IndexEntry> table;
   std::vector<VertexId> pool;  // this level's rows in insertion order
   std::vector<VertexId> key(levels);
   for (std::size_t width = levels; width >= 1; --width) {
+    util::poll_deadline();
     const std::vector<const Simplex*>& own = facets_by_dim[width - 1];
     FaceTable* above = width < levels ? &face_cache_[width] : nullptr;
     const std::size_t above_count =
@@ -304,11 +312,11 @@ void SimplicialComplex::build_face_cache() const {
       // Top level: only facets, which the facet index keeps distinct, so no
       // intern table is needed (skipping it lowers the build's peak memory).
       pool.reserve(own.size() * width);
-      for (const Simplex* facet : own) {
-        pool.insert(pool.end(), facet->vertices().begin(),
-                    facet->vertices().end());
+      for (; n < own.size(); ++n) {
+        poll_every_4096(n);
+        pool.insert(pool.end(), own[n]->vertices().begin(),
+                    own[n]->vertices().end());
       }
-      n = own.size();
     } else {
       // Each (d+1)-simplex contributes d+2 codim-1 probes and interior
       // faces are shared by ≥2 cofaces, so half the probe count (plus this
@@ -344,11 +352,15 @@ void SimplicialComplex::build_face_cache() const {
       // every face generated from the level above (a facet that appeared
       // there would be a face of another facet), but they still seed the
       // table so probes from above dedup against them.
-      for (const Simplex* facet : own) intern(facet->vertices().data());
+      for (std::size_t i = 0; i < own.size(); ++i) {
+        poll_every_4096(i);
+        intern(own[i]->vertices().data());
+      }
       above->boundary_links.resize(above_count * (width + 1));
       std::size_t* link = above->boundary_links.data();
       const VertexId* face = above->rows.data();
       for (std::size_t c = 0; c < above_count; ++c, face += width + 1) {
+        poll_every_4096(c);
         for (std::size_t omit = 0; omit <= width; ++omit) {
           std::copy(face, face + omit, key.begin());
           std::copy(face + omit + 1, face + width + 1, key.begin() + omit);

@@ -105,6 +105,9 @@ class SimplicialComplex {
   /// Builds the face cache if stale. Purely an optimization for callers
   /// about to issue face queries from several threads: the accessors also
   /// build lazily (under a mutex), so skipping this is never incorrect.
+  /// The build polls the caller's deadline (util/cancel.h) per level and
+  /// every 4096 rows; DeadlineExceeded leaves the cache invalid, so the
+  /// next face query rebuilds it.
   void warm_face_cache() const;
 
   /// All vertex ids used by at least one facet, sorted. Does not touch the

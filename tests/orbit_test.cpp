@@ -2,8 +2,9 @@
 // forms, and the differential guarantee — orbit-reduced facet counts,
 // f-vectors, and homology must equal the unreduced pipeline's, value for
 // value, for every model and every (n, r) the unreduced path can reach.
-// Also pins construction output across commits and checks that a deadline
-// reaches inside a construction level.
+// Also pins construction output across commits, checks that the f-vector
+// and reconstitution read the build's image tables instead of relabeling,
+// and that a deadline reaches inside a construction level.
 
 #include "core/orbit.h"
 
@@ -12,12 +13,15 @@
 #include <chrono>
 #include <cstdint>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/construction.h"
 #include "core/iis_complex.h"
 #include "core/pseudosphere.h"
 #include "core/theorems.h"
+#include "obs/obs.h"
 #include "topology/homology.h"
 #include "util/cancel.h"
 #include "util/hash.h"
@@ -128,6 +132,8 @@ void expect_orbit_matches_full(const topology::SimplicialComplex& full,
 
   const topology::SimplicialComplex rebuilt =
       core::reconstitute_full(orbit, views, arena);
+  // One registry pair, so ids compare: the very same facet set.
+  EXPECT_EQ(rebuilt.facets(), full.facets());
   EXPECT_EQ(rebuilt.facet_count(), full.facet_count());
   EXPECT_EQ(rebuilt.f_vector(), full.f_vector());
 
@@ -235,6 +241,81 @@ TEST(OrbitDifferentialTest, AsymmetricInputDegeneratesGracefully) {
   const core::OrbitComplexResult orbit =
       core::async_protocol_complex_orbit(input, params, views, arena);
   expect_orbit_matches_full(full, orbit, views, arena, "async {5,5,9}");
+}
+
+// ------------------------------------------- the build's image tables ----
+
+// The current total of one obs counter (0 if it never fired).
+std::uint64_t obs_counter(const std::string& name) {
+  for (const obs::CounterStat& counter : obs::snapshot().counters) {
+    if (counter.name == name) return counter.value;
+  }
+  return 0;
+}
+
+TEST(OrbitImagesTest, FVectorAndReconstitutionReadTheBuildsTables) {
+  // The build relabels every seed under every group element; the f-vector
+  // and reconstitution must read those images back, interning no view or
+  // vertex and missing no relabel memo.
+  const bool obs_was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  const auto expect_no_relabel = [](int n1, const auto& build,
+                                    const std::string& label) {
+    SCOPED_TRACE(label);
+    core::ViewRegistry views;
+    topology::VertexArena arena;
+    const topology::Simplex input = core::rainbow_input(n1, views, arena);
+    const std::uint64_t before_build =
+        obs_counter("construction.orbit_relabels");
+    const core::OrbitComplexResult orbit = build(input, views, arena);
+    const std::size_t views_after_build = views.size();
+    const std::size_t arena_after_build = arena.size();
+    const std::uint64_t relabels = obs_counter("construction.orbit_relabels");
+    EXPECT_GT(relabels, before_build);  // the build's own misses do count
+    const std::vector<std::size_t> f =
+        core::orbit_full_f_vector(orbit, views, arena);
+    const topology::SimplicialComplex full =
+        core::reconstitute_full(orbit, views, arena);
+    EXPECT_EQ(full.f_vector(), f);
+    EXPECT_EQ(views.size(), views_after_build);
+    EXPECT_EQ(arena.size(), arena_after_build);
+    EXPECT_EQ(obs_counter("construction.orbit_relabels"), relabels);
+  };
+  expect_no_relabel(
+      3,
+      [](const topology::Simplex& in, core::ViewRegistry& v,
+         topology::VertexArena& a) {
+        return core::async_protocol_complex_orbit(in, {3, 1, 3}, v, a);
+      },
+      "async (3,1,3)");
+  expect_no_relabel(
+      4,
+      [](const topology::Simplex& in, core::ViewRegistry& v,
+         topology::VertexArena& a) {
+        return core::sync_protocol_complex_orbit(in, {4, 2, 1, 2}, v, a);
+      },
+      "sync (4,2,1,2)");
+  obs::set_enabled(obs_was_enabled);
+}
+
+TEST(OrbitImagesTest, ForeignRegistryPairThrows) {
+  // The image tables hold ids of the build's registries; any other pair
+  // is refused rather than relabelled into.
+  core::ViewRegistry views;
+  topology::VertexArena arena;
+  const topology::Simplex input = core::rainbow_input(3, views, arena);
+  const core::OrbitComplexResult orbit =
+      core::async_protocol_complex_orbit(input, {3, 1, 1}, views, arena);
+  core::ViewRegistry other_views;
+  topology::VertexArena other_arena;
+  EXPECT_THROW(core::orbit_full_f_vector(orbit, other_views, other_arena),
+               std::invalid_argument);
+  EXPECT_THROW(core::reconstitute_full(orbit, other_views, other_arena),
+               std::invalid_argument);
+  EXPECT_THROW(core::orbit_full_f_vector(orbit, views, other_arena),
+               std::invalid_argument);
+  EXPECT_THROW(core::reconstitute_full(orbit, other_views, arena),
+               std::invalid_argument);
 }
 
 // ------------------------------------------------ pinned output digests --

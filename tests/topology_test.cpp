@@ -1,14 +1,18 @@
 // Tests for the simplicial topology layer: simplex algebra, facet-based
 // complexes, operations, boundary/homology on spaces with known homology
 // (spheres, torus, projective plane), collapse certificates, barycentric
-// subdivision, isomorphism machinery.
+// subdivision, isomorphism machinery, and deadline polling in the face-cache
+// build.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <set>
 #include <vector>
 
+#include "core/async_complex.h"
+#include "core/theorems.h"
 #include "topology/arena.h"
 #include "topology/collapse.h"
 #include "topology/complex.h"
@@ -17,6 +21,7 @@
 #include "topology/operations.h"
 #include "topology/simplex.h"
 #include "topology/subdivision.h"
+#include "util/cancel.h"
 #include "util/random.h"
 
 namespace psph::topology {
@@ -314,6 +319,22 @@ TEST(FaceCache, OutOfRangeDimensionsAreEmpty) {
   EXPECT_TRUE(k.simplices_of_dim(2).empty());
   EXPECT_TRUE(k.face_index_of_dim(7).empty());
   EXPECT_EQ(k.face_index_of_dim(1).at(Simplex{1, 2}), 0u);
+}
+
+TEST(FaceCache, ExpiredDeadlineLeavesCacheInvalid) {
+  // The build polls the deadline; a throw must leave no half-valid cache.
+  core::ViewRegistry views;
+  VertexArena arena;
+  const Simplex input = core::rainbow_input(3, views, arena);
+  const SimplicialComplex complex =
+      core::async_protocol_complex(input, {3, 1, 2}, views, arena);
+  const SimplicialComplex untouched = complex;
+  {
+    const util::DeadlineScope expired(std::chrono::steady_clock::now() -
+                                      std::chrono::seconds(1));
+    EXPECT_THROW(complex.warm_face_cache(), util::DeadlineExceeded);
+  }
+  EXPECT_EQ(complex.f_vector(), untouched.f_vector());
 }
 
 TEST(Complex, EqualityAndSubcomplex) {
