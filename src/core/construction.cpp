@@ -469,6 +469,31 @@ topology::SimplicialComplex reconstitute_full(const OrbitComplexResult& result,
   return full;
 }
 
+topology::ComponentCounter orbit_full_components(
+    const OrbitComplexResult& result, ViewRegistry& views,
+    topology::VertexArena& arena) {
+  obs::SpanTimer span("construction.orbit_components",
+                      static_cast<std::int64_t>(result.orbits.size()));
+  require_build_registries(result, views, arena, "orbit_full_components");
+  topology::ComponentCounter counter;
+  std::vector<topology::VertexId> row;
+  std::size_t rows = 0;
+  for (const OrbitRecord& rec : result.orbits) {
+    if (rec.dominated) continue;
+    // A nontrivial stabilizer repeats images; a repeated row unites
+    // nothing new.
+    for (std::size_t gi = 0; gi < result.group.size(); ++gi) {
+      if ((rows++ & 4095) == 0) util::poll_deadline();
+      row.clear();
+      for (const topology::VertexId v : rec.seed.vertices()) {
+        row.push_back(result.images.image(gi, v));
+      }
+      counter.add_row(row);
+    }
+  }
+  return counter;
+}
+
 topology::SimplicialComplex async_protocol_complex(
     const topology::Simplex& input, const AsyncParams& params,
     ViewRegistry& views, topology::VertexArena& arena) {

@@ -35,9 +35,10 @@
 // representative per orbit suffices. DEDUPE canonicalizes each incoming
 // facet (orbit.h) before keying, CONSUME canonicalizes the final-round facets
 // into an orbit table carrying stabilizer sizes, and the exact facet count,
-// f-vector, and homology of the *full* complex are recovered from orbit data
-// (orbit_full_f_vector, reconstitute_full) — equal, value for value, to what
-// the unreduced pipeline reports wherever both can run. Canonicalizing a
+// f-vector, components and homology of the *full* complex are recovered
+// from orbit data (orbit_full_f_vector, orbit_full_components,
+// reconstitute_full) — equal, value for value, to what the unreduced
+// pipeline reports wherever both can run. Canonicalizing a
 // final facet computes its image under every group element; the result
 // keeps those image tables and, per orbit, the facet that produced them, so
 // nothing after the build relabels or interns anything.
@@ -52,6 +53,7 @@
 #include "core/view.h"
 #include "topology/arena.h"
 #include "topology/complex.h"
+#include "topology/components.h"
 #include "topology/simplex.h"
 
 namespace psph::core {
@@ -121,6 +123,17 @@ std::vector<std::size_t> orbit_full_f_vector(const OrbitComplexResult& result,
 topology::SimplicialComplex reconstitute_full(const OrbitComplexResult& result,
                                               ViewRegistry& views,
                                               topology::VertexArena& arena);
+
+/// The full complex's components and f_0 without materializing it: the
+/// component counter (topology/components.h) fed the image of every
+/// non-dominated seed under every group element, read from the build's
+/// image tables. Those images are the full complex's maximal facets, so
+/// they span its 1-skeleton and carry all of its vertices. Polls the
+/// caller's deadline every 4096 images. Same registry-pair contract as
+/// orbit_full_f_vector.
+topology::ComponentCounter orbit_full_components(
+    const OrbitComplexResult& result, ViewRegistry& views,
+    topology::VertexArena& arena);
 
 // Orbit-quotient entry points, G = Aut(input facet) (the full diagonal
 // symmetric group for a rainbow input). Output values (counts, f-vectors,

@@ -1,32 +1,72 @@
 #include "core/theorems.h"
 
+#include <cstddef>
 #include <sstream>
 
 #include "core/agreement.h"
 #include "core/pseudosphere.h"
+#include "topology/components.h"
 #include "topology/homology.h"
 
 namespace psph::core {
 
 namespace {
 
-ConnectivityCheck measure(const topology::SimplicialComplex& complex,
-                          int expected) {
+// A bound of at most 0 asks only whether the complex is connected, which
+// its component counter answers, whichever feeder filled it:
+// homological_connectivity(K, 0) is -2 for the empty complex, 0 for a
+// connected one and -1 otherwise.
+ConnectivityCheck connectedness_check(const topology::ComponentCounter& counter,
+                                      std::size_t facet_count, int dimension,
+                                      int expected) {
+  const std::size_t components = counter.component_count();
   ConnectivityCheck check;
   check.expected = expected;
-  check.facet_count = complex.facet_count();
-  check.vertex_count = complex.vertex_ids().size();
-  check.dimension = complex.dimension();
-  const int up_to = std::max(expected, 0);
-  check.measured = topology::homological_connectivity(complex, up_to);
+  check.facet_count = facet_count;
+  check.vertex_count = counter.vertex_count();
+  check.dimension = dimension;
+  check.measured = components == 0 ? -2 : components == 1 ? 0 : -1;
   if (expected <= -2) {
     check.satisfied = true;
   } else if (expected == -1) {
-    check.satisfied = !complex.empty();
+    check.satisfied = components > 0;
   } else {
     check.satisfied = check.measured >= expected;
   }
   return check;
+}
+
+ConnectivityCheck measure(const topology::SimplicialComplex& complex,
+                          int expected) {
+  if (expected <= 0) {
+    return connectedness_check(topology::components_of(complex),
+                               complex.facet_count(), complex.dimension(),
+                               expected);
+  }
+  ConnectivityCheck check;
+  check.expected = expected;
+  check.measured = topology::homological_connectivity(complex, expected);
+  check.facet_count = complex.facet_count();
+  // The face lattice that measured the bound holds f_0 as a table size.
+  check.vertex_count = complex.count_of_dim(0);
+  check.dimension = complex.dimension();
+  check.satisfied = check.measured >= expected;
+  return check;
+}
+
+// Orbit mode: union-find over the orbit images answers a bound of at most
+// 0 without reconstituting the full complex, with the values measure()
+// reports on it. Larger bounds need its chain complex.
+ConnectivityCheck measure_orbit(const OrbitComplexResult& orbit,
+                                ViewRegistry& views,
+                                topology::VertexArena& arena, int expected) {
+  if (expected > 0) {
+    return measure(reconstitute_full(orbit, views, arena), expected);
+  }
+  return connectedness_check(
+      orbit_full_components(orbit, views, arena),
+      static_cast<std::size_t>(orbit.full_facet_count),
+      orbit.reduced.dimension(), expected);
 }
 
 std::vector<std::int64_t> value_range(int count) {
@@ -80,7 +120,7 @@ ConnectivityCheck check_async_connectivity(int num_processes,
   if (options.mode == ConstructionMode::kOrbit) {
     const OrbitComplexResult orbit =
         async_protocol_complex_orbit(input, params, views, arena);
-    return measure(reconstitute_full(orbit, views, arena), m - (n - f) - 1);
+    return measure_orbit(orbit, views, arena, m - (n - f) - 1);
   }
   const topology::SimplicialComplex complex =
       async_protocol_complex(input, params, views, arena);
@@ -100,7 +140,7 @@ ConnectivityCheck check_sync_connectivity(int num_processes, int participants,
   if (options.mode == ConstructionMode::kOrbit) {
     const OrbitComplexResult orbit =
         sync_protocol_complex_orbit(input, params, views, arena);
-    return measure(reconstitute_full(orbit, views, arena), m - (n - k) - 1);
+    return measure_orbit(orbit, views, arena, m - (n - k) - 1);
   }
   const topology::SimplicialComplex complex =
       sync_protocol_complex(input, params, views, arena);
@@ -122,7 +162,7 @@ ConnectivityCheck check_semisync_connectivity(int num_processes,
   if (options.mode == ConstructionMode::kOrbit) {
     const OrbitComplexResult orbit =
         semisync_protocol_complex_orbit(input, params, views, arena);
-    return measure(reconstitute_full(orbit, views, arena), m - (n - k) - 1);
+    return measure_orbit(orbit, views, arena, m - (n - k) - 1);
   }
   const topology::SimplicialComplex complex =
       semisync_protocol_complex(input, params, views, arena);

@@ -3,8 +3,10 @@
 // Machine checks for the paper's numbered results. Each function builds the
 // relevant construction, runs the homological-connectivity engine, and
 // returns a structured verdict that tests assert on and bench binaries
-// print. Core measures connectivity; whether a decision map exists is
-// decided by solve::decide (src/solve), which core does not link.
+// print. A bound of at most 0 asks only whether the complex is connected,
+// which union-find answers (topology/components.h) without the engine's
+// face lattice. Core measures connectivity; whether a decision map exists
+// is decided by solve::decide (src/solve), which core does not link.
 
 #include <cstdint>
 #include <string>
@@ -46,8 +48,10 @@ ConnectivityCheck check_pseudosphere_connectivity(
 
 /// Lemma 12: A^r(S^m) is (m - (n - f) - 1)-connected. `participants` = m+1,
 /// `num_processes` = n+1. With options.mode == kOrbit the complex is built
-/// through the symmetry-reduced pipeline (DESIGN §5.16) and reconstituted
-/// before measuring — the verdict is value-identical either way.
+/// through the symmetry-reduced pipeline (DESIGN §5.16); a bound of at most
+/// 0 is measured by union-find over the orbit images
+/// (orbit_full_components), a larger one on the reconstituted complex. Every
+/// field of the check is value-identical either way.
 ConnectivityCheck check_async_connectivity(int num_processes,
                                            int participants, int f, int r,
                                            const ConstructionOptions& options =

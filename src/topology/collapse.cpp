@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "obs/obs.h"
+#include "util/cancel.h"
 
 namespace psph::topology {
 
@@ -157,7 +158,7 @@ MorseComplex morse_reduce(const SimplicialComplex& k, int top_dim) {
   // Cells of dimension -1..D, D the truncation depth; alive[t] holds the
   // (t-1)-cells, t == 0 being the single augmentation cell.
   const int D = std::min(top_dim, k.dimension());
-  k.warm_face_cache();
+  k.warm_face_cache(D);
   std::vector<std::size_t> counts(static_cast<std::size_t>(D) + 1);
   for (int d = 0; d <= D; ++d) {
     counts[static_cast<std::size_t>(d)] = k.count_of_dim(d);
@@ -168,6 +169,13 @@ MorseComplex morse_reduce(const SimplicialComplex& k, int top_dim) {
     alive[static_cast<std::size_t>(d) + 1].assign(
         counts[static_cast<std::size_t>(d)], 1);
   }
+
+  // Cooperative cancellation (util/cancel.h) in the two loops that scale
+  // with the complex: the transpose, every 4096 columns, and the cascade,
+  // every 4096 pops.
+  const auto poll_every_4096 = [](std::size_t item) {
+    if ((item & 4095) == 0) util::poll_deadline();
+  };
 
   // Build ∂_0..∂_D: the column side reads the complex's boundary-link
   // table in place; the row side (needed to find a cell's cofaces) is a
@@ -203,6 +211,7 @@ MorseComplex morse_reduce(const SimplicialComplex& k, int top_dim) {
     std::vector<std::uint32_t> fill(level.row_ptr.begin(),
                                     level.row_ptr.end() - 1);
     for (std::size_t c = 0; c < cols; ++c) {
+      poll_every_4096(c);
       std::int8_t sign = 1;
       for (std::size_t omit = 0; omit < fanout; ++omit) {
         const std::size_t r = level.links[c * fanout + omit];
@@ -277,7 +286,8 @@ MorseComplex morse_reduce(const SimplicialComplex& k, int top_dim) {
     }
   };
 
-  while (!work.empty()) {
+  for (std::size_t pops = 0; !work.empty(); ++pops) {
+    poll_every_4096(pops);
     const Candidate cand = work.back();
     work.pop_back();
     const MorseLevel& level = levels[static_cast<std::size_t>(cand.d)];

@@ -9,7 +9,9 @@
 // strictly stronger than the homological proxy in homology.h. Greedy
 // collapsing is not complete (some contractible complexes are not
 // collapsible, and greedy order matters), so a `false` result is
-// inconclusive; experiments treat it as "fall back to homology".
+// inconclusive. No production path reports a collapse certificate: the
+// connectivity checks go through reduced_homology, and the greedy engine
+// serves tests (collapsible ⇒ acyclic) and perf_topology.
 
 #include <cstddef>
 #include <vector>

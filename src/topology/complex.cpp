@@ -13,14 +13,15 @@ namespace psph::topology {
 
 namespace {
 
-// Hash of a sorted vertex row: the mix SimplexHash uses, truncated to the 32
-// bits a table entry stores.
+// Hash of a sorted vertex row, truncated to the 32 bits a table entry
+// stores. The tables index by the low bits, so the combined value goes
+// through a full-avalanche finalizer first.
 std::uint32_t row_hash(const VertexId* row, std::size_t width) {
   std::size_t seed = 0;
   for (std::size_t i = 0; i < width; ++i) {
     seed = util::hash_combine(seed, row[i]);
   }
-  return static_cast<std::uint32_t>(util::hash_combine(seed, width));
+  return static_cast<std::uint32_t>(util::mix64(seed));
 }
 
 std::uint32_t facet_hash(const Simplex& s) {
@@ -28,7 +29,8 @@ std::uint32_t facet_hash(const Simplex& s) {
 }
 
 // Linear-probing insert into a power-of-two table of {hash, id + 1}
-// entries; the caller keeps the table at most 3/4 full.
+// entries; the callers keep the table at most 3/4 full (the facet index)
+// or half full (the face-cache intern tables).
 template <typename Entry>
 void place(std::vector<Entry>& table, Entry entry) {
   const std::size_t mask = table.size() - 1;
@@ -57,20 +59,26 @@ SimplicialComplex::SimplicialComplex(const SimplicialComplex& other) {
 SimplicialComplex& SimplicialComplex::operator=(
     const SimplicialComplex& other) {
   if (this == &other) return *this;
-  // Lock the source's cache so copying while another thread lazily builds
-  // other's tables stays race-free; the destination mutex is fresh.
-  std::lock_guard<std::mutex> lock(other.face_cache_mutex_);
+  // Lock the source's caches so copying while another thread lazily builds
+  // them stays race-free; the destination mutex is fresh. Whatever the
+  // source has not built is not built for the copy either.
+  std::lock_guard<std::mutex> lock(other.cache_mutex_);
   slots_ = other.slots_;
   live_count_ = other.live_count_;
   min_facet_dim_ = other.min_facet_dim_;
   max_facet_dim_ = other.max_facet_dim_;
-  by_vertex_ = other.by_vertex_;
+  const bool indexed = other.by_vertex_built_.load(std::memory_order_relaxed);
+  if (indexed) {
+    by_vertex_ = other.by_vertex_;
+  } else {
+    by_vertex_.clear();
+  }
+  by_vertex_built_.store(indexed, std::memory_order_relaxed);
   index_ = other.index_;
   index_used_ = other.index_used_;
   face_cache_ = other.face_cache_;
-  face_cache_valid_.store(
-      other.face_cache_valid_.load(std::memory_order_relaxed),
-      std::memory_order_relaxed);
+  face_depth_.store(other.face_depth_.load(std::memory_order_relaxed),
+                    std::memory_order_relaxed);
   return *this;
 }
 
@@ -87,17 +95,20 @@ SimplicialComplex& SimplicialComplex::operator=(
   min_facet_dim_ = other.min_facet_dim_;
   max_facet_dim_ = other.max_facet_dim_;
   by_vertex_ = std::move(other.by_vertex_);
+  by_vertex_built_.store(
+      other.by_vertex_built_.load(std::memory_order_relaxed),
+      std::memory_order_relaxed);
   index_ = std::move(other.index_);
   index_used_ = other.index_used_;
   face_cache_ = std::move(other.face_cache_);
-  face_cache_valid_.store(
-      other.face_cache_valid_.load(std::memory_order_relaxed),
-      std::memory_order_relaxed);
+  face_depth_.store(other.face_depth_.load(std::memory_order_relaxed),
+                    std::memory_order_relaxed);
   other.live_count_ = 0;
   other.min_facet_dim_ = std::numeric_limits<int>::max();
   other.max_facet_dim_ = -1;
   other.index_used_ = 0;
-  other.face_cache_valid_.store(false, std::memory_order_relaxed);
+  other.by_vertex_built_.store(false, std::memory_order_relaxed);
+  other.face_depth_.store(-1, std::memory_order_relaxed);
   return *this;
 }
 
@@ -118,6 +129,7 @@ void SimplicialComplex::add_facet(Simplex s) {
   // bulk construction (pseudosphere products) is O(1) per facet. A removed
   // facet's index entry goes stale in place (see index_).
   if (min_facet_dim_ < s.dimension()) {
+    build_vertex_index();
     std::vector<std::size_t> candidates;
     for (VertexId v : s.vertices()) {
       const auto it = by_vertex_.find(v);
@@ -144,6 +156,7 @@ bool SimplicialComplex::dominated(const Simplex& s) const {
   // containment, i.e. equality, is handled by the facet-index lookups at
   // the call sites). A facet containing s must contain s's first vertex.
   if (max_facet_dim_ <= s.dimension()) return false;
+  build_vertex_index();
   const auto it = by_vertex_.find(s[0]);
   if (it == by_vertex_.end()) return false;
   for (std::size_t slot : it->second) {
@@ -174,11 +187,24 @@ void SimplicialComplex::append_facet(Simplex s, std::uint32_t hash) {
   const std::size_t slot = slots_.size();
   place(index_, IndexEntry{hash, static_cast<std::uint32_t>(slot + 1)});
   ++index_used_;
-  for (VertexId v : s.vertices()) by_vertex_[v].push_back(slot);
+  if (by_vertex_built_.load(std::memory_order_relaxed)) {
+    for (VertexId v : s.vertices()) by_vertex_[v].push_back(slot);
+  }
   min_facet_dim_ = std::min(min_facet_dim_, s.dimension());
   max_facet_dim_ = std::max(max_facet_dim_, s.dimension());
   slots_.push_back(std::move(s));
   ++live_count_;
+}
+
+void SimplicialComplex::build_vertex_index() const {
+  if (by_vertex_built_.load(std::memory_order_acquire)) return;
+  std::lock_guard<std::mutex> lock(cache_mutex_);
+  if (by_vertex_built_.load(std::memory_order_relaxed)) return;
+  by_vertex_.clear();
+  for (std::size_t slot = 0; slot < slots_.size(); ++slot) {
+    for (VertexId v : slots_[slot].vertices()) by_vertex_[v].push_back(slot);
+  }
+  by_vertex_built_.store(true, std::memory_order_release);
 }
 
 void SimplicialComplex::grow_index(std::size_t entries) {
@@ -265,15 +291,23 @@ bool SimplicialComplex::contains(const Simplex& s) const {
 void SimplicialComplex::invalidate_face_cache() {
   // Mutators run with exclusive access (same contract as std containers),
   // so relaxed ordering suffices.
-  face_cache_valid_.store(false, std::memory_order_relaxed);
+  face_depth_.store(-1, std::memory_order_relaxed);
   face_cache_.clear();
 }
 
-void SimplicialComplex::build_face_cache() const {
-  face_cache_.clear();
-  if (max_facet_dim_ < 0) return;
-  const std::size_t levels = static_cast<std::size_t>(max_facet_dim_) + 1;
-  face_cache_.resize(levels);
+void SimplicialComplex::build_face_levels(int depth) const {
+  // Caller holds cache_mutex_, and face_depth_ < depth <= dimension().
+  // Levels 0..face_depth_ are built and stay as they are; this builds
+  // levels face_depth_ + 1 .. depth.
+  const int built = face_depth_.load(std::memory_order_relaxed);
+  if (built < 0) {
+    face_cache_.clear();
+    face_cache_.resize(static_cast<std::size_t>(max_facet_dim_) + 1);
+  }
+  const std::size_t top = static_cast<std::size_t>(depth);
+  const std::size_t bottom = static_cast<std::size_t>(built + 1);
+  // A build that threw may have left partial levels behind; start over.
+  for (std::size_t d = bottom; d <= top; ++d) face_cache_[d] = FaceTable{};
 
   // Top-down level enumeration: the d-simplexes are exactly the facets of
   // dimension d plus the codim-1 faces of the (d+1)-simplexes, so each face
@@ -283,39 +317,99 @@ void SimplicialComplex::build_face_cache() const {
   // the codim-1 lookups that dedup level d are recorded as boundary links
   // for level d+1 — the boundary operator comes out of the same hashing
   // that builds the cache. Rows live in one flat array per level, so no
-  // face costs an allocation of its own.
-  std::vector<std::vector<const Simplex*>> facets_by_dim(levels);
+  // face costs an allocation of its own. A build that stops short of
+  // dimension() starts from the (top+1)-subsets of every taller facet.
+  std::vector<std::vector<const Simplex*>> facets_by_dim(top + 1);
+  std::vector<const Simplex*> taller;
   for (const Simplex& facet : slots_) {
     if (facet.empty()) continue;
-    facets_by_dim[static_cast<std::size_t>(facet.dimension())].push_back(
-        &facet);
+    const std::size_t d = static_cast<std::size_t>(facet.dimension());
+    if (d > top) {
+      taller.push_back(&facet);
+    } else if (d >= bottom) {
+      facets_by_dim[d].push_back(&facet);
+    }
   }
 
   // Cooperative cancellation (util/cancel.h): polled once per level and
-  // every 4096 rows. A throw leaves the valid flag false (warm_face_cache
-  // sets it only after this returns), so the next query rebuilds.
+  // every 4096 rows. A throw leaves face_depth_ as it was (warm_face_cache
+  // sets it only after this returns), so the next query builds again.
   const auto poll_every_4096 = [](std::size_t row) {
     if ((row & 4095) == 0) util::poll_deadline();
   };
   std::vector<IndexEntry> table;
   std::vector<VertexId> pool;  // this level's rows in insertion order
-  std::vector<VertexId> key(levels);
-  for (std::size_t width = levels; width >= 1; --width) {
+  std::vector<VertexId> key(top + 1);
+  std::vector<std::size_t> pick(top + 1);
+  for (std::size_t width = top + 1; width > bottom; --width) {
     util::poll_deadline();
     const std::vector<const Simplex*>& own = facets_by_dim[width - 1];
-    FaceTable* above = width < levels ? &face_cache_[width] : nullptr;
+    FaceTable* above = width <= top ? &face_cache_[width] : nullptr;
     const std::size_t above_count =
         above != nullptr ? above->rows.size() / (width + 1) : 0;
     pool.clear();
     std::size_t n = 0;
-    if (above == nullptr) {
-      // Top level: only facets, which the facet index keeps distinct, so no
-      // intern table is needed (skipping it lowers the build's peak memory).
+    // Returns the row id of `row`, appending it on first sighting.
+    const auto intern = [&](const VertexId* row) {
+      const std::uint32_t h = row_hash(row, width);
+      const std::size_t mask = table.size() - 1;
+      std::size_t at = h & mask;
+      for (; table[at].id != 0; at = (at + 1) & mask) {
+        const std::size_t id = table[at].id - 1;
+        if (table[at].hash == h &&
+            std::equal(row, row + width, pool.data() + id * width)) {
+          return id;
+        }
+      }
+      pool.insert(pool.end(), row, row + width);
+      table[at] = IndexEntry{h, static_cast<std::uint32_t>(++n)};
+      // At most half full: nearly every probe is a hit (a row appears in
+      // many cofaces), and short probe runs pay more than the table costs.
+      if ((n + 1) * 2 > table.size()) {
+        rehash(table, table.size() * 2, [](const IndexEntry&) {
+          return true;
+        });
+      }
+      return n - 1;
+    };
+    if (above == nullptr && taller.empty()) {
+      // Top level of a full build: only facets, which the facet index keeps
+      // distinct, so no intern table is needed (skipping it lowers the
+      // build's peak memory).
       pool.reserve(own.size() * width);
       for (; n < own.size(); ++n) {
         poll_every_4096(n);
         pool.insert(pool.end(), own[n]->vertices().begin(),
                     own[n]->vertices().end());
+      }
+    } else if (above == nullptr) {
+      // Top level of a shallow build: this level's facets plus every
+      // width-subset of every taller facet. C(k, width) per facet bounds
+      // the distinct rows far too loosely to reserve for, so the table and
+      // the pool start small and double.
+      table.assign(16, IndexEntry{});
+      for (std::size_t i = 0; i < own.size(); ++i) {
+        poll_every_4096(i);
+        intern(own[i]->vertices().data());
+      }
+      for (std::size_t f = 0; f < taller.size(); ++f) {
+        poll_every_4096(f);
+        const std::vector<VertexId>& vertices = taller[f]->vertices();
+        const std::size_t k = vertices.size();
+        // Subsets as increasing index picks in lexicographic order; the
+        // facet's vertices are sorted, so every key is a sorted row.
+        std::iota(pick.begin(),
+                  pick.begin() + static_cast<std::ptrdiff_t>(width),
+                  std::size_t{0});
+        while (true) {
+          for (std::size_t i = 0; i < width; ++i) key[i] = vertices[pick[i]];
+          intern(key.data());
+          std::size_t i = width;
+          while (i > 0 && pick[i - 1] == k - width + i - 1) --i;
+          if (i == 0) break;
+          ++pick[i - 1];
+          for (std::size_t j = i; j < width; ++j) pick[j] = pick[j - 1] + 1;
+        }
       }
     } else {
       // Each (d+1)-simplex contributes d+2 codim-1 probes and interior
@@ -327,27 +421,6 @@ void SimplicialComplex::build_face_cache() const {
       std::size_t cap = 16;
       while (cap < estimate * 2) cap <<= 1;
       table.assign(cap, IndexEntry{});
-      // Returns the row id of `row`, appending it on first sighting.
-      const auto intern = [&](const VertexId* row) {
-        const std::uint32_t h = row_hash(row, width);
-        const std::size_t mask = table.size() - 1;
-        std::size_t at = h & mask;
-        for (; table[at].id != 0; at = (at + 1) & mask) {
-          const std::size_t id = table[at].id - 1;
-          if (table[at].hash == h &&
-              std::equal(row, row + width, pool.data() + id * width)) {
-            return id;
-          }
-        }
-        pool.insert(pool.end(), row, row + width);
-        table[at] = IndexEntry{h, static_cast<std::uint32_t>(++n)};
-        if ((n + 1) * 4 > table.size() * 3) {
-          rehash(table, table.size() * 2, [](const IndexEntry&) {
-            return true;
-          });
-        }
-        return n - 1;
-      };
       // Facets of dimension d first. Maximality makes them distinct from
       // every face generated from the level above (a facet that appeared
       // there would be a face of another facet), but they still seed the
@@ -396,27 +469,64 @@ void SimplicialComplex::build_face_cache() const {
       }
     }
   }
+
+  if (bottom > 0) {
+    // Extending a shallower cache: the new bottom level's links point into
+    // the level below it, built earlier. That level's rows are sorted, so
+    // each face's rank is a binary search away.
+    FaceTable& level = face_cache_[bottom];
+    const std::size_t width = bottom;  // row width of the level below
+    const VertexId* below = face_cache_[bottom - 1].rows.data();
+    const std::size_t below_count =
+        face_cache_[bottom - 1].rows.size() / width;
+    const std::size_t count = level.rows.size() / (width + 1);
+    level.boundary_links.resize(count * (width + 1));
+    std::size_t* link = level.boundary_links.data();
+    const VertexId* face = level.rows.data();
+    for (std::size_t c = 0; c < count; ++c, face += width + 1) {
+      poll_every_4096(c);
+      for (std::size_t omit = 0; omit <= width; ++omit) {
+        std::copy(face, face + omit, key.begin());
+        std::copy(face + omit + 1, face + width + 1, key.begin() + omit);
+        std::size_t lo = 0;
+        std::size_t hi = below_count;
+        while (lo < hi) {
+          const std::size_t mid = lo + (hi - lo) / 2;
+          if (std::lexicographical_compare(below + mid * width,
+                                           below + (mid + 1) * width,
+                                           key.begin(), key.begin() + width)) {
+            lo = mid + 1;
+          } else {
+            hi = mid;
+          }
+        }
+        *link++ = lo;
+      }
+    }
+  }
 }
 
-void SimplicialComplex::warm_face_cache() const {
-  if (face_cache_valid_.load(std::memory_order_acquire)) return;
-  std::lock_guard<std::mutex> lock(face_cache_mutex_);
-  if (face_cache_valid_.load(std::memory_order_relaxed)) return;
-  build_face_cache();
-  face_cache_valid_.store(true, std::memory_order_release);
+void SimplicialComplex::warm_face_cache(int depth) const {
+  depth = std::min(depth, max_facet_dim_);
+  if (face_depth_.load(std::memory_order_acquire) >= depth) return;
+  std::lock_guard<std::mutex> lock(cache_mutex_);
+  if (face_depth_.load(std::memory_order_relaxed) >= depth) return;
+  build_face_levels(depth);
+  face_depth_.store(depth, std::memory_order_release);
 }
 
 const SimplicialComplex::FaceTable* SimplicialComplex::face_table(
     int d) const {
   if (d < 0 || d > max_facet_dim_) return nullptr;
-  warm_face_cache();
+  warm_face_cache(d);
   return &face_cache_[static_cast<std::size_t>(d)];
 }
 
 SimplicialComplex::FaceTable& SimplicialComplex::materialize_faces(
     int d) const {
-  // Caller holds face_cache_mutex_ and has warmed the cache. Every level in
-  // [0, dimension()] has at least one row, so an empty list means unbuilt.
+  // Caller holds cache_mutex_ and has warmed the cache through d. Every
+  // level in [0, dimension()] has at least one row, so an empty list means
+  // unbuilt.
   FaceTable& table = face_cache_[static_cast<std::size_t>(d)];
   if (table.faces.empty()) {
     const std::size_t width = static_cast<std::size_t>(d) + 1;
@@ -433,7 +543,7 @@ SimplicialComplex::FaceTable& SimplicialComplex::materialize_faces(
 const std::vector<Simplex>& SimplicialComplex::simplices_of_dim(int d) const {
   static const std::vector<Simplex> kNoFaces;
   if (face_table(d) == nullptr) return kNoFaces;
-  std::lock_guard<std::mutex> lock(face_cache_mutex_);
+  std::lock_guard<std::mutex> lock(cache_mutex_);
   return materialize_faces(d).faces;
 }
 
@@ -443,7 +553,7 @@ SimplicialComplex::face_index_of_dim(int d) const {
                                   SimplexEq>
       kNoIndex;
   if (face_table(d) == nullptr) return kNoIndex;
-  std::lock_guard<std::mutex> lock(face_cache_mutex_);
+  std::lock_guard<std::mutex> lock(cache_mutex_);
   FaceTable& table = materialize_faces(d);
   if (table.index.empty()) {
     table.index.reserve(table.faces.size());
@@ -481,9 +591,9 @@ std::vector<VertexId> SimplicialComplex::vertex_ids() const {
 std::vector<std::size_t> SimplicialComplex::f_vector() const {
   warm_face_cache();
   std::vector<std::size_t> result;
-  result.reserve(face_cache_.size());
-  for (std::size_t d = 0; d < face_cache_.size(); ++d) {
-    result.push_back(face_cache_[d].rows.size() / (d + 1));
+  for (int d = 0; d <= max_facet_dim_; ++d) {
+    const std::size_t slot = static_cast<std::size_t>(d);
+    result.push_back(face_cache_[slot].rows.size() / (slot + 1));
   }
   return result;
 }

@@ -9,13 +9,18 @@
 //
 // Face queries (simplices_of_dim, count_of_dim, f_vector,
 // euler_characteristic, boundary matrices) all read one lazily built
-// per-dimension face table. The cache is invalidated by any mutation
-// (add_facet / merge), so references returned by simplices_of_dim /
-// face_index_of_dim are valid only until the next mutation. Concurrent
+// per-dimension face table, built only as deep as the deepest dimension
+// asked for so far: a query about dimension d builds dimensions 0..d, and a
+// later deeper query extends the table in place (the levels already built
+// are not touched). The cache is invalidated by any mutation (add_facet /
+// merge), so references returned by simplices_of_dim / face_index_of_dim /
+// boundary_links_of_dim are valid only until the next mutation. Concurrent
 // *const* access is safe: the lazy build is guarded by a mutex behind an
-// atomic validity flag (warm_face_cache() lets callers pay the build before
-// fanning out). Mutation requires external synchronization, as for standard
-// containers.
+// atomic depth (warm_face_cache() lets callers pay the build before fanning
+// out). The per-vertex facet index the domination scans read is lazy the
+// same way: the pure bulk lane of add_facets never reads it, so it is built
+// on the first scan (or contains()) and maintained from then on. Mutation
+// requires external synchronization, as for standard containers.
 
 #include <atomic>
 #include <cstddef>
@@ -102,13 +107,17 @@ class SimplicialComplex {
   /// Count of distinct d-simplexes. O(1) once the face cache is warm.
   std::size_t count_of_dim(int d) const;
 
-  /// Builds the face cache if stale. Purely an optimization for callers
-  /// about to issue face queries from several threads: the accessors also
-  /// build lazily (under a mutex), so skipping this is never incorrect.
-  /// The build polls the caller's deadline (util/cancel.h) per level and
-  /// every 4096 rows; DeadlineExceeded leaves the cache invalid, so the
-  /// next face query rebuilds it.
-  void warm_face_cache() const;
+  /// Builds the face cache through dimension `depth` (default: every
+  /// dimension) if it is not that deep yet. The top level of a shallow
+  /// build interns the (depth+1)-subsets of every taller facet; the levels
+  /// below come top-down as in a full build, so each level built equals the
+  /// full build's. The accessors also build lazily (under a mutex), so
+  /// skipping this is never incorrect: it lets callers pay the build before
+  /// fanning out, or under a span of their own. The build polls the
+  /// caller's deadline (util/cancel.h) per level and every 4096 rows;
+  /// DeadlineExceeded leaves the cache as deep as it was, so the next face
+  /// query builds the rest again.
+  void warm_face_cache(int depth = std::numeric_limits<int>::max()) const;
 
   /// All vertex ids used by at least one facet, sorted. Does not touch the
   /// face cache (linear in the facet representation).
@@ -168,8 +177,9 @@ class SimplicialComplex {
   bool has_facet(const Simplex& s, std::uint32_t hash) const;
   void append_facet(Simplex s, std::uint32_t hash);
   void grow_index(std::size_t entries);
+  void build_vertex_index() const;
   void invalidate_face_cache();
-  void build_face_cache() const;
+  void build_face_levels(int depth) const;
   const FaceTable* face_table(int d) const;
   FaceTable& materialize_faces(int d) const;
 
@@ -184,8 +194,11 @@ class SimplicialComplex {
   int min_facet_dim_ = std::numeric_limits<int>::max();
   int max_facet_dim_ = -1;
   // vertex -> slot indices of live facets containing it (may contain stale
-  // slot references which are skipped on read).
-  std::unordered_map<VertexId, std::vector<std::size_t>> by_vertex_;
+  // slot references which are skipped on read). Built by the first read
+  // (build_vertex_index, under cache_mutex_, published by by_vertex_built_)
+  // and maintained by every insertion after that.
+  mutable std::unordered_map<VertexId, std::vector<std::size_t>> by_vertex_;
+  mutable std::atomic<bool> by_vertex_built_{false};
   // Facet index: open addressing with linear probing over slots_ ids, at
   // most 3/4 full, capacity a power of two. Erasing a facet leaves its
   // entry behind pointing at a tombstone slot, which never equals a live
@@ -193,12 +206,16 @@ class SimplicialComplex {
   std::vector<IndexEntry> index_;
   std::size_t index_used_ = 0;
 
-  // Lazily built face lattice, entry d = FaceTable for the d-simplexes.
-  // Double-checked: readers take the mutex only while the flag is false,
-  // or to materialize a table's Simplex list / index map.
+  // Lazily built face lattice, entry d = FaceTable for the d-simplexes:
+  // dimension() + 1 entries once anything is built, of which 0..face_depth_
+  // are valid. Double-checked: readers take the mutex only while the depth
+  // is short of what they need, or to materialize a table's Simplex list /
+  // index map. A deeper build writes only entries above face_depth_, which
+  // no reader touches, and never resizes the vector.
   mutable std::vector<FaceTable> face_cache_;
-  mutable std::atomic<bool> face_cache_valid_{false};
-  mutable std::mutex face_cache_mutex_;
+  mutable std::atomic<int> face_depth_{-1};
+  // Guards the lazy builds of face_cache_ and by_vertex_.
+  mutable std::mutex cache_mutex_;
 };
 
 }  // namespace psph::topology

@@ -6,6 +6,7 @@
 #include "math/smith.h"
 #include "obs/obs.h"
 #include "topology/collapse.h"
+#include "topology/components.h"
 #include "util/cancel.h"
 #include "util/logging.h"
 
@@ -18,6 +19,25 @@ namespace {
 obs::Counter g_obs_reports("homology.reports");
 obs::Counter g_obs_rank_dims("homology.rank_dims");
 obs::Counter g_obs_snf_dims("homology.snf_dims");
+
+// The report of a complex with `components` connected components (0 for
+// the empty complex) with only dimension 0 filled in: reduced_betti[0] =
+// components − 1, no torsion, zeros above. A negative max_dim asks for no
+// dimension and gets empty vectors.
+HomologyReport reduced_homology_from_components(
+    std::size_t components, const HomologyOptions& options) {
+  HomologyReport report;
+  report.nonempty = components > 0;
+  report.exact = options.exact;
+  const std::size_t dims =
+      static_cast<std::size_t>(std::max(options.max_dim, -1) + 1);
+  report.reduced_betti.assign(dims, 0);
+  report.torsion.assign(dims, {});
+  if (report.nonempty && dims > 0) {
+    report.reduced_betti[0] = static_cast<long long>(components) - 1;
+  }
+  return report;
+}
 
 }  // namespace
 
@@ -65,15 +85,14 @@ HomologyReport reduced_homology(const SimplicialComplex& k,
   obs::SpanTimer whole_span("homology.reduced",
                             static_cast<std::int64_t>(options.max_dim));
   g_obs_reports.add(1);
-  HomologyReport report;
-  report.nonempty = !k.empty();
-  report.exact = options.exact;
-  report.reduced_betti.assign(static_cast<std::size_t>(options.max_dim) + 1,
-                              0);
-  report.torsion.assign(static_cast<std::size_t>(options.max_dim) + 1, {});
-  if (!report.nonempty) return report;
+  // Dimension 0 by union-find over the facets (components.h): exact over Z
+  // with no torsion, so no boundary matrix of it is ranked or reduced.
+  HomologyReport report = reduced_homology_from_components(
+      connected_component_count(k), options);
+  if (!report.nonempty || options.max_dim <= 0) return report;
 
-  // n_d and rank(∂_d) for d = 0..max_dim+1; ∂_0 is the augmentation.
+  // Dimensions 1..max_dim: n_d and rank(∂_d) for d = 1..max_dim+1.
+  // Slot 0 (the augmentation) stays unused.
   std::vector<std::size_t> counts(
       static_cast<std::size_t>(options.max_dim) + 2, 0);
   std::vector<std::size_t> ranks(
@@ -81,11 +100,12 @@ HomologyReport reduced_homology(const SimplicialComplex& k,
   std::vector<math::SparseMatrix> boundaries(
       static_cast<std::size_t>(options.max_dim) + 2);
 
-  // One face enumeration serves every dimension. Building it up front, under
-  // its own span, keeps its cost out of the Morse and rank spans below.
+  // The face lattice through dimension max_dim + 1 serves every dimension
+  // asked for; nothing above it is built. Building it up front, under its
+  // own span, keeps its cost out of the Morse and rank spans below.
   {
     obs::SpanTimer span("homology.warm_face_cache");
-    k.warm_face_cache();
+    k.warm_face_cache(options.max_dim + 1);
   }
   // Cooperative cancellation boundaries (serve deadlines): once before the
   // Morse cascade and once per dimension ahead of each elimination. With no
@@ -95,16 +115,16 @@ HomologyReport reduced_homology(const SimplicialComplex& k,
     // Morse preprocessing: the critical-cell complex has the same homology
     // (Betti and torsion) as the full one, with typically far fewer cells.
     MorseComplex mc = morse_reduce(k, options.max_dim + 1);
-    for (std::size_t slot = 0; slot < counts.size(); ++slot) {
+    for (std::size_t slot = 1; slot < counts.size(); ++slot) {
       counts[slot] = mc.critical[slot];
       boundaries[slot] = std::move(mc.boundary[slot]);
     }
   } else {
-    for (int d = 0; d <= options.max_dim + 1; ++d) {
+    for (int d = 1; d <= options.max_dim + 1; ++d) {
       counts[static_cast<std::size_t>(d)] = k.count_of_dim(d);
     }
   }
-  for (std::size_t slot = 0; slot < counts.size(); ++slot) {
+  for (std::size_t slot = 1; slot < counts.size(); ++slot) {
     if (counts[slot] == 0) {
       // No d-cells: the boundary map is zero from an empty space.
       if (!options.morse) boundaries[slot] = math::SparseMatrix(0, 0);
@@ -119,7 +139,7 @@ HomologyReport reduced_homology(const SimplicialComplex& k,
     ranks[slot] = boundaries[slot].rank_mod_p(options.prime);
   }
 
-  for (int d = 0; d <= options.max_dim; ++d) {
+  for (int d = 1; d <= options.max_dim; ++d) {
     const std::size_t slot = static_cast<std::size_t>(d);
     const long long betti = static_cast<long long>(counts[slot]) -
                             static_cast<long long>(ranks[slot]) -
@@ -128,9 +148,9 @@ HomologyReport reduced_homology(const SimplicialComplex& k,
   }
 
   if (options.exact) {
-    // Exact cross-check: SNF of each boundary map gives the integral rank
-    // and the torsion coefficients.
-    for (int d = 0; d <= options.max_dim; ++d) {
+    // Exact cross-check: SNF of each boundary map ∂_{d+1}, d >= 1, gives
+    // the integral rank and the torsion coefficients of H̃_d.
+    for (int d = 1; d <= options.max_dim; ++d) {
       const std::size_t slot = static_cast<std::size_t>(d);
       if (counts[slot + 1] == 0) continue;
       util::poll_deadline();

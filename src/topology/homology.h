@@ -8,15 +8,17 @@
 // A complex K is reported "homologically q-connected" when it is nonempty
 // and H̃_i(K) = 0 for all i ≤ q. Topological q-connectivity implies this;
 // the converse needs simple-connectivity (Hurewicz), which holds for the
-// pseudosphere unions the paper studies in the range its bounds need. The
-// collapse module (collapse.h) provides the stronger contractibility
-// certificate where it applies.
+// pseudosphere unions the paper studies in the range its bounds need.
 //
-// Two engines:
-//   * GF(p) Betti numbers — fast sparse elimination; equal to rational Betti
-//     numbers unless p divides a torsion coefficient.
-//   * exact Smith normal form over BigInt — rank and torsion, used to
-//     cross-check the fast path on small instances.
+// Each dimension is computed one way:
+//   * d = 0 — union-find over the facets (components.h). Over Z, H̃_0 is
+//     free of rank (components − 1) with no torsion, so the count is exact
+//     and no boundary matrix of ∂_1 is built, ranked or reduced. A
+//     max_dim = 0 query builds no face lattice at all.
+//   * d ≥ 1 — the face lattice through dimension max_dim + 1 (complex.h),
+//     the discrete-Morse reduction (collapse.h), GF(p) ranks of the reduced
+//     boundary maps, and in exact mode the Smith normal form over BigInt
+//     for the integral rank and the torsion.
 
 #include <cstdint>
 #include <string>
@@ -43,10 +45,10 @@ struct HomologyOptions {
   /// Additionally run exact SNF and report torsion (slow on big complexes).
   bool exact = false;
   /// Run the discrete-Morse/coreduction preprocessor (collapse.h) and
-  /// eliminate only the critical-cell matrices. Betti numbers and torsion
-  /// are identical either way (enforced by tests/property_test.cpp); off
-  /// exists for differential testing and for benchmarking the raw
-  /// elimination path.
+  /// eliminate only the critical-cell matrices (dimensions >= 1; dimension
+  /// 0 is union-find either way). Betti numbers and torsion are identical
+  /// either way (enforced by tests/property_test.cpp); off exists for
+  /// differential testing and for benchmarking the raw elimination path.
   bool morse = true;
 };
 

@@ -17,6 +17,17 @@ inline std::size_t hash_combine(std::size_t seed, std::size_t value) {
   return seed;
 }
 
+/// splitmix64's finalizer: a bijection on 64 bits in which every input bit
+/// reaches every output bit, so open-addressing tables can mask off the low
+/// bits of clustered keys (small dense ids, combined rows) and still spread.
+inline std::uint64_t mix64(std::uint64_t x) {
+  x ^= x >> 30;
+  x *= 0xbf58476d1ce4e5b9ULL;
+  x ^= x >> 27;
+  x *= 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
 /// Hash of a vector of hashable elements, order-sensitive.
 template <typename T>
 std::size_t hash_range(const std::vector<T>& items, std::size_t seed = 0) {

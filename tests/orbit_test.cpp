@@ -4,7 +4,9 @@
 // value, for every model and every (n, r) the unreduced path can reach.
 // Also pins construction output across commits, checks that the f-vector
 // and reconstitution read the build's image tables instead of relabeling,
-// and that a deadline reaches inside a construction level.
+// that orbit-mode connectivity checks equal full-mode ones field for field
+// (bounds <= 0 without reconstituting), and that a deadline reaches inside
+// a construction level and the orbit component pass.
 
 #include "core/orbit.h"
 
@@ -241,6 +243,76 @@ TEST(OrbitDifferentialTest, AsymmetricInputDegeneratesGracefully) {
   const core::OrbitComplexResult orbit =
       core::async_protocol_complex_orbit(input, params, views, arena);
   expect_orbit_matches_full(full, orbit, views, arena, "async {5,5,9}");
+}
+
+// The number of completed spans of one name so far (0 if it never ran).
+std::uint64_t obs_span_count(const std::string& name) {
+  for (const obs::SpanStat& span : obs::snapshot().spans) {
+    if (span.name == name) return span.count;
+  }
+  return 0;
+}
+
+TEST(OrbitDifferentialTest, ConnectivityChecksMatchFullModeInEveryField) {
+  // Orbit mode answers a bound <= 0 by union-find over the orbit images,
+  // without reconstituting the full complex, and a larger bound on the
+  // reconstituted complex. Either way every field must equal full mode's,
+  // for bounds -1 through 2, including two disconnected points: sync
+  // (3,3,1,2) and semisync (3,3,1,2,2) measure -1.
+  const bool obs_was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  core::ConstructionOptions orbit_mode;
+  orbit_mode.mode = core::ConstructionMode::kOrbit;
+  struct Case {
+    std::string model;
+    int n1, m1, fk, mu, r;
+    int expected;
+    bool disconnected = false;
+  };
+  const Case cases[] = {
+      {"async", 3, 2, 1, 0, 1, -1},      {"async", 3, 3, 1, 0, 3, 0},
+      {"async", 4, 4, 1, 0, 2, 0},       {"async", 3, 3, 2, 0, 1, 1},
+      {"async", 4, 4, 2, 0, 1, 1},       {"async", 4, 4, 3, 0, 1, 2},
+      {"sync", 3, 2, 1, 0, 1, -1},       {"sync", 3, 3, 1, 0, 2, 0, true},
+      {"sync", 4, 4, 1, 0, 2, 0},        {"sync", 4, 4, 2, 0, 1, 1},
+      {"sync", 4, 4, 3, 0, 1, 2},        {"semisync", 3, 2, 1, 2, 1, -1},
+      {"semisync", 3, 3, 1, 2, 2, 0, true}, {"semisync", 4, 4, 1, 2, 2, 0},
+      {"semisync", 4, 4, 2, 2, 1, 1},    {"semisync", 4, 4, 3, 2, 1, 2},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.model + " (" + std::to_string(c.n1) + "," +
+                 std::to_string(c.m1) + "," + std::to_string(c.fk) + "," +
+                 std::to_string(c.mu) + "," + std::to_string(c.r) + ")");
+    const auto check = [&c](const core::ConstructionOptions& options) {
+      if (c.model == "async") {
+        return core::check_async_connectivity(c.n1, c.m1, c.fk, c.r, options);
+      }
+      if (c.model == "sync") {
+        return core::check_sync_connectivity(c.n1, c.m1, c.fk, c.r, options);
+      }
+      return core::check_semisync_connectivity(c.n1, c.m1, c.fk, c.mu, c.r,
+                                               options);
+    };
+    const core::ConnectivityCheck full = check({});
+    const std::uint64_t reconstitutions =
+        obs_span_count("construction.orbit_reconstitute");
+    const core::ConnectivityCheck orbit = check(orbit_mode);
+    EXPECT_EQ(obs_span_count("construction.orbit_reconstitute") -
+                  reconstitutions,
+              c.expected > 0 ? 1u : 0u);
+    EXPECT_EQ(full.expected, c.expected);
+    if (c.disconnected) {
+      EXPECT_EQ(full.measured, -1);
+    }
+    EXPECT_EQ(orbit.expected, full.expected);
+    EXPECT_EQ(orbit.measured, full.measured);
+    EXPECT_EQ(orbit.satisfied, full.satisfied);
+    EXPECT_EQ(orbit.facet_count, full.facet_count);
+    EXPECT_EQ(orbit.vertex_count, full.vertex_count);
+    EXPECT_EQ(orbit.dimension, full.dimension);
+    EXPECT_EQ(orbit.to_string(), full.to_string());
+  }
+  obs::set_enabled(obs_was_enabled);
 }
 
 // ------------------------------------------- the build's image tables ----
@@ -490,6 +562,27 @@ TEST(OrbitDeadlineTest, OneLevelBuildPollsInsideTheLevel) {
   EXPECT_THROW(
       core::async_protocol_complex_orbit(input, {6, 1, 1}, views, arena),
       util::DeadlineExceeded);
+}
+
+TEST(OrbitDeadlineTest, ComponentPassPollsTheDeadline) {
+  // The union-find over the orbit images polls the deadline as it goes:
+  // under an expired deadline it throws, and without one it answers.
+  core::ViewRegistry views;
+  topology::VertexArena arena;
+  const topology::Simplex input = core::rainbow_input(3, views, arena);
+  const core::OrbitComplexResult orbit =
+      core::async_protocol_complex_orbit(input, {3, 1, 2}, views, arena);
+  {
+    const util::DeadlineScope expired(std::chrono::steady_clock::now() -
+                                      std::chrono::seconds(1));
+    EXPECT_THROW(core::orbit_full_components(orbit, views, arena),
+                 util::DeadlineExceeded);
+  }
+  const topology::ComponentCounter components =
+      core::orbit_full_components(orbit, views, arena);
+  EXPECT_EQ(components.component_count(), 1u);
+  EXPECT_EQ(components.vertex_count(),
+            core::reconstitute_full(orbit, views, arena).vertex_ids().size());
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Cross-module property tests: invariants that tie independent engines
-// together (collapse vs homology, components vs Betti, homology GF(p) vs
-// exact SNF, boundary-squared-is-zero, complex algebra laws) over
-// randomized inputs.
+// together (collapse vs homology, union-find β̃₀ vs the rank of ∂_1 on every
+// complex built here, homology GF(p) vs exact SNF, boundary-squared-is-zero,
+// complex algebra laws) over randomized inputs.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "math/modular.h"
 #include "math/smith.h"
 #include "solve/decide.h"
 #include "store/serialize.h"
@@ -49,12 +50,32 @@ std::vector<Simplex> random_facets(util::Rng& rng, int vertices, int facets,
   return out;
 }
 
+/// Independent oracle for the homology engine's dimension 0, which is
+/// union-find (components.h): β̃₀ = n_0 − 1 − rank ∂_1, the rank over GF(p)
+/// of the boundary matrix the face cache assembles.
+void expect_betti0_matches_boundary_rank(const SimplicialComplex& k,
+                                         const std::string& where) {
+  if (k.empty()) return;
+  const long long oracle =
+      static_cast<long long>(k.count_of_dim(0)) - 1 -
+      static_cast<long long>(
+          boundary_matrix(k, 1).rank_mod_p(math::kDefaultPrime));
+  EXPECT_EQ(static_cast<long long>(connected_component_count(k)) - 1, oracle)
+      << where << " " << k.to_string();
+  EXPECT_EQ(reduced_homology(k, {.max_dim = 0}).reduced_betti[0], oracle)
+      << where << " " << k.to_string();
+}
+
+/// Every complex the suite draws comes through here, so each one also
+/// checks the β̃₀ oracle above (under whichever PSPH_TEST_SEED the drawing
+/// test uses).
 SimplicialComplex random_complex(util::Rng& rng, int vertices, int facets,
                                  int max_dim) {
   SimplicialComplex k;
   for (Simplex& s : random_facets(rng, vertices, facets, max_dim)) {
     k.add_facet(std::move(s));
   }
+  expect_betti0_matches_boundary_rank(k, "random_complex");
   return k;
 }
 
@@ -120,6 +141,7 @@ TEST(Property, UnionIsAssociativeAndCommutative) {
     const SimplicialComplex c = random_complex(rng, 6, 4, 2);
     EXPECT_EQ(union_of(a, b), union_of(b, a));
     EXPECT_EQ(union_of(union_of(a, b), c), union_of(a, union_of(b, c)));
+    expect_betti0_matches_boundary_rank(union_of(a, b), "union");
   }
 }
 
@@ -133,6 +155,7 @@ TEST(Property, IntersectionDistributesOverSubcomplexes) {
     EXPECT_EQ(intersection_of(a, a), a);
     // Monotonicity: A ∩ B ⊆ A ∪ B.
     EXPECT_TRUE(intersection_of(a, b).is_subcomplex_of(union_of(a, b)));
+    expect_betti0_matches_boundary_rank(intersection_of(a, b), "intersection");
   }
 }
 
@@ -142,6 +165,7 @@ TEST(Property, SkeletonIdempotentAndMonotone) {
     const SimplicialComplex k = random_complex(rng, 7, 6, 3);
     for (int d = 0; d <= 3; ++d) {
       const SimplicialComplex skel = skeleton(k, d);
+      expect_betti0_matches_boundary_rank(skel, "skeleton");
       EXPECT_LE(skel.dimension(), d);
       EXPECT_EQ(skeleton(skel, d), skel);
       EXPECT_TRUE(skel.is_subcomplex_of(k));
@@ -205,6 +229,8 @@ TEST(PropertyDifferential, HomologyAgreesAcrossEnginesAndFields) {
     const SimplicialComplex& k = incremental;
     if (k.empty()) continue;
     ++nonempty_cases;
+    expect_betti0_matches_boundary_rank(
+        k, "seed=" + std::to_string(seed) + " trial=" + std::to_string(trial));
     const int top = k.dimension();
 
     const HomologyReport exact =
@@ -335,6 +361,7 @@ TEST(PropertyDifferential, MorsePreservesProjectivePlaneTorsion) {
         Simplex{1, 3, 5}, Simplex{1, 3, 4}}) {
     rp2.add_facet(f);
   }
+  expect_betti0_matches_boundary_rank(rp2, "RP2");
   for (const bool morse : {true, false}) {
     const HomologyReport report = reduced_homology(
         rp2, {.max_dim = 2, .prime = 3, .exact = true, .morse = morse});

@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <filesystem>
 #include <string>
 #include <thread>
@@ -23,6 +24,7 @@
 #include "serve/server.h"
 #include "serve/wire.h"
 #include "store/store.h"
+#include "util/hash.h"
 #include "util/random.h"
 
 namespace psph::serve {
@@ -219,6 +221,161 @@ TEST(Protocol, ConstructionBackendIsValidatedAndScoped) {
   EXPECT_EQ(parsed.query->construction, "full");
 }
 
+std::string digest_hex(std::uint64_t digest) {
+  char text[19];
+  std::snprintf(text, sizeof text, "0x%016llx",
+                static_cast<unsigned long long>(digest));
+  return text;
+}
+
+Query model_query(QueryKind kind, const std::string& model, int processes,
+                  int participants, int fk, int mu, int rounds) {
+  Query q;
+  q.kind = kind;
+  q.model = model;
+  q.processes = processes;
+  q.participants = participants;
+  q.f = fk;
+  q.k = fk;
+  q.mu = mu;
+  q.rounds = rounds;
+  return q;
+}
+
+TEST(Queries, SealedRecordsMatchPinnedDigests) {
+  // Sealed records are stored and served as they are, so their bytes are
+  // part of the contract: a change to how connectivity or homology is
+  // computed must leave every digest below as it is. Connectivity covers
+  // expected -1, 0, 1 and 2 on every model (sync (3,3,1,2) and semisync
+  // (3,3,1,2,2) measure -1: disconnected); homology covers max_dim 0..3,
+  // exact on and off, both construction backends.
+  struct Pinned {
+    Query query;
+    std::uint64_t digest;
+  };
+  const auto connectivity = [](const std::string& model, int n1, int m1,
+                               int fk, int mu, int r) {
+    return model_query(QueryKind::kConnectivity, model, n1, m1, fk, mu, r);
+  };
+  const auto pseudosphere = [](std::vector<int> sizes) {
+    Query q;
+    q.kind = QueryKind::kConnectivity;
+    q.model = "pseudosphere";
+    q.sizes = std::move(sizes);
+    return q;
+  };
+  std::vector<Pinned> pinned = {
+      {connectivity("async", 3, 2, 1, 0, 1),  // -1
+       0x5b29e96778b6c9bbULL},
+      {connectivity("async", 3, 3, 1, 0, 2),  // 0
+       0xb0512511a5d145b5ULL},
+      {connectivity("async", 3, 3, 2, 0, 1),  // 1
+       0x7bf787d11d3220e5ULL},
+      {connectivity("async", 4, 4, 3, 0, 1),  // 2
+       0x40cd1c8bfc26d023ULL},
+      {connectivity("sync", 3, 2, 1, 0, 1),  // -1
+       0xcdd207514603bd0fULL},
+      {connectivity("sync", 3, 3, 1, 0, 2),  // 0
+       0x2bbf60e38c3fb9a5ULL},
+      {connectivity("sync", 4, 4, 2, 0, 1),  // 1
+       0x19c69aba210883bdULL},
+      {connectivity("sync", 4, 4, 3, 0, 1),  // 2
+       0x71e35ad4e0ef89e9ULL},
+      {connectivity("semisync", 3, 2, 1, 2, 1),  // -1
+       0x486cf371aaa62006ULL},
+      {connectivity("semisync", 3, 3, 1, 2, 2),  // 0
+       0x5ed65606e6188697ULL},
+      {connectivity("semisync", 4, 4, 2, 2, 1),  // 1
+       0x96b1464e29627bf0ULL},
+      {connectivity("semisync", 4, 4, 3, 2, 1),  // 2
+       0xca44f78f857579c7ULL},
+      {pseudosphere({2}),  // -1
+       0x9580c4d5dd269da2ULL},
+      {pseudosphere({2, 2}),  // 0
+       0x7d75a982b8d05bf6ULL},
+      {pseudosphere({2, 3, 2}),  // 1
+       0xcb3c4c3e3d91d08dULL},
+      {pseudosphere({2, 3, 2, 2}),  // 2
+       0xdbe147a5bbf724a9ULL},
+  };
+  // Homology: the pseudospheres are a circle and a 3-sphere (full only);
+  // sync (3,3,1,2) is disconnected; async (4,4,1,1) is 3-dimensional.
+  const auto homology = [](const std::string& model, int n1, int m1, int fk,
+                           int mu, int r) {
+    return model_query(QueryKind::kHomology, model, n1, m1, fk, mu, r);
+  };
+  Query circle;
+  circle.kind = QueryKind::kHomology;
+  circle.model = "pseudosphere";
+  circle.sizes = {2, 2};
+  Query sphere3 = circle;
+  sphere3.sizes = {2, 2, 2, 2};
+  const std::vector<Query> homology_bases = {
+      circle,
+      sphere3,
+      homology("async", 3, 3, 1, 0, 1),
+      homology("sync", 3, 3, 1, 0, 2),
+      homology("semisync", 3, 3, 1, 2, 1),
+      homology("async", 4, 4, 1, 0, 1),
+  };
+  // Per base: full then orbit (timing models only); exact off then on;
+  // max_dim 0..3.
+  const std::vector<std::uint64_t> homology_digests = {
+      0xaa586766057b57a3ULL, 0xfa6706fb090a1e62ULL, 0x1e6447c54c6d46c3ULL,
+      0x9ffce20fcedcdca3ULL, 0x6459082b1bf0b6a5ULL, 0x95cb005e3fde7e85ULL,
+      0x306bf9526d59a5d2ULL, 0x212a16b420a7a853ULL, 0xaa586766057b57a3ULL,
+      0xe173bff652f9b7d7ULL, 0x189bd244030fdc96ULL, 0xb6461cf3fe80f67aULL,
+      0x6459082b1bf0b6a5ULL, 0xc0d4318a1914f0d8ULL, 0x6eba47327c1ad07cULL,
+      0xf732de5fd278bb66ULL, 0xaa586766057b57a3ULL, 0xe173bff652f9b7d7ULL,
+      0x913bcc22d5fba55bULL, 0x8ae7d5e168bd83d7ULL, 0x6459082b1bf0b6a5ULL,
+      0xc0d4318a1914f0d8ULL, 0xee5598af12b97e7cULL, 0x2080903c41ed0f30ULL,
+      0xaa586766057b57a3ULL, 0xe173bff652f9b7d7ULL, 0x913bcc22d5fba55bULL,
+      0x8ae7d5e168bd83d7ULL, 0x6459082b1bf0b6a5ULL, 0xc0d4318a1914f0d8ULL,
+      0xee5598af12b97e7cULL, 0x2080903c41ed0f30ULL, 0x8151f61803bfc265ULL,
+      0x184d2a42682ff080ULL, 0xeeee4d2942690b0bULL, 0x614d0f74b6d94647ULL,
+      0x071e59004f3cc4b2ULL, 0xf9b966ba163e663bULL, 0x1ed3f9ff7938e63cULL,
+      0xe6affb7e74f8aaddULL, 0x8151f61803bfc265ULL, 0x184d2a42682ff080ULL,
+      0xeeee4d2942690b0bULL, 0x614d0f74b6d94647ULL, 0x071e59004f3cc4b2ULL,
+      0xf9b966ba163e663bULL, 0x1ed3f9ff7938e63cULL, 0xe6affb7e74f8aaddULL,
+      0xaa586766057b57a3ULL, 0x5cf2127c412d384bULL, 0x6b61feae748ffaddULL,
+      0x667ffc452f5c3bc5ULL, 0x6459082b1bf0b6a5ULL, 0xdbcbadbe9c9cba50ULL,
+      0x988137a1bcc2c981ULL, 0x4a20ccb7af34743cULL, 0xaa586766057b57a3ULL,
+      0x5cf2127c412d384bULL, 0x6b61feae748ffaddULL, 0x667ffc452f5c3bc5ULL,
+      0x6459082b1bf0b6a5ULL, 0xdbcbadbe9c9cba50ULL, 0x988137a1bcc2c981ULL,
+      0x4a20ccb7af34743cULL, 0xaa586766057b57a3ULL, 0xe173bff652f9b7d7ULL,
+      0x189bd244030fdc96ULL, 0xa99b43e193f903dcULL, 0x6459082b1bf0b6a5ULL,
+      0xc0d4318a1914f0d8ULL, 0x6eba47327c1ad07cULL, 0xd93e1dbfe815b248ULL,
+      0xaa586766057b57a3ULL, 0xe173bff652f9b7d7ULL, 0x189bd244030fdc96ULL,
+      0xa99b43e193f903dcULL, 0x6459082b1bf0b6a5ULL, 0xc0d4318a1914f0d8ULL,
+      0x6eba47327c1ad07cULL, 0xd93e1dbfe815b248ULL,
+  };
+  std::size_t next = 0;
+  for (const Query& base : homology_bases) {
+    for (const char* construction : {"full", "orbit"}) {
+      if (base.model == "pseudosphere" && construction[0] == 'o') continue;
+      for (const bool exact : {false, true}) {
+        for (int max_dim = 0; max_dim <= 3; ++max_dim) {
+          Query q = base;
+          q.construction = construction;
+          q.exact = exact;
+          q.max_dim = max_dim;
+          pinned.push_back({q, homology_digests.at(next++)});
+        }
+      }
+    }
+  }
+  ASSERT_EQ(next, homology_digests.size());
+  for (const Pinned& p : pinned) {
+    const Query& q = p.query;
+    SCOPED_TRACE(cache_key(q).key().hex() + " " + q.model + " " +
+                 q.construction + " exact=" + std::to_string(q.exact) +
+                 " max_dim=" + std::to_string(q.max_dim));
+    const std::vector<std::uint8_t> sealed = compute_sealed(q);
+    EXPECT_EQ(digest_hex(util::hash_bytes(sealed.data(), sealed.size())),
+              digest_hex(p.digest));
+  }
+}
+
 TEST(Queries, OrbitBackendMatchesFullBackendValueForValue) {
   for (const std::string model : {"async", "sync", "semisync"}) {
     Query full;
@@ -249,15 +406,25 @@ TEST(Queries, OrbitBackendMatchesFullBackendValueForValue) {
         << model;
     EXPECT_EQ(a.get("orbit"), nullptr) << model;
 
-    Query hfull = full;
-    hfull.kind = QueryKind::kHomology;
-    hfull.max_dim = 2;
-    hfull.exact = true;
-    Query horbit = hfull;
-    horbit.construction = "orbit";
-    EXPECT_EQ(execute_query(hfull, nullptr).body.dump(),
-              execute_query(horbit, nullptr).body.dump())
-        << model;
+    // max_dim 0 takes the orbit backend's union-find over the images (no
+    // reconstitution); max_dim 2 reconstitutes. Both must match full mode
+    // byte for byte, exact on and off.
+    for (const int max_dim : {0, 2}) {
+      for (const bool exact : {false, true}) {
+        Query hfull = full;
+        hfull.kind = QueryKind::kHomology;
+        hfull.max_dim = max_dim;
+        hfull.exact = exact;
+        Query horbit = hfull;
+        horbit.construction = "orbit";
+        const QueryResult a_result = execute_query(hfull, nullptr);
+        const QueryResult b_result = execute_query(horbit, nullptr);
+        EXPECT_EQ(a_result.body.dump(), b_result.body.dump())
+            << model << " max_dim=" << max_dim << " exact=" << exact;
+        EXPECT_EQ(a_result.sealed, b_result.sealed)
+            << model << " max_dim=" << max_dim << " exact=" << exact;
+      }
+    }
   }
 }
 

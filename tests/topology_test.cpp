@@ -1,18 +1,23 @@
 // Tests for the simplicial topology layer: simplex algebra, facet-based
-// complexes, operations, boundary/homology on spaces with known homology
+// complexes (including the lazy per-vertex index and the depth-limited face
+// cache), operations, boundary/homology on spaces with known homology
 // (spheres, torus, projective plane), collapse certificates, barycentric
 // subdivision, isomorphism machinery, and deadline polling in the face-cache
-// build.
+// build and the Morse reduction.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <set>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "core/async_complex.h"
 #include "core/theorems.h"
+#include "obs/obs.h"
 #include "topology/arena.h"
 #include "topology/collapse.h"
 #include "topology/complex.h"
@@ -204,6 +209,54 @@ TEST(Complex, FacetIndexTombstones) {
   EXPECT_NE(moved, copy);
 }
 
+TEST(Complex, PureBulkBatchDefersTheVertexIndex) {
+  // The pure lane of add_facets leaves the per-vertex facet index unbuilt;
+  // the first read builds it (here from four threads at once, the const
+  // contract), and insertions after that keep it current. A copy taken
+  // before the first read builds its own and behaves the same.
+  std::vector<Simplex> strip;  // triangles {v, v+1, v+2}: a triangulated band
+  for (VertexId v = 0; v < 200; ++v) strip.push_back(Simplex{v, v + 1, v + 2});
+  SimplicialComplex k;
+  k.add_facets(strip);
+  SimplicialComplex copy = k;
+
+  std::atomic<int> found{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 4; ++t) {
+    readers.emplace_back([&k, &found] {
+      for (VertexId v = 0; v < 200; ++v) {
+        if (k.contains(Simplex{v, v + 2})) found.fetch_add(1);
+        if (k.contains(Simplex{v, v + 3})) found.fetch_add(1000);
+      }
+    });
+  }
+  for (std::thread& reader : readers) reader.join();
+  EXPECT_EQ(found.load(), 4 * 200);
+
+  for (SimplicialComplex* complex : {&k, &copy}) {
+    EXPECT_TRUE(complex->contains(Simplex{7, 8}));
+    EXPECT_TRUE(complex->contains(Simplex{201}));
+    EXPECT_FALSE(complex->contains(Simplex{7, 10}));
+    // Dominated: a face of {5,6,7}; dropped.
+    complex->add_facet(Simplex{5, 7});
+    EXPECT_EQ(complex->facet_count(), 200u);
+    // Dominating: swallows {0,1,2} and {1,2,3}.
+    complex->add_facet(Simplex{0, 1, 2, 3});
+    EXPECT_EQ(complex->facet_count(), 199u);
+    EXPECT_TRUE(complex->contains(Simplex{0, 3}));
+    // Facets inserted after the index was built are found by it: {0,1,2,3}
+    // now dominates {0,3}, and a new point lands.
+    complex->add_facet(Simplex{0, 3});
+    complex->add_facet(Simplex{500});
+    EXPECT_EQ(complex->facet_count(), 200u);
+    EXPECT_TRUE(complex->contains(Simplex{500}));
+    complex->add_facet(Simplex{500, 501});
+    EXPECT_EQ(complex->facet_count(), 200u);
+  }
+  EXPECT_EQ(k, copy);
+  EXPECT_EQ(k.facets(), copy.facets());
+}
+
 TEST(Complex, AddFacetsInvalidatesFaceCache) {
   SimplicialComplex k;
   k.add_facets({Simplex{1, 2, 3}});
@@ -335,6 +388,61 @@ TEST(FaceCache, ExpiredDeadlineLeavesCacheInvalid) {
     EXPECT_THROW(complex.warm_face_cache(), util::DeadlineExceeded);
   }
   EXPECT_EQ(complex.f_vector(), untouched.f_vector());
+}
+
+TEST(FaceCache, ShallowBuildExtendsToTheFullLattice) {
+  // A 4-dimensional complex with facets of every dimension: ∂Δ⁵ (six
+  // 4-simplices) plus a tetrahedron, a triangle, an edge and a point; the
+  // edge path 0-6-7-1 closes a loop through the sphere, and the point is a
+  // second component. reduced_homology at max_dim = 1 builds dimensions
+  // 0..2 only; any deeper
+  // query afterwards must see exactly what a fresh copy builds in one go,
+  // and the levels built first must stay where they were.
+  SimplicialComplex k;
+  for (VertexId drop = 0; drop < 6; ++drop) {
+    std::vector<VertexId> vs;
+    for (VertexId v = 0; v < 6; ++v) {
+      if (v != drop) vs.push_back(v);
+    }
+    k.add_facet(Simplex(vs));
+  }
+  k.add_facet(Simplex{1, 7, 10, 11});
+  k.add_facet(Simplex{6, 7, 8});
+  k.add_facet(Simplex{0, 6});
+  k.add_facet(Simplex{9});
+  const SimplicialComplex fresh = k;
+  ASSERT_EQ(fresh.dimension(), 4);
+
+  for (const int query : {0, 1, 2}) {
+    SCOPED_TRACE("query " + std::to_string(query));
+    SimplicialComplex shallow = fresh;
+    const HomologyReport report = reduced_homology(shallow, {.max_dim = 1});
+    EXPECT_EQ(report.reduced_betti, (std::vector<long long>{1, 1}));
+    const std::vector<Simplex>* vertices = &shallow.simplices_of_dim(0);
+    const std::vector<std::size_t>* edge_links =
+        &shallow.boundary_links_of_dim(1);
+    const std::vector<std::size_t> edge_links_before = *edge_links;
+    switch (query) {
+      case 0: EXPECT_EQ(shallow.f_vector(), fresh.f_vector()); break;
+      case 1: EXPECT_EQ(shallow.count_of_dim(4), fresh.count_of_dim(4)); break;
+      default:
+        EXPECT_EQ(shallow.boundary_links_of_dim(4),
+                  fresh.boundary_links_of_dim(4));
+        break;
+    }
+    EXPECT_EQ(&shallow.simplices_of_dim(0), vertices);
+    EXPECT_EQ(&shallow.boundary_links_of_dim(1), edge_links);
+    EXPECT_EQ(*edge_links, edge_links_before);
+    EXPECT_EQ(shallow.f_vector(), fresh.f_vector());
+    EXPECT_EQ(shallow.count_of_dim(4), fresh.count_of_dim(4));
+    for (int d = 0; d <= 4; ++d) {
+      EXPECT_EQ(shallow.boundary_links_of_dim(d),
+                fresh.boundary_links_of_dim(d))
+          << "d=" << d;
+      EXPECT_EQ(shallow.simplices_of_dim(d), fresh.simplices_of_dim(d))
+          << "d=" << d;
+    }
+  }
 }
 
 TEST(Complex, EqualityAndSubcomplex) {
@@ -480,6 +588,60 @@ TEST(Homology, TwoPointsHaveReducedBetti0) {
   k.add_facet(Simplex{1});
   const HomologyReport h = reduced_homology(k, {.max_dim = 1});
   EXPECT_EQ(h.reduced_betti[0], 1);  // two components → β̃₀ = 1
+}
+
+TEST(Homology, NegativeMaxDimAsksForNoDimension) {
+  // A negative max_dim reports nonemptiness and no dimension at all.
+  SimplicialComplex k;
+  k.add_facet(Simplex{0, 1});
+  k.add_facet(Simplex{2});
+  for (const int max_dim : {-1, -2}) {
+    for (const bool exact : {false, true}) {
+      const HomologyReport h =
+          reduced_homology(k, {.max_dim = max_dim, .exact = exact});
+      EXPECT_TRUE(h.nonempty);
+      EXPECT_TRUE(h.reduced_betti.empty());
+      EXPECT_TRUE(h.torsion.empty());
+    }
+  }
+}
+
+TEST(Homology, DimensionZeroBuildsNoFaceLattice) {
+  // H̃_0 comes from union-find over the facets: a max_dim = 0 query on a
+  // fresh complex records no face-cache, Morse or rank span. max_dim = 1
+  // does build the lattice (to dimension 2).
+  const bool obs_was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  const auto span_count = [](const char* name) {
+    for (const obs::SpanStat& span : obs::snapshot().spans) {
+      if (span.name == name) return span.count;
+    }
+    return std::uint64_t{0};
+  };
+  core::ViewRegistry views;
+  VertexArena arena;
+  const Simplex input = core::rainbow_input(3, views, arena);
+  const SimplicialComplex complex =
+      core::async_protocol_complex(input, {3, 1, 2}, views, arena);
+  const std::uint64_t warm = span_count("homology.warm_face_cache");
+  const std::uint64_t morse = span_count("morse.reduce");
+  const std::uint64_t rank = span_count("homology.rank");
+  const std::uint64_t components = span_count("homology.components");
+  const std::uint64_t reduced = span_count("homology.reduced");
+  for (const bool exact : {false, true}) {
+    const HomologyReport report =
+        reduced_homology(complex, {.max_dim = 0, .exact = exact});
+    EXPECT_EQ(report.reduced_betti, (std::vector<long long>{0}));
+    EXPECT_EQ(report.torsion, (std::vector<std::vector<std::string>>{{}}));
+  }
+  EXPECT_EQ(span_count("homology.warm_face_cache"), warm);
+  EXPECT_EQ(span_count("morse.reduce"), morse);
+  EXPECT_EQ(span_count("homology.rank"), rank);
+  EXPECT_EQ(span_count("homology.components"), components + 2);
+  EXPECT_EQ(span_count("homology.reduced"), reduced + 2);
+  reduced_homology(complex, {.max_dim = 1});
+  EXPECT_EQ(span_count("homology.warm_face_cache"), warm + 1);
+  obs::set_enabled(obs_was_enabled);
 }
 
 TEST(Homology, SolidSimplexesAreAcyclic) {
@@ -866,6 +1028,24 @@ TEST(Morse, DisconnectedComplexKeepsComponentCount) {
     const std::vector<long long> expected = {2, 1};
     EXPECT_EQ(report.reduced_betti, expected) << "morse=" << morse;
   }
+}
+
+TEST(Morse, ExpiredDeadlineStopsTheReduction) {
+  // The transpose and the cascade poll the deadline: with the face cache
+  // already warm, an expired deadline must still stop the reduction.
+  core::ViewRegistry views;
+  VertexArena arena;
+  const Simplex input = core::rainbow_input(3, views, arena);
+  const SimplicialComplex complex =
+      core::async_protocol_complex(input, {3, 1, 2}, views, arena);
+  complex.warm_face_cache();
+  {
+    const util::DeadlineScope expired(std::chrono::steady_clock::now() -
+                                      std::chrono::seconds(1));
+    EXPECT_THROW(morse_reduce(complex, 3), util::DeadlineExceeded);
+  }
+  const MorseComplex mc = morse_reduce(complex, 3);
+  EXPECT_EQ(mc.cells_before - mc.cells_after, 2 * mc.pairs);
 }
 
 TEST(Morse, TruncationDepthOnlyAffectsDimensionsAtOrAboveIt) {
