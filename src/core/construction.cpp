@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -12,6 +11,7 @@
 #include "core/round_ops.h"
 #include "obs/obs.h"
 #include "util/cancel.h"
+#include "util/flat_index.h"
 #include "util/hash.h"
 
 namespace psph::core {
@@ -120,22 +120,42 @@ template <typename Model>
 using Frontier =
     std::vector<std::pair<topology::Simplex, typename Model::Params>>;
 
-/// DEDUPE key: the packed params plus the facet's vertex ids.
-struct ItemKey {
-  std::uint64_t params = 0;
-  std::vector<topology::VertexId> facet;
-
-  bool operator==(const ItemKey& other) const = default;
-};
-
-struct ItemKeyHash {
-  std::size_t operator()(const ItemKey& key) const {
-    std::size_t h = std::hash<std::uint64_t>{}(key.params);
-    for (const topology::VertexId v : key.facet) {
-      h = util::hash_combine(h, std::hash<topology::VertexId>{}(v));
+// Distinct sorted vertex rows of any width, end to end in one array under a
+// flat index: one allocation per table, not per row. The domination scan's
+// strict faces and the f-vector's counted face orbits live here.
+class RowSet {
+ public:
+  /// Adds the row; false if it was already present.
+  bool insert(const topology::VertexId* row, std::size_t width) {
+    const std::size_t next = starts_.size() - 1;
+    if (index_.find_or_insert(util::row_hash(row, width), next,
+                              [&](std::size_t i) {
+                                return equal(i, row, width);
+                              }) != next) {
+      return false;
     }
-    return h;
+    rows_.insert(rows_.end(), row, row + width);
+    starts_.push_back(rows_.size());
+    return true;
   }
+
+  bool contains(const topology::VertexId* row, std::size_t width) const {
+    return index_.find(util::row_hash(row, width), [&](std::size_t i) {
+             return equal(i, row, width);
+           }) != util::FlatIndex::kAbsent;
+  }
+
+ private:
+  bool equal(std::size_t i, const topology::VertexId* row,
+             std::size_t width) const {
+    return starts_[i + 1] - starts_[i] == width &&
+           std::equal(row, row + width, rows_.data() + starts_[i]);
+  }
+
+  // Row i is rows_[starts_[i], starts_[i + 1]).
+  std::vector<topology::VertexId> rows_;
+  std::vector<std::size_t> starts_{0};
+  util::FlatIndex index_;
 };
 
 // Orbit-mode accumulation: canonical representatives of the final-round
@@ -143,17 +163,23 @@ struct ItemKeyHash {
 struct OrbitAccum {
   OrbitContext* ctx = nullptr;
   std::vector<OrbitRecord> records;
-  std::unordered_set<topology::Simplex, topology::SimplexHash> seen;
+  util::FlatIndex seen;  // over records, keyed by rep
 
   void add_final(const topology::Simplex& facet) {
     util::poll_deadline();
     CanonicalFacet canon = ctx->canonicalize(facet);
     g_obs_orbit_canonicalized.add(1);
-    if (seen.insert(canon.rep).second) {
-      g_obs_orbit_reps.add(1);
-      records.push_back(OrbitRecord{std::move(canon.rep), canon.stabilizer,
-                                    /*dominated=*/false, /*seed=*/facet});
+    const std::vector<topology::VertexId>& rep = canon.rep.vertices();
+    const std::size_t next = records.size();
+    if (seen.find_or_insert(util::row_hash(rep.data(), rep.size()), next,
+                            [&](std::size_t i) {
+                              return records[i].rep == canon.rep;
+                            }) != next) {
+      return;
     }
+    g_obs_orbit_reps.add(1);
+    records.push_back(OrbitRecord{std::move(canon.rep), canon.stabilizer,
+                                  /*dominated=*/false, /*seed=*/facet});
   }
 };
 
@@ -185,7 +211,8 @@ void run_pipeline(Frontier<Model> frontier, ViewRegistry& views,
     items.reserve(frontier.size());
     {
       obs::SpanTimer span("construction.dedupe");
-      std::unordered_set<ItemKey, ItemKeyHash> seen;
+      // Keyed by (packed params, vertex row) over the kept items.
+      util::FlatIndex seen;
       seen.reserve(frontier.size());
       for (auto& [facet, params] : frontier) {
         if (orbit != nullptr) {
@@ -193,8 +220,15 @@ void run_pipeline(Frontier<Model> frontier, ViewRegistry& views,
           facet = orbit->ctx->canonicalize(facet).rep;
           g_obs_orbit_canonicalized.add(1);
         }
-        if (!seen.insert(ItemKey{Model::params_key(params), facet.vertices()})
-                 .second) {
+        const std::uint64_t key = Model::params_key(params);
+        const std::vector<topology::VertexId>& row = facet.vertices();
+        const std::size_t next = items.size();
+        if (seen.find_or_insert(
+                util::row_hash(row.data(), row.size(), key), next,
+                [&](std::size_t i) {
+                  return Model::params_key(items[i].second) == key &&
+                         items[i].first.vertices() == row;
+                }) != next) {
           g_obs_deduped.add(1);
           continue;
         }
@@ -285,19 +319,31 @@ void finish_orbit_result(std::vector<OrbitRecord> records,
     }
   }
   if (!pure) {
-    // Every strict face of every representative, one hash set; an orbit is
-    // dominated iff some image of its seed lands in it.
-    std::unordered_set<topology::Simplex, topology::SimplexHash> strict_faces;
+    // Every strict face of every representative, one row set; an orbit is
+    // dominated iff some image of its seed lands in it. Faces are the
+    // representative's masked subsequences, so every row comes out sorted.
+    RowSet strict_faces;
+    std::vector<topology::VertexId> row;
     for (const OrbitRecord& rec : records) {
-      for (topology::Simplex& face : rec.rep.all_faces()) {
-        if (face != rec.rep) strict_faces.insert(std::move(face));
+      const std::vector<topology::VertexId>& rep = rec.rep.vertices();
+      const std::uint64_t whole = (std::uint64_t{1} << rep.size()) - 1;
+      for (std::uint64_t mask = 1; mask < whole; ++mask) {
+        row.clear();
+        for (std::size_t i = 0; i < rep.size(); ++i) {
+          if ((mask >> i) & 1U) row.push_back(rep[i]);
+        }
+        strict_faces.insert(row.data(), row.size());
       }
     }
     for (OrbitRecord& rec : records) {
       util::poll_deadline();
       for (std::size_t gi = 0; gi < group_size && !rec.dominated; ++gi) {
-        rec.dominated =
-            strict_faces.count(result.images.relabel_facet(gi, rec.seed)) != 0;
+        row.clear();
+        for (const topology::VertexId v : rec.seed.vertices()) {
+          row.push_back(result.images.image(gi, v));
+        }
+        std::sort(row.begin(), row.end());
+        rec.dominated = strict_faces.contains(row.data(), row.size());
       }
     }
   }
@@ -389,9 +435,7 @@ std::vector<std::size_t> orbit_full_f_vector(const OrbitComplexResult& result,
   // S a non-dominated seed, so its orbit shows up among the faces of S.
   // Facet orbits count from their records (see construction.h); each proper
   // face orbit counts the first time its canonical form shows up.
-  std::unordered_set<topology::Simplex, topology::SimplexHash,
-                     topology::SimplexEq>
-      counted;
+  RowSet counted;
   std::vector<std::size_t> f;
   // rows: the seed's image under each element as one row of (image vertex,
   // seed position) pairs, sorted, so the image of the face a bit mask over
@@ -432,9 +476,8 @@ std::vector<std::size_t> orbit_full_f_vector(const OrbitComplexResult& result,
       for (std::size_t i = 0; i < k; ++i) {
         if ((mask >> best[i].position) & 1U) rep.push_back(best[i].vertex);
       }
-      if (counted.find(rep) != counted.end()) continue;
+      if (!counted.insert(rep.data(), rep.size())) continue;
       f[rep.size() - 1] += group_size / stabilizer;
-      counted.emplace(topology::Simplex(rep));
     }
   }
   return f;

@@ -150,32 +150,34 @@ StateId OrbitContext::relabel_state(std::size_t element_index, StateId state) {
 
   const SymmetryElement& g = group_.element(element_index);
   const View& v = views_.view(state);
+  const ProcessId pid = g.map_pid(v.pid);
   StateId result;
   if (v.round == 0) {
-    result = views_.intern_input(g.map_pid(v.pid), g.map_value(v.input));
+    result = views_.intern_input(pid, g.map_value(v.input));
   } else {
+    const int round = v.round;
+    const std::size_t senders = v.heard.size();
     std::vector<HeardEntry> heard;
-    heard.reserve(v.heard.size());
-    for (const HeardEntry& e : v.heard) {
+    heard.reserve(senders);
+    for (std::size_t i = 0; i < senders; ++i) {
       // Recursion strictly descends in round number, so it terminates; each
-      // (g, state) pair relabels once and is thereafter a memo hit.
-      heard.push_back(
-          {g.map_pid(e.from), relabel_state(element_index, e.state),
-           e.last_micro});
+      // (g, state) pair relabels once and is thereafter a memo hit. It may
+      // intern, and a registry that grows moves its views, so each entry is
+      // read afresh rather than through `v`.
+      const HeardEntry e = views_.view(state).heard[i];
+      heard.push_back({g.map_pid(e.from), relabel_state(element_index, e.state),
+                       e.last_micro});
     }
-    result = views_.intern_round(g.map_pid(v.pid), v.round, std::move(heard));
+    result = views_.intern_round(pid, round, std::move(heard));
   }
   if (state >= memo.size()) memo.resize(views_.size(), kNoState);
   memo[state] = result;
   return result;
 }
 
-topology::VertexId OrbitContext::relabel_vertex(std::size_t element_index,
-                                                topology::VertexId vertex) {
+topology::VertexId OrbitContext::relabel_vertex_miss(
+    std::size_t element_index, topology::VertexId vertex) {
   std::vector<topology::VertexId>& memo = images_.tables_[element_index];
-  if (vertex < memo.size() && memo[vertex] != topology::kInvalidVertex) {
-    return memo[vertex];
-  }
   g_obs_relabels.add(1);
   const SymmetryElement& g = group_.element(element_index);
   const topology::ProcessId pid = arena_.pid(vertex);

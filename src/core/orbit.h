@@ -23,7 +23,8 @@
 //     through the same ViewRegistry/VertexArena the pipeline builds in.
 //     Relabeling is memoized in flat per-element tables indexed by StateId
 //     and by VertexId, so a vertex relabels (and interns) once per element
-//     and every later canonicalization touching it is array reads.
+//     and every later canonicalization touching it is array reads: the
+//     memo hit is inline here, the miss (which interns) out of line.
 //   * OrbitImages   — the context's vertex-image tables, detached once a
 //     build is done. The orbit pipeline keeps them in its result, so the
 //     domination scan, the f-vector and reconstitution read every image
@@ -145,9 +146,18 @@ class OrbitContext {
   const SymmetryGroup& group() const { return group_; }
 
   /// g-image of a vertex (pid, state) as an interned VertexId, relabeling
-  /// its view (and, recursively, every view it heard) on a memo miss.
+  /// its view (and, recursively, every view it heard) on a memo miss. The
+  /// hit, which canonicalization takes for nearly every vertex, is one
+  /// table read here; the miss, which interns, stays out of line.
   topology::VertexId relabel_vertex(std::size_t element_index,
-                                    topology::VertexId vertex);
+                                    topology::VertexId vertex) {
+    const std::vector<topology::VertexId>& memo =
+        images_.tables_[element_index];
+    if (vertex < memo.size() && memo[vertex] != topology::kInvalidVertex) {
+      return memo[vertex];
+    }
+    return relabel_vertex_miss(element_index, vertex);
+  }
 
   /// g-image of a whole facet (vertex set; Simplex re-sorts).
   topology::Simplex relabel_facet(std::size_t element_index,
@@ -161,6 +171,10 @@ class OrbitContext {
   OrbitImages take_images() && { return std::move(images_); }
 
  private:
+  /// relabel_vertex on a memo miss: relabels the state, interns the image
+  /// vertex and records it in the memo.
+  topology::VertexId relabel_vertex_miss(std::size_t element_index,
+                                         topology::VertexId vertex);
   /// g-image of an interned state, interning the result.
   StateId relabel_state(std::size_t element_index, StateId state);
 

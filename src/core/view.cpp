@@ -7,11 +7,10 @@
 namespace psph::core {
 
 StateId ViewRegistry::intern(View v) {
-  const auto it = index_.find(v);
-  if (it != index_.end()) return it->second;
-  const StateId id = static_cast<StateId>(views_.size());
-  index_.emplace(v, id);
-  views_.push_back(std::move(v));
+  const std::size_t next = views_.size();
+  const std::size_t id = index_.find_or_insert(
+      ViewHash{}(v), next, [&](std::size_t i) { return views_[i] == v; });
+  if (id == next) views_.push_back(std::move(v));
   return id;
 }
 
@@ -43,12 +42,6 @@ StateId ViewRegistry::intern_round(ProcessId pid, int round,
 const View& ViewRegistry::view(StateId id) const {
   if (id >= views_.size()) throw std::out_of_range("ViewRegistry::view");
   return views_[static_cast<std::size_t>(id)];
-}
-
-std::optional<StateId> ViewRegistry::find(const View& v) const {
-  const auto it = index_.find(v);
-  if (it == index_.end()) return std::nullopt;
-  return it->second;
 }
 
 const std::set<std::int64_t>& ViewRegistry::inputs_seen(StateId id) const {

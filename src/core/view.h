@@ -15,15 +15,17 @@
 // Hash-consing means two local states arising in different branches of a
 // construction are the same StateId exactly when they are indistinguishable
 // to the process — the similarity structure the paper's proofs live on.
+// Each view is stored once, in id order; the index over it is a flat
+// open-addressing table of (hash, id) entries (util/flat_index.h).
 
 #include <cstdint>
-#include <optional>
 #include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "topology/types.h"
+#include "util/flat_index.h"
 #include "util/hash.h"
 
 namespace psph::core {
@@ -73,23 +75,19 @@ struct ViewHash {
 
 class ViewRegistry {
  public:
-  /// Interns the round-0 view (pid starts with `input`).
+  /// Interns the round-0 view (pid starts with `input`). Ids are dense and
+  /// given out in first-interned order; std::length_error if a new view's
+  /// id would pass util::FlatIndex::kMaxId.
   StateId intern_input(ProcessId pid, std::int64_t input);
 
   /// Interns a round-r view (r >= 1). `heard` is sorted internally; one
-  /// entry per sender is required.
+  /// entry per sender is required. Same ids and limit as intern_input.
   StateId intern_round(ProcessId pid, int round,
                        std::vector<HeardEntry> heard);
 
   const View& view(StateId id) const;
   int round(StateId id) const { return view(id).round; }
   ProcessId pid(StateId id) const { return view(id).pid; }
-
-  /// Read-only lookup: the id of this exact (normalized) view, or nullopt
-  /// if it has never been interned. Unlike the intern_* methods this never
-  /// creates a view — orbit relabeling uses it to map input vertices only
-  /// onto states that already exist.
-  std::optional<StateId> find(const View& v) const;
 
   /// All input values visible in this view, i.e. inputs of processes the
   /// owner has (transitively) heard from. Full information means these are
@@ -107,7 +105,7 @@ class ViewRegistry {
   /// the naive recursion re-renders shared sub-views exponentially often in
   /// deep rounds; the cache makes each view render exactly once. Like
   /// inputs_seen, this populates a mutable cache and therefore is NOT safe
-  /// to call concurrently (view/round/find are the const-thread-safe
+  /// to call concurrently (view/round/pid are the const-thread-safe
   /// subset).
   const std::string& to_string(StateId id) const;
 
@@ -116,8 +114,8 @@ class ViewRegistry {
  private:
   StateId intern(View v);
 
-  std::vector<View> views_;
-  std::unordered_map<View, StateId, ViewHash> index_;
+  std::vector<View> views_;  // by StateId
+  util::FlatIndex index_;    // over views_
   mutable std::unordered_map<StateId, std::set<std::int64_t>> inputs_cache_;
   mutable std::unordered_map<StateId, std::string> string_cache_;
 };

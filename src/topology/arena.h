@@ -6,15 +6,15 @@
 // a local state. Hash-consing the labels means that indistinguishable local
 // states arising in different branches of the r-round recursion map to the
 // *same* vertex — which is precisely how the constructions glue pseudospheres
-// together along shared faces.
+// together along shared faces. Each label is stored once, in id order; the
+// index over it is a flat open-addressing table (util/flat_index.h).
 
 #include <cstddef>
-#include <optional>
 #include <stdexcept>
-#include <unordered_map>
 #include <vector>
 
 #include "topology/types.h"
+#include "util/flat_index.h"
 #include "util/hash.h"
 
 namespace psph::topology {
@@ -38,24 +38,17 @@ struct VertexLabelHash {
 
 class VertexArena {
  public:
-  /// Returns the unique VertexId for this label, creating it if new.
+  /// Returns the unique VertexId for this label, creating it if new. Ids
+  /// are dense, in first-interned order, and never kInvalidVertex: a new
+  /// label whose id would be throws std::length_error.
   VertexId intern(ProcessId pid, StateId state) {
     const VertexLabel label{pid, state};
-    const auto it = index_.find(label);
-    if (it != index_.end()) return it->second;
-    const VertexId id = static_cast<VertexId>(labels_.size());
-    labels_.push_back(label);
-    index_.emplace(label, id);
-    return id;
-  }
-
-  /// Read-only lookup: the id for this label, or nullopt if it was never
-  /// interned. Unlike intern() this never creates a vertex — orbit
-  /// relabeling uses it to map input vertices only onto existing ones.
-  std::optional<VertexId> find(ProcessId pid, StateId state) const {
-    const auto it = index_.find(VertexLabel{pid, state});
-    if (it == index_.end()) return std::nullopt;
-    return it->second;
+    const std::size_t next = labels_.size();
+    const std::size_t id = index_.find_or_insert(
+        VertexLabelHash{}(label), next,
+        [&](std::size_t i) { return labels_[i] == label; });
+    if (id == next) labels_.push_back(label);
+    return static_cast<VertexId>(id);
   }
 
   const VertexLabel& label(VertexId id) const {
@@ -69,8 +62,8 @@ class VertexArena {
   std::size_t size() const { return labels_.size(); }
 
  private:
-  std::vector<VertexLabel> labels_;
-  std::unordered_map<VertexLabel, VertexId, VertexLabelHash> index_;
+  std::vector<VertexLabel> labels_;  // by VertexId
+  util::FlatIndex index_;            // over labels_
 };
 
 }  // namespace psph::topology

@@ -7,47 +7,15 @@
 #include <unordered_set>
 
 #include "util/cancel.h"
+#include "util/flat_index.h"
 #include "util/hash.h"
 
 namespace psph::topology {
 
 namespace {
 
-// Hash of a sorted vertex row, truncated to the 32 bits a table entry
-// stores. The tables index by the low bits, so the combined value goes
-// through a full-avalanche finalizer first.
-std::uint32_t row_hash(const VertexId* row, std::size_t width) {
-  std::size_t seed = 0;
-  for (std::size_t i = 0; i < width; ++i) {
-    seed = util::hash_combine(seed, row[i]);
-  }
-  return static_cast<std::uint32_t>(util::mix64(seed));
-}
-
-std::uint32_t facet_hash(const Simplex& s) {
-  return row_hash(s.vertices().data(), s.size());
-}
-
-// Linear-probing insert into a power-of-two table of {hash, id + 1}
-// entries; the callers keep the table at most 3/4 full (the facet index)
-// or half full (the face-cache intern tables).
-template <typename Entry>
-void place(std::vector<Entry>& table, Entry entry) {
-  const std::size_t mask = table.size() - 1;
-  std::size_t at = entry.hash & mask;
-  while (table[at].id != 0) at = (at + 1) & mask;
-  table[at] = entry;
-}
-
-// Moves the occupied entries that `keep` accepts into a fresh table of
-// `capacity` entries.
-template <typename Entry, typename Keep>
-void rehash(std::vector<Entry>& table, std::size_t capacity, Keep keep) {
-  std::vector<Entry> grown(capacity);
-  for (const Entry& entry : table) {
-    if (entry.id != 0 && keep(entry)) place(grown, entry);
-  }
-  table.swap(grown);
+std::size_t facet_hash(const Simplex& s) {
+  return util::row_hash(s.vertices().data(), s.size());
 }
 
 }  // namespace
@@ -75,7 +43,6 @@ SimplicialComplex& SimplicialComplex::operator=(
   }
   by_vertex_built_.store(indexed, std::memory_order_relaxed);
   index_ = other.index_;
-  index_used_ = other.index_used_;
   face_cache_ = other.face_cache_;
   face_depth_.store(other.face_depth_.load(std::memory_order_relaxed),
                     std::memory_order_relaxed);
@@ -99,14 +66,13 @@ SimplicialComplex& SimplicialComplex::operator=(
       other.by_vertex_built_.load(std::memory_order_relaxed),
       std::memory_order_relaxed);
   index_ = std::move(other.index_);
-  index_used_ = other.index_used_;
   face_cache_ = std::move(other.face_cache_);
   face_depth_.store(other.face_depth_.load(std::memory_order_relaxed),
                     std::memory_order_relaxed);
   other.live_count_ = 0;
   other.min_facet_dim_ = std::numeric_limits<int>::max();
   other.max_facet_dim_ = -1;
-  other.index_used_ = 0;
+  other.index_.clear();
   other.by_vertex_built_.store(false, std::memory_order_relaxed);
   other.face_depth_.store(-1, std::memory_order_relaxed);
   return *this;
@@ -116,7 +82,7 @@ void SimplicialComplex::add_facet(Simplex s) {
   if (s.empty()) {
     throw std::invalid_argument("add_facet: empty simplex");
   }
-  const std::uint32_t hash = facet_hash(s);
+  const std::size_t hash = facet_hash(s);
   if (has_facet(s, hash)) return;
   if (dominated(s)) return;
   invalidate_face_cache();
@@ -170,23 +136,16 @@ bool SimplicialComplex::dominated(const Simplex& s) const {
 }
 
 bool SimplicialComplex::has_facet(const Simplex& s,
-                                  std::uint32_t hash) const {
-  if (index_.empty()) return false;
-  const std::size_t mask = index_.size() - 1;
-  for (std::size_t at = hash & mask; index_[at].id != 0;
-       at = (at + 1) & mask) {
-    if (index_[at].hash == hash && slots_[index_[at].id - 1] == s) {
-      return true;
-    }
-  }
-  return false;
+                                  std::size_t hash) const {
+  return index_.find(hash, [&](std::size_t slot) {
+           return slots_[slot] == s;
+         }) != util::FlatIndex::kAbsent;
 }
 
-void SimplicialComplex::append_facet(Simplex s, std::uint32_t hash) {
-  if ((index_used_ + 1) * 4 > index_.size() * 3) grow_index(live_count_ + 1);
+void SimplicialComplex::append_facet(Simplex s, std::size_t hash) {
+  reserve_index(1);
   const std::size_t slot = slots_.size();
-  place(index_, IndexEntry{hash, static_cast<std::uint32_t>(slot + 1)});
-  ++index_used_;
+  index_.insert(hash, slot);
   if (by_vertex_built_.load(std::memory_order_relaxed)) {
     for (VertexId v : s.vertices()) by_vertex_[v].push_back(slot);
   }
@@ -207,15 +166,12 @@ void SimplicialComplex::build_vertex_index() const {
   by_vertex_built_.store(true, std::memory_order_release);
 }
 
-void SimplicialComplex::grow_index(std::size_t entries) {
-  std::size_t capacity = std::max<std::size_t>(16, index_.size() * 2);
-  while (entries * 4 > capacity * 3) capacity *= 2;
-  // Stale entries (erased facets' tombstone slots) are dropped; every live
-  // facet has exactly one entry.
-  rehash(index_, capacity, [this](const IndexEntry& entry) {
-    return !slots_[entry.id - 1].empty();
+void SimplicialComplex::reserve_index(std::size_t more) {
+  // A grow drops the stale entries (erased facets' tombstone slots); every
+  // live facet has exactly one entry.
+  index_.reserve(more, [this](std::size_t slot) {
+    return !slots_[slot].empty();
   });
-  index_used_ = live_count_;
 }
 
 void SimplicialComplex::add_facets(std::vector<Simplex> facets) {
@@ -232,9 +188,7 @@ void SimplicialComplex::add_facets(std::vector<Simplex> facets) {
   if (want > slots_.capacity()) {
     slots_.reserve(std::max(want, 2 * slots_.capacity()));
   }
-  if ((index_used_ + facets.size()) * 4 > index_.size() * 3) {
-    grow_index(live_count_ + facets.size());
-  }
+  reserve_index(facets.size());
   const bool complex_compatible =
       live_count_ == 0 ||
       (min_facet_dim_ == batch_dim && max_facet_dim_ == batch_dim);
@@ -249,7 +203,7 @@ void SimplicialComplex::add_facets(std::vector<Simplex> facets) {
   // are provably no-ops and only exact-duplicate detection remains.
   invalidate_face_cache();
   for (Simplex& s : facets) {
-    const std::uint32_t hash = facet_hash(s);
+    const std::size_t hash = facet_hash(s);
     if (has_facet(s, hash)) continue;  // exact duplicate
     append_facet(std::move(s), hash);
   }
@@ -313,7 +267,7 @@ void SimplicialComplex::build_face_levels(int depth) const {
   // dimension d plus the codim-1 faces of the (d+1)-simplexes, so each face
   // is generated from the level above instead of re-enumerating the full
   // 2^k subset lattice of every facet. Each level's rows are interned in a
-  // local open-addressing table (stored hash + row id, linear probing), and
+  // local flat index (util/flat_index.h: stored hash + row id), and
   // the codim-1 lookups that dedup level d are recorded as boundary links
   // for level d+1 — the boundary operator comes out of the same hashing
   // that builds the cache. Rows live in one flat array per level, so no
@@ -337,7 +291,6 @@ void SimplicialComplex::build_face_levels(int depth) const {
   const auto poll_every_4096 = [](std::size_t row) {
     if ((row & 4095) == 0) util::poll_deadline();
   };
-  std::vector<IndexEntry> table;
   std::vector<VertexId> pool;  // this level's rows in insertion order
   std::vector<VertexId> key(top + 1);
   std::vector<std::size_t> pick(top + 1);
@@ -349,28 +302,21 @@ void SimplicialComplex::build_face_levels(int depth) const {
         above != nullptr ? above->rows.size() / (width + 1) : 0;
     pool.clear();
     std::size_t n = 0;
+    // This level's intern table over pool rows, at most half full: nearly
+    // every probe is a hit (a row appears in many cofaces), and short probe
+    // runs pay more than the table costs.
+    util::FlatIndex table;
     // Returns the row id of `row`, appending it on first sighting.
     const auto intern = [&](const VertexId* row) {
-      const std::uint32_t h = row_hash(row, width);
-      const std::size_t mask = table.size() - 1;
-      std::size_t at = h & mask;
-      for (; table[at].id != 0; at = (at + 1) & mask) {
-        const std::size_t id = table[at].id - 1;
-        if (table[at].hash == h &&
-            std::equal(row, row + width, pool.data() + id * width)) {
-          return id;
-        }
+      const std::size_t id = table.find_or_insert(
+          util::row_hash(row, width), n, [&](std::size_t i) {
+            return std::equal(row, row + width, pool.data() + i * width);
+          });
+      if (id == n) {
+        pool.insert(pool.end(), row, row + width);
+        ++n;
       }
-      pool.insert(pool.end(), row, row + width);
-      table[at] = IndexEntry{h, static_cast<std::uint32_t>(++n)};
-      // At most half full: nearly every probe is a hit (a row appears in
-      // many cofaces), and short probe runs pay more than the table costs.
-      if ((n + 1) * 2 > table.size()) {
-        rehash(table, table.size() * 2, [](const IndexEntry&) {
-          return true;
-        });
-      }
-      return n - 1;
+      return id;
     };
     if (above == nullptr && taller.empty()) {
       // Top level of a full build: only facets, which the facet index keeps
@@ -387,7 +333,6 @@ void SimplicialComplex::build_face_levels(int depth) const {
       // width-subset of every taller facet. C(k, width) per facet bounds
       // the distinct rows far too loosely to reserve for, so the table and
       // the pool start small and double.
-      table.assign(16, IndexEntry{});
       for (std::size_t i = 0; i < own.size(); ++i) {
         poll_every_4096(i);
         intern(own[i]->vertices().data());
@@ -418,9 +363,7 @@ void SimplicialComplex::build_face_levels(int depth) const {
       const std::size_t estimate =
           own.size() + above_count * (width + 1) / 2 + 1;
       pool.reserve(estimate * width);
-      std::size_t cap = 16;
-      while (cap < estimate * 2) cap <<= 1;
-      table.assign(cap, IndexEntry{});
+      table.reserve(estimate);
       // Facets of dimension d first. Maximality makes them distinct from
       // every face generated from the level above (a facet that appeared
       // there would be a face of another facet), but they still seed the

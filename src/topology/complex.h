@@ -34,6 +34,7 @@
 
 #include "topology/simplex.h"
 #include "topology/types.h"
+#include "util/flat_index.h"
 
 namespace psph::topology {
 
@@ -166,17 +167,10 @@ class SimplicialComplex {
     std::unordered_map<Simplex, std::size_t, SimplexHash, SimplexEq> index;
   };
 
-  // One open-addressing entry: a key's hash beside its id + 1 (0 = empty).
-  // The facet index keys slots_ ids; the face-cache build keys face rows.
-  struct IndexEntry {
-    std::uint32_t hash = 0;
-    std::uint32_t id = 0;
-  };
-
   bool dominated(const Simplex& s) const;
-  bool has_facet(const Simplex& s, std::uint32_t hash) const;
-  void append_facet(Simplex s, std::uint32_t hash);
-  void grow_index(std::size_t entries);
+  bool has_facet(const Simplex& s, std::size_t hash) const;
+  void append_facet(Simplex s, std::size_t hash);
+  void reserve_index(std::size_t more);
   void build_vertex_index() const;
   void invalidate_face_cache();
   void build_face_levels(int depth) const;
@@ -199,12 +193,10 @@ class SimplicialComplex {
   // and maintained by every insertion after that.
   mutable std::unordered_map<VertexId, std::vector<std::size_t>> by_vertex_;
   mutable std::atomic<bool> by_vertex_built_{false};
-  // Facet index: open addressing with linear probing over slots_ ids, at
-  // most 3/4 full, capacity a power of two. Erasing a facet leaves its
-  // entry behind pointing at a tombstone slot, which never equals a live
-  // key; the next grow drops it. index_used_ counts live and stale entries.
-  std::vector<IndexEntry> index_;
-  std::size_t index_used_ = 0;
+  // Facet index over slots_ ids, at most 3/4 full. Erasing a facet leaves
+  // its entry behind pointing at a tombstone slot, which never equals a
+  // live key; the next grow drops it.
+  util::FlatIndex index_{3};
 
   // Lazily built face lattice, entry d = FaceTable for the d-simplexes:
   // dimension() + 1 entries once anything is built, of which 0..face_depth_

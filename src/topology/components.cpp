@@ -1,48 +1,27 @@
 #include "topology/components.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "obs/obs.h"
 #include "util/cancel.h"
-#include "util/hash.h"
 
 namespace psph::topology {
 
-std::uint32_t ComponentCounter::lookup(VertexId v) const {
-  if (slots_.empty()) return kNone;
-  const std::size_t mask = slots_.size() - 1;
-  for (std::size_t at = util::mix64(v) & mask; slots_[at].index != kNone;
-       at = (at + 1) & mask) {
-    if (slots_[at].id == v) return slots_[at].index;
-  }
-  return kNone;
+std::size_t ComponentCounter::lookup(VertexId v) const {
+  return index_.find(v, [&](std::size_t i) { return vertices_[i] == v; });
 }
 
 std::uint32_t ComponentCounter::intern(VertexId v) {
-  const auto index = static_cast<std::uint32_t>(parent_.size());
-  if ((parent_.size() + 1) * 2 > slots_.size()) {
-    // Double (from 16) and reinsert: the table stays at most half full.
-    std::vector<Slot> grown(std::max<std::size_t>(16, slots_.size() * 2));
-    const std::size_t mask = grown.size() - 1;
-    for (const Slot& slot : slots_) {
-      if (slot.index == kNone) continue;
-      std::size_t at = util::mix64(slot.id) & mask;
-      while (grown[at].index != kNone) at = (at + 1) & mask;
-      grown[at] = slot;
-    }
-    slots_.swap(grown);
+  const std::size_t next = vertices_.size();
+  const std::size_t index = index_.find_or_insert(
+      v, next, [&](std::size_t i) { return vertices_[i] == v; });
+  if (index == next) {
+    vertices_.push_back(v);
+    parent_.push_back(static_cast<std::uint32_t>(index));
+    rank_.push_back(0);
+    ++components_;
   }
-  const std::size_t mask = slots_.size() - 1;
-  std::size_t at = util::mix64(v) & mask;
-  for (; slots_[at].index != kNone; at = (at + 1) & mask) {
-    if (slots_[at].id == v) return slots_[at].index;
-  }
-  slots_[at] = Slot{v, index};
-  parent_.push_back(index);
-  rank_.push_back(0);
-  ++components_;
-  return index;
+  return static_cast<std::uint32_t>(index);
 }
 
 std::uint32_t ComponentCounter::find(std::uint32_t x) {
@@ -69,9 +48,11 @@ void ComponentCounter::add_row(const VertexId* row, std::size_t width) {
 }
 
 bool ComponentCounter::same(VertexId a, VertexId b) {
-  const std::uint32_t ia = lookup(a);
-  const std::uint32_t ib = lookup(b);
-  return ia != kNone && ib != kNone && find(ia) == find(ib);
+  const std::size_t ia = lookup(a);
+  const std::size_t ib = lookup(b);
+  return ia != util::FlatIndex::kAbsent && ib != util::FlatIndex::kAbsent &&
+         find(static_cast<std::uint32_t>(ia)) ==
+             find(static_cast<std::uint32_t>(ib));
 }
 
 ComponentCounter components_of(const SimplicialComplex& k) {

@@ -10,15 +10,16 @@
 // Two feeders share the counter: components_of feeds it a complex's facets
 // (for reduced_homology and the connectivity checks), and the orbit
 // pipeline feeds it each seed's image under each group element
-// (construction.h). Vertex ids are mapped to compact indices by a hash
-// table, so memory grows with the number of distinct vertices — never with
-// the largest id of a hand-built complex.
+// (construction.h). Vertex ids are mapped to compact indices by a flat
+// index (util/flat_index.h), so memory grows with the number of distinct
+// vertices — never with the largest id of a hand-built complex.
 
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "topology/complex.h"
+#include "util/flat_index.h"
 
 namespace psph::topology {
 
@@ -42,21 +43,14 @@ class ComponentCounter {
   std::size_t vertex_count() const { return parent_.size(); }
 
  private:
-  static constexpr std::uint32_t kNone = 0xffffffffU;
-
-  struct Slot {
-    VertexId id = 0;
-    std::uint32_t index = kNone;
-  };
-
-  /// Compact index of `v`, or kNone if unseen.
-  std::uint32_t lookup(VertexId v) const;
+  /// Compact index of `v`, or FlatIndex::kAbsent if unseen.
+  std::size_t lookup(VertexId v) const;
   /// Compact index of `v`, making it a singleton on first sight.
   std::uint32_t intern(VertexId v);
   std::uint32_t find(std::uint32_t x);
 
-  /// Open addressing, linear probing, at most half full.
-  std::vector<Slot> slots_;
+  util::FlatIndex index_;          // over vertices_
+  std::vector<VertexId> vertices_;  // by compact index
   std::vector<std::uint32_t> parent_;
   std::vector<std::uint8_t> rank_;
   std::size_t components_ = 0;

@@ -20,6 +20,7 @@ inline std::size_t hash_combine(std::size_t seed, std::size_t value) {
 /// splitmix64's finalizer: a bijection on 64 bits in which every input bit
 /// reaches every output bit, so open-addressing tables can mask off the low
 /// bits of clustered keys (small dense ids, combined rows) and still spread.
+/// FlatIndex (util/flat_index.h) applies it to every hash it is handed.
 inline std::uint64_t mix64(std::uint64_t x) {
   x ^= x >> 30;
   x *= 0xbf58476d1ce4e5b9ULL;
@@ -34,6 +35,17 @@ std::size_t hash_range(const std::vector<T>& items, std::size_t seed = 0) {
   std::hash<T> hasher;
   for (const T& item : items) seed = hash_combine(seed, hasher(item));
   return hash_combine(seed, items.size());
+}
+
+/// Hash of a row of integers, combined in order from `seed`. Unlike
+/// hash_range it leaves the length out: the flat indexes' rows either share
+/// one width or compare it in their own predicate.
+template <typename T>
+std::size_t row_hash(const T* row, std::size_t width, std::size_t seed = 0) {
+  for (std::size_t i = 0; i < width; ++i) {
+    seed = hash_combine(seed, static_cast<std::size_t>(row[i]));
+  }
+  return seed;
 }
 
 /// Deterministic 64-bit hash of a byte range (xxhash-style mixing). Unlike

@@ -107,6 +107,39 @@ TEST(OrbitContextTest, OrbitMembersShareOneCanonicalForm) {
   }
 }
 
+TEST(OrbitContextTest, RelabelingAViewSurvivesTheRegistryGrowing) {
+  // A vector that doubles from 1 holds four views at capacity 4, so the
+  // first view the relabeling interns moves every stored view. Relabeling
+  // P0's round-2 view interns the image of the round-1 view it heard, a new
+  // view, before it builds its own image.
+  core::ViewRegistry views;
+  topology::VertexArena arena;
+  const core::StateId s0 = views.intern_input(0, 0);
+  const core::StateId s1 = views.intern_input(1, 1);
+  const core::StateId r1 = views.intern_round(
+      0, 1, {{0, s0, core::kNoMicro}, {1, s1, core::kNoMicro}});
+  const core::StateId r2 =
+      views.intern_round(0, 2, {{0, r1, core::kNoMicro}});
+  ASSERT_EQ(views.size(), 4u);
+  const topology::Simplex input{arena.intern(0, s0), arena.intern(1, s1)};
+  const topology::VertexId vertex = arena.intern(0, r2);
+
+  core::OrbitContext ctx(
+      core::SymmetryGroup::for_input_facet(input, views, arena), views, arena);
+  ASSERT_EQ(ctx.group().size(), 2u);  // the identity and the swap
+  const topology::VertexId image = ctx.relabel_vertex(1, vertex);
+
+  const core::StateId r1_image = views.intern_round(
+      1, 1, {{1, s1, core::kNoMicro}, {0, s0, core::kNoMicro}});
+  EXPECT_EQ(views.size(), 6u);  // r1's image and r2's image are new
+  EXPECT_EQ(arena.pid(image), 1);
+  const core::View& v = views.view(arena.state(image));
+  EXPECT_EQ(v.pid, 1);
+  EXPECT_EQ(v.round, 2);
+  EXPECT_EQ(v.heard,
+            (std::vector<core::HeardEntry>{{1, r1_image, core::kNoMicro}}));
+}
+
 TEST(OrbitContextTest, IdentityGroupFixesEverything) {
   core::ViewRegistry views;
   topology::VertexArena arena;

@@ -1,19 +1,26 @@
 // Cross-module property tests: invariants that tie independent engines
 // together (collapse vs homology, union-find β̃₀ vs the rank of ∂_1 on every
 // complex built here, homology GF(p) vs exact SNF, boundary-squared-is-zero,
-// complex algebra laws) over randomized inputs.
+// complex algebra laws, the interning registries vs an ordered-map
+// reference) over randomized inputs.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <map>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
+#include "core/view.h"
 #include "math/modular.h"
 #include "math/smith.h"
 #include "solve/decide.h"
 #include "store/serialize.h"
+#include "topology/arena.h"
 #include "topology/collapse.h"
 #include "topology/components.h"
 #include "topology/complex.h"
@@ -386,6 +393,78 @@ TEST(Property, EulerMatchesComponentsOnGraphs) {
     if (k.empty()) continue;
     EXPECT_LE(k.euler_characteristic(),
               static_cast<long long>(connected_component_count(k)));
+  }
+}
+
+// The interning registries hash-cons through a flat index; an ordered map
+// over the same keys gives every key its id independently: the number of
+// distinct keys before it. Both draws repeat keys often and pass many grows.
+TEST(PropertyIntern, ArenaIdsMatchAnOrderedMapReference) {
+  const std::uint64_t seed = test_seed(20261018);
+  util::Rng rng(seed);
+  VertexArena arena;
+  std::map<std::pair<ProcessId, StateId>, VertexId> reference;
+  for (int i = 0; i < 40000; ++i) {
+    const auto pid = static_cast<ProcessId>(rng.next_below(6));
+    const StateId state = rng.next_below(4000);
+    const auto [it, fresh] = reference.try_emplace(
+        {pid, state}, static_cast<VertexId>(reference.size()));
+    ASSERT_EQ(arena.intern(pid, state), it->second) << "seed " << seed;
+  }
+  ASSERT_EQ(arena.size(), reference.size()) << "seed " << seed;
+  for (const auto& [label, id] : reference) {
+    EXPECT_EQ(arena.pid(id), label.first) << "seed " << seed;
+    EXPECT_EQ(arena.state(id), label.second) << "seed " << seed;
+  }
+}
+
+TEST(PropertyIntern, ViewIdsMatchAnOrderedMapReference) {
+  const std::uint64_t seed = test_seed(20261019);
+  util::Rng rng(seed);
+  core::ViewRegistry views;
+  // (pid, round, input, heard sorted by sender): a view's whole identity.
+  using Key = std::tuple<ProcessId, int, std::int64_t,
+                         std::vector<core::HeardEntry>>;
+  std::map<Key, StateId> reference;
+  const auto expect_id = [&](Key key, StateId got) {
+    const auto [it, fresh] =
+        reference.try_emplace(std::move(key), reference.size());
+    ASSERT_EQ(got, it->second) << "seed " << seed;
+  };
+  constexpr int kProcesses = 4;
+  for (int i = 0; i < 30000; ++i) {
+    const auto pid = static_cast<ProcessId>(rng.next_below(kProcesses));
+    if (reference.empty() || rng.next_below(4) == 0) {
+      const auto input = static_cast<std::int64_t>(rng.next_below(3));
+      expect_id({pid, 0, input, {}}, views.intern_input(pid, input));
+      continue;
+    }
+    // A round-1 or round-2 view over a random set of senders, each heard
+    // at a random earlier state, handed over in shuffled order.
+    const int round = 1 + static_cast<int>(rng.next_below(2));
+    const int senders = 1 + static_cast<int>(rng.next_below(kProcesses));
+    std::vector<core::HeardEntry> heard;
+    for (const int from : rng.sample_without_replacement(kProcesses, senders)) {
+      const auto state = static_cast<StateId>(
+          rng.next_below(std::min<std::size_t>(views.size(), 16)));
+      const int micro =
+          rng.next_below(3) == 0 ? core::kNoMicro
+                                 : static_cast<int>(rng.next_below(2));
+      heard.push_back({static_cast<ProcessId>(from), state, micro});
+    }
+    rng.shuffle(heard);
+    std::vector<core::HeardEntry> sorted = heard;
+    std::sort(sorted.begin(), sorted.end());
+    expect_id({pid, round, 0, std::move(sorted)},
+              views.intern_round(pid, round, std::move(heard)));
+  }
+  ASSERT_EQ(views.size(), reference.size()) << "seed " << seed;
+  for (const auto& [key, id] : reference) {
+    const core::View& view = views.view(id);
+    EXPECT_EQ(view.pid, std::get<0>(key)) << "seed " << seed;
+    EXPECT_EQ(view.round, std::get<1>(key)) << "seed " << seed;
+    EXPECT_EQ(view.input, std::get<2>(key)) << "seed " << seed;
+    EXPECT_EQ(view.heard, std::get<3>(key)) << "seed " << seed;
   }
 }
 

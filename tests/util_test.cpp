@@ -1,5 +1,5 @@
 // Unit tests for the utility layer: PRNG determinism and distribution
-// sanity, hash combinators, CLI parsing, timers.
+// sanity, hash combinators, the flat index, CLI parsing, timers.
 
 #include <gtest/gtest.h>
 
@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "util/flat_index.h"
 #include "util/hash.h"
 #include "util/logging.h"
 #include "util/random.h"
@@ -252,6 +253,85 @@ TEST(Hash, RangeLengthSensitive) {
   const std::vector<int> one{1};
   const std::vector<int> two{1, 0};
   EXPECT_NE(hash_range(one), hash_range(two));
+}
+
+// ------------------------------------------------------------ flat index --
+
+/// Keys the caller stores, interned through a FlatIndex the way the
+/// registries do: a new key gets the next dense id. The hash handed to the
+/// index is the key itself unless a test forces one.
+struct Interner {
+  std::vector<std::uint64_t> keys;
+  FlatIndex index;
+
+  std::size_t intern(std::uint64_t key) { return intern(key, key); }
+  std::size_t intern(std::uint64_t key, std::uint64_t hash) {
+    const std::size_t id = index.find_or_insert(
+        hash, keys.size(), [&](std::size_t i) { return keys[i] == key; });
+    if (id == keys.size()) keys.push_back(key);
+    return id;
+  }
+  std::size_t find(std::uint64_t key) const { return find(key, key); }
+  std::size_t find(std::uint64_t key, std::uint64_t hash) const {
+    return index.find(hash, [&](std::size_t i) { return keys[i] == key; });
+  }
+};
+
+TEST(FlatIndex, EqualKeysReturnTheFirstId) {
+  Interner interner;
+  EXPECT_EQ(interner.find(7), FlatIndex::kAbsent);
+  EXPECT_EQ(interner.intern(7), 0u);
+  EXPECT_EQ(interner.intern(9), 1u);
+  EXPECT_EQ(interner.intern(7), 0u);
+  EXPECT_EQ(interner.intern(9), 1u);
+  EXPECT_EQ(interner.keys.size(), 2u);
+  EXPECT_EQ(interner.index.size(), 2u);
+  EXPECT_EQ(interner.find(9), 1u);
+  EXPECT_EQ(interner.find(8), FlatIndex::kAbsent);
+}
+
+TEST(FlatIndex, KeysSharingOneHashStayDistinctAcrossTheWrap) {
+  // Every key gets one raw hash whose finalised value (mix64, as the index
+  // applies it) has its low 16 bits set: its home is the last slot at every
+  // capacity up to 2^16, so each probe run starts at the end and wraps to
+  // slot 0.
+  constexpr std::uint64_t kHomeBits = 0xffff;
+  std::uint64_t one_hash = 0;
+  while ((mix64(one_hash) & kHomeBits) != kHomeBits) ++one_hash;
+  constexpr std::uint64_t kKeys = 1200;
+  Interner interner;
+  for (std::uint64_t k = 0; k < kKeys; ++k) {
+    ASSERT_EQ(interner.intern(3 * k, one_hash), k);
+  }
+  ASSERT_LE(interner.index.capacity(), kHomeBits + 1);
+  for (std::uint64_t k = 0; k < kKeys; ++k) {
+    EXPECT_EQ(interner.find(3 * k, one_hash), k);
+    EXPECT_EQ(interner.intern(3 * k, one_hash), k);
+    EXPECT_EQ(interner.find(3 * k + 1, one_hash), FlatIndex::kAbsent);
+  }
+  EXPECT_EQ(interner.keys.size(), kKeys);
+}
+
+TEST(FlatIndex, StaysWithinItsLoadAcrossGrows) {
+  for (const unsigned quarters : {2u, 3u}) {
+    Interner interner;
+    interner.index = FlatIndex(quarters);
+    std::size_t grows = 0;
+    std::size_t capacity = 0;
+    for (std::uint64_t k = 0; k < 5000; ++k) {
+      interner.intern(k);
+      ASSERT_LE(interner.index.size() * 4, interner.index.capacity() * quarters)
+          << "quarters " << quarters << " key " << k;
+      if (interner.index.capacity() != capacity) {
+        ++grows;
+        capacity = interner.index.capacity();
+      }
+    }
+    EXPECT_GE(grows, 8u);
+    for (std::uint64_t k = 0; k < 5000; ++k) {
+      EXPECT_EQ(interner.find(k), k);
+    }
+  }
 }
 
 TEST(Logging, ParseLevels) {
