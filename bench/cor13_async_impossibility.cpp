@@ -17,7 +17,7 @@ int main() {
       "Corollary 13",
       "async k-set agreement: impossible iff k <= f (exhaustive search)");
   report.header(
-      "  n+1  f  k  r   facets vertices      nodes   verdict        build");
+      "  n+1  f  k  r   facets vertices      nodes   verdict       decide");
 
   struct Case {
     int n1, f, k, r;

@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
       "sync k-set agreement takes exactly floor(f/k)+1 rounds");
 
   report.header(
-      "  search: n+1  f  k  r    facets      nodes   verdict      build");
+      "  search: n+1  f  k  r    facets      nodes   verdict     decide");
   struct Case {
     int n1, f, k, r;
     bool expect_impossible;

@@ -1,5 +1,6 @@
 #include "solve/engine.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstddef>
 
@@ -31,16 +32,16 @@ class Searcher {
       : p_(p),
         node_limit_(node_limit),
         vertex_count_(static_cast<int>(p.vertex_ids.size())),
+        values_(static_cast<std::size_t>(p.num_values)),
         domain_(p.domains),
         value_(p.vertex_ids.size(), -1),
         assigned_(p.vertex_ids.size(), 0),
         processed_(p.vertex_ids.size(), 0),
+        implied_(p.vertex_ids.size(), 0),
+        facet_count_(p.facets.size() * values_, 0),
         facet_distinct_(p.facets.size(), 0),
         facet_present_(p.facets.size(), 0) {
-    facet_count_.reserve(p.facets.size());
-    for (std::size_t f = 0; f < p.facets.size(); ++f) {
-      facet_count_.emplace_back(static_cast<std::size_t>(p.num_values), 0);
-    }
+    build_branch_sets();
   }
 
   EngineStats stats;
@@ -94,28 +95,90 @@ class Searcher {
   const CspProblem& p_;
   std::uint64_t node_limit_;
   int vertex_count_;
+  std::size_t values_;
 
   std::vector<std::uint64_t> domain_;
   std::vector<int> value_;
   std::vector<signed char> assigned_;
   std::vector<signed char> processed_;  // facet counters applied for vertex
 
-  std::vector<std::vector<std::uint16_t>> facet_count_;
+  /// Literals a successful root probe assigned since the last clear (bit a
+  /// of vertex v's mask = (v, a)); implied_touched_ lists the vertices with
+  /// a nonzero mask, so a clear costs what the marking did.
+  std::vector<std::uint64_t> implied_;
+  std::vector<int> implied_touched_;
+
+  /// Facet f's count of assigned members holding value a, at
+  /// f * values_ + a.
+  std::vector<std::uint16_t> facet_count_;
   std::vector<int> facet_distinct_;
   std::vector<std::uint64_t> facet_present_;
+  std::vector<int> saturated_;  // apply_facets scratch
+
+  /// Branching sets. order_ ranks the vertices by (facet count descending,
+  /// index ascending); branch_bits_ holds one bitset over that order per
+  /// domain size 0..values_ (words_ words each) of the unassigned vertices
+  /// with that size, and branch_count_ the bits set in each.
+  std::vector<int> order_;
+  std::vector<int> rank_;
+  std::size_t words_ = 0;
+  std::vector<std::uint64_t> branch_bits_;
+  std::vector<int> branch_count_;
 
   std::vector<TrailEvent> trail_;
   std::vector<std::size_t> level_marks_;
   std::vector<int> queue_;  // assigned vertices pending facet updates
   std::size_t queue_head_ = 0;
 
+  // ---- branching sets ----
+
+  void build_branch_sets() {
+    const auto n = static_cast<std::size_t>(vertex_count_);
+    order_.resize(n);
+    for (std::size_t v = 0; v < n; ++v) order_[v] = static_cast<int>(v);
+    std::stable_sort(order_.begin(), order_.end(), [&](int a, int b) {
+      return p_.facets_of[static_cast<std::size_t>(a)].size() >
+             p_.facets_of[static_cast<std::size_t>(b)].size();
+    });
+    rank_.resize(n);
+    for (std::size_t r = 0; r < n; ++r) {
+      rank_[static_cast<std::size_t>(order_[r])] = static_cast<int>(r);
+    }
+    words_ = (n + 63) / 64;
+    branch_bits_.assign((values_ + 1) * words_, 0);
+    branch_count_.assign(values_ + 1, 0);
+    for (int v = 0; v < vertex_count_; ++v) {
+      branch_insert(v, domain_[static_cast<std::size_t>(v)]);
+    }
+  }
+
+  /// Adds unassigned vertex `v`, whose domain is `domain`, to its size's
+  /// set; branch_erase takes it out.
+  void branch_insert(int v, std::uint64_t domain) {
+    const auto size = static_cast<std::size_t>(std::popcount(domain));
+    const auto r =
+        static_cast<std::size_t>(rank_[static_cast<std::size_t>(v)]);
+    branch_bits_[size * words_ + r / 64] |= std::uint64_t{1} << (r % 64);
+    ++branch_count_[size];
+  }
+
+  void branch_erase(int v, std::uint64_t domain) {
+    const auto size = static_cast<std::size_t>(std::popcount(domain));
+    const auto r =
+        static_cast<std::size_t>(rank_[static_cast<std::size_t>(v)]);
+    branch_bits_[size * words_ + r / 64] &= ~(std::uint64_t{1} << (r % 64));
+    --branch_count_[size];
+  }
+
   // ---- trail ----
 
   void push_level() { level_marks_.push_back(trail_.size()); }
 
   void assign(int vertex, int value) {
-    value_[static_cast<std::size_t>(vertex)] = value;
-    assigned_[static_cast<std::size_t>(vertex)] = 1;
+    const auto vs = static_cast<std::size_t>(vertex);
+    branch_erase(vertex, domain_[vs]);
+    value_[vs] = value;
+    assigned_[vs] = 1;
     trail_.push_back({vertex, /*is_assign=*/true, 0});
     queue_.push_back(vertex);
   }
@@ -134,7 +197,12 @@ class Searcher {
         }
         assigned_[v] = 0;
         value_[v] = -1;
+        branch_insert(event.vertex, domain_[v]);
       } else {
+        if (!assigned_[v]) {
+          branch_erase(event.vertex, domain_[v]);
+          branch_insert(event.vertex, event.old_domain);
+        }
         domain_[v] = event.old_domain;
       }
     }
@@ -163,23 +231,23 @@ class Searcher {
   /// individually trail-recorded, so a mid-loop wipeout undoes cleanly).
   /// Returns false on a dead end.
   bool apply_facets(int vertex, int value) {
-    std::vector<int> newly_saturated;
+    saturated_.clear();
     bool overflow = false;
     for (int f : p_.facets_of[static_cast<std::size_t>(vertex)]) {
       const auto fs = static_cast<std::size_t>(f);
       const std::uint16_t count =
-          ++facet_count_[fs][static_cast<std::size_t>(value)];
+          ++facet_count_[fs * values_ + static_cast<std::size_t>(value)];
       if (count != 1) continue;
       facet_present_[fs] |= std::uint64_t{1} << value;
       const int distinct = ++facet_distinct_[fs];
       if (distinct > p_.k) {
         overflow = true;
       } else if (distinct == p_.k) {
-        newly_saturated.push_back(f);
+        saturated_.push_back(f);
       }
     }
     if (overflow) return false;
-    for (int f : newly_saturated) {
+    for (int f : saturated_) {
       if (!saturate(f)) return false;
     }
     return true;
@@ -189,7 +257,7 @@ class Searcher {
     for (int f : p_.facets_of[static_cast<std::size_t>(vertex)]) {
       const auto fs = static_cast<std::size_t>(f);
       const std::uint16_t count =
-          --facet_count_[fs][static_cast<std::size_t>(value)];
+          --facet_count_[fs * values_ + static_cast<std::size_t>(value)];
       if (count == 0) {
         facet_present_[fs] &= ~(std::uint64_t{1} << value);
         --facet_distinct_[fs];
@@ -218,6 +286,10 @@ class Searcher {
     if (next == old) return true;
     trail_.push_back({u, /*is_assign=*/false, old});
     domain_[us] = next;
+    if (!assigned_[us]) {
+      branch_erase(u, old);
+      branch_insert(u, next);
+    }
     if (next == 0) return false;
     if (std::popcount(next) == 1 && !assigned_[us]) {
       assign(u, std::countr_zero(next));
@@ -243,13 +315,33 @@ class Searcher {
 
   // ---- probing ----
 
+  /// Marks every literal assigned on the trail since `mark` as implied.
+  void mark_implied(std::size_t mark) {
+    for (std::size_t i = mark; i < trail_.size(); ++i) {
+      if (!trail_[i].is_assign) continue;
+      const auto u = static_cast<std::size_t>(trail_[i].vertex);
+      if (implied_[u] == 0) implied_touched_.push_back(trail_[i].vertex);
+      implied_[u] |= std::uint64_t{1} << value_[u];
+    }
+  }
+
+  void clear_implied() {
+    for (int u : implied_touched_) {
+      implied_[static_cast<std::size_t>(u)] = 0;
+    }
+    implied_touched_.clear();
+  }
+
   /// Failed-literal probing at the root: tentatively assign each (vertex,
   /// value), propagate, and prune the value when propagation dies. Runs to
-  /// fixpoint. Returns false if the root dies.
+  /// fixpoint. A literal a successful probe of this sweep assigned, with no
+  /// prune since, is not probed: it would succeed and prune nothing
+  /// (engine.h). Returns false if the root dies.
   bool probe_root() {
     bool changed = true;
     while (changed) {
       changed = false;
+      clear_implied();
       for (int v = 0; v < vertex_count_; ++v) {
         const auto vs = static_cast<std::size_t>(v);
         if (assigned_[vs]) continue;
@@ -257,15 +349,18 @@ class Searcher {
         while (mask != 0) {
           const int value = std::countr_zero(mask);
           mask &= mask - 1;
+          if ((implied_[vs] >> value) & 1) continue;
           util::poll_deadline();
           ++stats.probes;
           g_probes.add();
           push_level();
           assign(v, value);
           const bool consistent = flush_propagation();
+          if (consistent) mark_implied(level_marks_.back());
           undo_level();
           if (consistent) continue;
           ++stats.probe_failures;
+          clear_implied();
           if (!shrink(v, ~(std::uint64_t{1} << value))) return false;
           if (!flush_propagation()) return false;
           changed = true;
@@ -280,25 +375,18 @@ class Searcher {
   // ---- search ----
 
   /// Smallest domain first; ties go to the vertex in the most facets, then
-  /// to the lowest index.
+  /// to the lowest index: the first set bit of the smallest nonempty size's
+  /// bitset.
   int pick_vertex() const {
-    int best = -1;
-    int best_size = 0;
-    for (int v = 0; v < vertex_count_; ++v) {
-      const auto vs = static_cast<std::size_t>(v);
-      if (assigned_[vs]) continue;
-      const int size = std::popcount(domain_[vs]);
-      const bool better =
-          best < 0 || size < best_size ||
-          (size == best_size &&
-           p_.facets_of[vs].size() >
-               p_.facets_of[static_cast<std::size_t>(best)].size());
-      if (better) {
-        best = v;
-        best_size = size;
-      }
+    for (std::size_t size = 0; size <= values_; ++size) {
+      if (branch_count_[size] == 0) continue;
+      const std::uint64_t* bits = branch_bits_.data() + size * words_;
+      std::size_t w = 0;
+      while (bits[w] == 0) ++w;
+      const auto bit = static_cast<std::size_t>(std::countr_zero(bits[w]));
+      return order_[w * 64 + bit];
     }
-    return best;
+    return -1;
   }
 
   Verdict search(std::vector<int>& witness) {

@@ -2,14 +2,16 @@
 // together (collapse vs homology, union-find β̃₀ vs the rank of ∂_1 on every
 // complex built here, homology GF(p) vs exact SNF, boundary-squared-is-zero,
 // complex algebra laws, the interning registries vs an ordered-map
-// reference) over randomized inputs.
+// reference, the decision engine vs enumeration) over randomized inputs.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstdlib>
 #include <map>
+#include <optional>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -18,7 +20,9 @@
 #include "core/view.h"
 #include "math/modular.h"
 #include "math/smith.h"
+#include "solve/csp.h"
 #include "solve/decide.h"
+#include "solve/engine.h"
 #include "store/serialize.h"
 #include "topology/arena.h"
 #include "topology/collapse.h"
@@ -473,11 +477,122 @@ TEST(PropertyIntern, ViewIdsMatchAnOrderedMapReference) {
 
 // ---------------------------------------------------------------------------
 // Solvability-engine properties (src/solve): structural laws a correct
-// decision procedure must satisfy, checked without reference to the oracle.
+// decision procedure must satisfy, checked without reference to the oracle,
+// and the engine against enumeration on random small CSPs.
 // ---------------------------------------------------------------------------
 
 namespace psph::solve {
 namespace {
+
+/// A random CSP small enough to enumerate (at most 10^5 assignments): 2–4
+/// values, domains mixing singletons and larger sets (and, now and then,
+/// one empty domain), up to twice as many facets as vertices, of 1–4
+/// vertices each, k from 1 to 3.
+CspProblem random_csp(util::Rng& rng) {
+  const auto below = [&](int bound) {
+    return static_cast<int>(rng.next_below(static_cast<std::uint64_t>(bound)));
+  };
+  CspProblem problem;
+  problem.num_values = 2 + below(3);
+  // k < num_values: with k >= num_values no facet can constrain anything.
+  problem.k = 1 + below(problem.num_values - 1);
+  for (int value = 0; value < problem.num_values; ++value) {
+    problem.value_of.push_back(value);
+  }
+  const std::uint64_t all = (std::uint64_t{1} << problem.num_values) - 1;
+  const int max_vertices = 2 + below(13);
+  std::uint64_t assignments = 1;
+  for (int v = 0; v < max_vertices; ++v) {
+    const std::uint64_t domain =
+        rng.next_bool(0.15) ? std::uint64_t{1} << below(problem.num_values)
+                            : 1 + rng.next_below(all);
+    assignments *= static_cast<std::uint64_t>(std::popcount(domain));
+    if (assignments > 100000) break;
+    problem.domains.push_back(domain);
+    problem.vertex_ids.push_back(static_cast<topology::VertexId>(v));
+  }
+  const int vertices = static_cast<int>(problem.domains.size());
+  if (rng.next_bool(0.05)) {
+    problem.domains[static_cast<std::size_t>(below(vertices))] = 0;
+  }
+  std::vector<std::vector<int>> facets_of(static_cast<std::size_t>(vertices));
+  const int facets = 1 + below(2 * vertices);
+  for (int f = 0; f < facets; ++f) {
+    const int width = 1 + below(std::min(4, vertices));
+    std::vector<int> members = rng.sample_without_replacement(vertices, width);
+    std::sort(members.begin(), members.end());
+    for (const int v : members) {
+      facets_of[static_cast<std::size_t>(v)].push_back(f);
+    }
+    problem.facets.push_back(members);
+  }
+  for (const std::vector<int>& row : facets_of) {
+    problem.facets_of.push_back(row);
+  }
+  return problem;
+}
+
+/// The first valid assignment in lexicographic order (vertex index order,
+/// ascending values), by enumerating assignments in that order; a prefix is
+/// dropped only when it violates a facet all of whose members it assigns.
+std::optional<std::vector<int>> brute_force_lex_min(const CspProblem& problem) {
+  const std::size_t vertices = problem.domains.size();
+  // closing[v]: the facets whose highest member is v.
+  std::vector<std::vector<std::size_t>> closing(vertices);
+  for (std::size_t f = 0; f < problem.facets.size(); ++f) {
+    int last = 0;
+    for (const int v : problem.facets[f]) last = std::max(last, v);
+    closing[static_cast<std::size_t>(last)].push_back(f);
+  }
+  std::vector<int> assignment(vertices, -1);
+  const auto extend = [&](const auto& self, std::size_t v) -> bool {
+    if (v == vertices) return true;
+    for (int value = 0; value < problem.num_values; ++value) {
+      if (((problem.domains[v] >> value) & 1) == 0) continue;
+      assignment[v] = value;
+      bool ok = true;
+      for (const std::size_t f : closing[v]) {
+        std::uint64_t seen = 0;
+        for (const int u : problem.facets[f]) {
+          seen |= std::uint64_t{1} << assignment[static_cast<std::size_t>(u)];
+        }
+        ok = ok && std::popcount(seen) <= problem.k;
+      }
+      if (ok && self(self, v + 1)) return true;
+    }
+    return false;
+  };
+  if (!extend(extend, 0)) return std::nullopt;
+  return assignment;
+}
+
+TEST(PropertySolve, EngineMatchesBruteForceLexMin) {
+  // The engine's verdict, and its witness — the lex-min decision map —
+  // against enumeration on random problems, so probing, branching and the
+  // witness completion are checked beyond the instances the paper builds.
+  const std::uint64_t seed = topology::test_seed(20261020);
+  util::Rng rng(seed);
+  constexpr int kCases = 500;
+  int solvable = 0;
+  for (int trial = 0; trial < kCases; ++trial) {
+    SCOPED_TRACE("seed " + std::to_string(seed) + " trial " +
+                 std::to_string(trial));
+    const CspProblem problem = random_csp(rng);
+    const std::optional<std::vector<int>> expected =
+        brute_force_lex_min(problem);
+    const SolveOutcome outcome = solve(problem);
+    ASSERT_TRUE(outcome.exhausted);
+    ASSERT_EQ(outcome.solvable, expected.has_value());
+    if (!expected) continue;
+    ++solvable;
+    EXPECT_EQ(outcome.witness, *expected);
+    const WitnessCheck check = verify_witness(problem, outcome.witness);
+    EXPECT_TRUE(check.ok) << check.reason;
+  }
+  // Both verdicts must be well represented for the comparison to mean much.
+  EXPECT_GT(solvable, kCases / 10) << "seed " << seed;
+  EXPECT_LT(solvable, kCases - kCases / 10) << "seed " << seed;
+}
 
 TEST(PropertySolve, MoreRoundsNeverHurt) {
   // A protocol solvable in r rounds is solvable in r+1: extra rounds only

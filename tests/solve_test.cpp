@@ -225,6 +225,190 @@ TEST(SolveEngine, NodeLimitReportsUnexhaustedNeverWrong) {
   EXPECT_FALSE(outcome.solvable);
 }
 
+TEST(SolveEngine, SearchTreeMatchesPinnedCounts) {
+  // The search tree is pinned, not just the verdict: root probing may skip
+  // a literal only when the probe would have succeeded and pruned nothing,
+  // and branching must pick the vertex the rule names (smallest domain,
+  // then most facets, then lowest index). A change to either moves these
+  // counts. Recorded from the engine that probed every literal and picked
+  // the branching vertex by a scan over all vertices. Probe and
+  // propagation counts are deliberately not pinned: skipping implied
+  // literals changes them by design.
+  struct Pinned {
+    DecideRequest request;
+    std::uint64_t nodes;
+    std::uint64_t probe_failures;
+  };
+  const std::vector<Pinned> pinned = {
+      // The differential grid (SolveDifferential above), in its order.
+      {{Model::kAsync, 2, 0, 1, 0, 1}, 3, 0},
+      {{Model::kAsync, 2, 0, 1, 0, 2}, 3, 0},
+      {{Model::kAsync, 2, 0, 2, 0, 1}, 13, 0},
+      {{Model::kAsync, 2, 0, 2, 0, 2}, 13, 0},
+      {{Model::kAsync, 2, 1, 1, 0, 1}, 0, 0},
+      {{Model::kAsync, 2, 1, 1, 0, 2}, 0, 0},
+      {{Model::kAsync, 2, 1, 2, 0, 1}, 13, 0},
+      {{Model::kAsync, 2, 1, 2, 0, 2}, 61, 0},
+      {{Model::kAsync, 3, 0, 1, 0, 1}, 7, 0},
+      {{Model::kAsync, 3, 0, 1, 0, 2}, 7, 0},
+      {{Model::kAsync, 3, 0, 2, 0, 1}, 73, 0},
+      {{Model::kAsync, 3, 0, 2, 0, 2}, 73, 0},
+      {{Model::kAsync, 3, 1, 1, 0, 1}, 0, 0},
+      {{Model::kAsync, 3, 1, 1, 0, 2}, 0, 0},
+      {{Model::kAsync, 3, 1, 2, 0, 1}, 103, 0},
+      {{Model::kAsync, 3, 1, 2, 0, 2}, 3133, 0},
+      {{Model::kAsync, 3, 2, 1, 0, 1}, 0, 0},
+      {{Model::kAsync, 3, 2, 1, 0, 2}, 0, 0},
+      {{Model::kAsync, 3, 2, 2, 0, 1}, 0, 0},
+      {{Model::kAsync, 3, 2, 2, 0, 2}, 0, 0},
+      {{Model::kAsync, 4, 1, 1, 0, 1}, 0, 0},
+      {{Model::kAsync, 4, 1, 2, 0, 1}, 553, 0},
+      {{Model::kAsync, 4, 2, 1, 0, 1}, 0, 0},
+      {{Model::kAsync, 4, 2, 2, 0, 1}, 0, 1},
+      {{Model::kAsync, 4, 3, 1, 0, 1}, 0, 0},
+      {{Model::kAsync, 4, 3, 2, 0, 1}, 0, 0},
+      {{Model::kSync, 2, 0, 1, 0, 1}, 3, 0},
+      {{Model::kSync, 2, 0, 1, 0, 2}, 3, 0},
+      {{Model::kSync, 2, 0, 2, 0, 1}, 13, 0},
+      {{Model::kSync, 2, 0, 2, 0, 2}, 13, 0},
+      {{Model::kSync, 2, 1, 1, 0, 1}, 3, 0},
+      {{Model::kSync, 2, 1, 1, 0, 2}, 7, 0},
+      {{Model::kSync, 2, 1, 2, 0, 1}, 13, 0},
+      {{Model::kSync, 2, 1, 2, 0, 2}, 25, 0},
+      {{Model::kSync, 3, 0, 1, 0, 1}, 7, 0},
+      {{Model::kSync, 3, 0, 1, 0, 2}, 7, 0},
+      {{Model::kSync, 3, 0, 2, 0, 1}, 73, 0},
+      {{Model::kSync, 3, 0, 2, 0, 2}, 73, 0},
+      {{Model::kSync, 3, 1, 1, 0, 1}, 0, 0},
+      {{Model::kSync, 3, 1, 1, 0, 2}, 49, 0},
+      {{Model::kSync, 3, 1, 2, 0, 1}, 109, 0},
+      {{Model::kSync, 3, 1, 2, 0, 2}, 541, 0},
+      {{Model::kSync, 3, 2, 1, 0, 1}, 0, 0},
+      {{Model::kSync, 3, 2, 1, 0, 2}, 79, 0},
+      {{Model::kSync, 3, 2, 2, 0, 1}, 109, 0},
+      {{Model::kSync, 3, 2, 2, 0, 2}, 649, 0},
+      {{Model::kSync, 4, 0, 1, 0, 1}, 15, 0},
+      {{Model::kSync, 4, 0, 2, 0, 1}, 313, 0},
+      {{Model::kSync, 4, 1, 1, 0, 1}, 0, 0},
+      {{Model::kSync, 4, 1, 2, 0, 1}, 601, 0},
+      {{Model::kSync, 4, 2, 1, 0, 1}, 0, 0},
+      {{Model::kSync, 4, 2, 2, 0, 1}, 673, 0},
+      {{Model::kSemiSync, 2, 0, 1, 1, 1}, 3, 0},
+      {{Model::kSemiSync, 2, 0, 1, 2, 1}, 3, 0},
+      {{Model::kSemiSync, 2, 0, 2, 1, 1}, 13, 0},
+      {{Model::kSemiSync, 2, 0, 2, 2, 1}, 13, 0},
+      {{Model::kSemiSync, 2, 1, 1, 1, 1}, 3, 0},
+      {{Model::kSemiSync, 2, 1, 1, 2, 1}, 7, 0},
+      {{Model::kSemiSync, 2, 1, 2, 1, 1}, 13, 0},
+      {{Model::kSemiSync, 2, 1, 2, 2, 1}, 25, 0},
+      {{Model::kSemiSync, 3, 0, 1, 1, 1}, 7, 0},
+      {{Model::kSemiSync, 3, 0, 1, 2, 1}, 7, 0},
+      {{Model::kSemiSync, 3, 0, 2, 1, 1}, 73, 0},
+      {{Model::kSemiSync, 3, 0, 2, 2, 1}, 73, 0},
+      {{Model::kSemiSync, 3, 1, 1, 1, 1}, 0, 0},
+      {{Model::kSemiSync, 3, 1, 1, 2, 1}, 0, 0},
+      {{Model::kSemiSync, 3, 1, 2, 1, 1}, 109, 0},
+      {{Model::kSemiSync, 3, 1, 2, 2, 1}, 253, 0},
+      {{Model::kIis, 2, 0, 1, 0, 1}, 0, 0},
+      {{Model::kIis, 2, 0, 1, 0, 2}, 0, 0},
+      {{Model::kIis, 2, 0, 2, 0, 1}, 13, 0},
+      {{Model::kIis, 2, 0, 2, 0, 2}, 49, 0},
+      {{Model::kIis, 3, 0, 1, 0, 1}, 0, 0},
+      {{Model::kIis, 3, 0, 1, 0, 2}, 0, 0},
+      // The layer ledger's decide workload.
+      {{Model::kAsync, 3, 1, 1, 0, 1}, 0, 0},
+      {{Model::kAsync, 3, 1, 2, 0, 1}, 103, 0},
+      {{Model::kAsync, 3, 2, 2, 0, 1}, 0, 0},
+      {{Model::kAsync, 3, 2, 3, 0, 1}, 253, 0},
+      {{Model::kAsync, 4, 1, 1, 0, 1}, 0, 0},
+      {{Model::kAsync, 4, 1, 2, 0, 1}, 553, 0},
+      {{Model::kAsync, 4, 2, 2, 0, 1}, 0, 1},
+      {{Model::kSync, 4, 2, 1, 0, 1}, 0, 0},
+      {{Model::kSync, 4, 2, 1, 0, 2}, 0, 0},
+      {{Model::kSync, 4, 2, 1, 0, 3}, 3363, 0},
+      {{Model::kSync, 4, 1, 1, 0, 2}, 375, 0},
+      {{Model::kSemiSync, 4, 2, 1, 2, 1}, 0, 0},
+      {{Model::kSemiSync, 4, 2, 1, 2, 2}, 0, 0},
+      {{Model::kIis, 3, 0, 2, 0, 1}, 0, 5},
+      {{Model::kIis, 3, 0, 1, 0, 2}, 0, 0},
+      {{Model::kIis, 4, 0, 2, 0, 1}, 0, 5},
+      // Theorem 18's bench points (thm18_sync_rounds).
+      {{Model::kSync, 3, 1, 1, 0, 1}, 0, 0},
+      {{Model::kSync, 3, 1, 1, 0, 2}, 49, 0},
+      {{Model::kSync, 4, 1, 1, 0, 1}, 0, 0},
+      {{Model::kSync, 4, 1, 1, 0, 2}, 375, 0},
+      {{Model::kSync, 4, 2, 2, 0, 1}, 673, 0},
+      {{Model::kSync, 4, 2, 2, 0, 2}, 17377, 0},
+  };
+  for (const Pinned& p : pinned) {
+    SCOPED_TRACE(request_name(p.request));
+    const std::unique_ptr<Instance> instance = build_instance(p.request);
+    const SolveOutcome outcome = solve(instance->problem);
+    ASSERT_TRUE(outcome.exhausted);
+    EXPECT_EQ(outcome.stats.nodes, p.nodes);
+    EXPECT_EQ(outcome.stats.probe_failures, p.probe_failures);
+  }
+}
+
+TEST(SolveEngine, ProbeMarksClearWhenAProbeFails) {
+  // Root probing skips a literal that a successful probe of the same sweep
+  // assigned, but only until a failed probe prunes a value: after the
+  // prune, a literal implied before it can fail. On this problem (values
+  // 0..3, k = 2) probing every literal finds 3 failures; keeping the marks
+  // across a prune finds 4. The verdict, the root fixpoint and the search
+  // are the same either way, so only the failure count shows the
+  // difference.
+  CspProblem problem;
+  problem.k = 2;
+  problem.num_values = 4;
+  problem.value_of = {0, 1, 2, 3};
+  problem.domains = {0b1000, 0b0011, 0b0101, 0b0101,
+                     0b1010, 0b1100, 0b0101, 0b1010};
+  for (int v = 0; v < 8; ++v) {
+    problem.vertex_ids.push_back(static_cast<topology::VertexId>(v));
+  }
+  const std::vector<std::vector<int>> facets = {
+      {2, 6, 7}, {0, 4, 5}, {0, 3, 6}, {1, 2, 4, 5}, {0, 6, 7}};
+  std::vector<std::vector<int>> facets_of(8);
+  for (std::size_t f = 0; f < facets.size(); ++f) {
+    problem.facets.push_back(facets[f]);
+    for (int v : facets[f]) {
+      facets_of[static_cast<std::size_t>(v)].push_back(static_cast<int>(f));
+    }
+  }
+  for (const std::vector<int>& row : facets_of) {
+    problem.facets_of.push_back(row);
+  }
+  const SolveOutcome outcome = solve(problem);
+  ASSERT_TRUE(outcome.exhausted);
+  EXPECT_TRUE(outcome.solvable);
+  EXPECT_EQ(outcome.stats.nodes, 1u);
+  EXPECT_EQ(outcome.stats.probe_failures, 3u);
+  EXPECT_TRUE(verify_witness(problem, outcome.witness).ok);
+}
+
+TEST(SolveCompile, ExpiredDeadlineStopsCompilation) {
+  // compile_csp polls the deadline every 4096 facets: under an expired
+  // deadline it stops on a complex past that size, and without one the
+  // same complex compiles to what build_instance produced.
+  const std::unique_ptr<Instance> instance =
+      build_instance({Model::kAsync, 3, 1, 1, 0, 2});
+  ASSERT_GT(instance->protocol.facet_count(), 4096u);
+  {
+    const util::DeadlineScope expired(std::chrono::steady_clock::now() -
+                                      std::chrono::seconds(1));
+    EXPECT_THROW(compile_csp(instance->protocol, 1, instance->views,
+                             instance->arena),
+                 util::DeadlineExceeded);
+  }
+  const CspProblem problem = compile_csp(instance->protocol, 1,
+                                         instance->views, instance->arena);
+  EXPECT_EQ(problem.facets.size(), instance->protocol.facet_count());
+  EXPECT_EQ(problem.facets.members, instance->problem.facets.members);
+  EXPECT_EQ(problem.facets_of.members, instance->problem.facets_of.members);
+  EXPECT_EQ(problem.domains, instance->problem.domains);
+}
+
 TEST(SolveMemo, WarmCacheRedecideIsAPureStoreHit) {
   const std::filesystem::path root =
       std::filesystem::temp_directory_path() /
