@@ -63,7 +63,10 @@ BENCHMARK(BM_PseudosphereConstruct)->DenseRange(2, 6);
 void BM_FaceEnumeration(benchmark::State& state) {
   const topology::SimplicialComplex& source =
       binary_pseudosphere(static_cast<int>(state.range(0)));
-  const std::vector<topology::Simplex> facets = source.facets();
+  topology::FacetRows facets;
+  for (const topology::Simplex& facet : source.facets()) {
+    facets.push_back(facet.vertices());
+  }
   std::size_t faces = 0;
   for (std::size_t count : source.f_vector()) faces += count;
   topology::SimplicialComplex k;

@@ -1,6 +1,8 @@
 #include "core/agreement.h"
 
+#include <algorithm>
 #include <set>
+#include <span>
 #include <sstream>
 
 namespace psph::core {
@@ -12,7 +14,7 @@ DecisionRule min_seen_rule(const ViewRegistry& views) {
 std::vector<std::int64_t> allowed_values(topology::VertexId vertex,
                                          const ViewRegistry& views,
                                          const topology::VertexArena& arena) {
-  const std::set<std::int64_t>& seen =
+  const std::span<const std::int64_t> seen =
       views.inputs_seen(arena.state(vertex));
   return std::vector<std::int64_t>(seen.begin(), seen.end());
 }
@@ -27,8 +29,10 @@ RuleCheckResult check_decision_rule(
   for (topology::VertexId v : protocol.vertex_ids()) {
     ++result.vertices_checked;
     const std::int64_t decision = rule(arena.state(v));
-    const std::set<std::int64_t>& seen = views.inputs_seen(arena.state(v));
-    if (seen.count(decision) == 0) {
+    // Read after the rule, which may fill the memo the span points into.
+    const std::span<const std::int64_t> seen =
+        views.inputs_seen(arena.state(v));
+    if (!std::binary_search(seen.begin(), seen.end(), decision)) {
       std::ostringstream why;
       why << "vertex P" << arena.pid(v) << " decides " << decision
           << " which it never saw";
@@ -43,11 +47,11 @@ RuleCheckResult check_decision_rule(
   bool ok = true;
   std::optional<RuleViolation> violation;
   std::size_t facets = 0;
-  protocol.for_each_facet([&](const topology::Simplex& facet) {
+  protocol.for_each_facet([&](std::span<const topology::VertexId> facet) {
     if (!ok) return;
     ++facets;
     std::set<std::int64_t> decisions;
-    for (topology::VertexId v : facet.vertices()) {
+    for (topology::VertexId v : facet) {
       decisions.insert(rule(arena.state(v)));
     }
     if (static_cast<int>(decisions.size()) > k) {
@@ -55,8 +59,8 @@ RuleCheckResult check_decision_rule(
       why << "facet carries " << decisions.size() << " distinct decisions (> "
           << k << ")";
       ok = false;
-      violation =
-          RuleViolation{RuleViolation::Kind::agreement, facet, why.str()};
+      violation = RuleViolation{RuleViolation::Kind::agreement,
+                                topology::Simplex(facet), why.str()};
     }
   });
   result.facets_checked = facets;

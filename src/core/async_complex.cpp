@@ -24,11 +24,13 @@ std::uint64_t async_round_facet_count(int participants, int num_processes,
 topology::SimplicialComplex async_round_complex(
     const topology::Simplex& input, const AsyncParams& params,
     ViewRegistry& views, topology::VertexArena& arena) {
-  std::vector<detail::RoundGroup> groups;
-  detail::expand_async_round(input, params, views, arena, &groups);
+  detail::ExpandScratch scratch;
+  detail::RoundOutput out;
+  detail::expand_async_round(input.vertices(), params, views, arena, scratch,
+                             &out);
   topology::SimplicialComplex result;
-  for (detail::RoundGroup& group : groups) {
-    result.add_facets(std::move(group.facets));
+  for (const detail::RoundGroup& group : out.groups) {
+    result.add_facets(out.facets.rows(group.first, group.last));
   }
   return result;
 }

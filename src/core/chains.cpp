@@ -4,6 +4,7 @@
 #include <deque>
 #include <map>
 #include <set>
+#include <span>
 #include <unordered_map>
 
 namespace psph::core {
@@ -65,10 +66,11 @@ std::optional<std::int64_t> forced_value(const topology::Simplex& facet,
                                          const topology::VertexArena& arena) {
   std::optional<std::int64_t> forced;
   for (topology::VertexId v : facet.vertices()) {
-    const std::set<std::int64_t>& seen = views.inputs_seen(arena.state(v));
+    const std::span<const std::int64_t> seen =
+        views.inputs_seen(arena.state(v));
     if (seen.size() != 1) return std::nullopt;
-    if (forced.has_value() && *forced != *seen.begin()) return std::nullopt;
-    forced = *seen.begin();
+    if (forced.has_value() && *forced != seen.front()) return std::nullopt;
+    forced = seen.front();
   }
   return forced;
 }

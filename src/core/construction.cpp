@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -25,6 +26,8 @@ obs::Counter g_obs_deduped("construction.deduped");
 obs::Gauge g_obs_level_width("construction.level_width");
 obs::Counter g_obs_orbit_canonicalized("construction.orbit_canonicalized");
 obs::Counter g_obs_orbit_reps("construction.orbit_reps");
+
+using Row = std::span<const topology::VertexId>;
 
 // Packs up to four small model parameters into one DEDUPE-key word. All the
 // packed quantities (process counts, failure budgets, microrounds) are tiny
@@ -52,10 +55,10 @@ struct AsyncModel {
     --p.rounds;
     return p;
   }
-  static void expand(const topology::Simplex& facet, const Params& p,
-                     ViewRegistry& views, topology::VertexArena& arena,
-                     std::vector<detail::RoundGroup>* out) {
-    detail::expand_async_round(facet, p, views, arena, out);
+  static void expand(Row facet, const Params& p, ViewRegistry& views,
+                     topology::VertexArena& arena,
+                     detail::ExpandScratch& scratch, detail::RoundOutput* out) {
+    detail::expand_async_round(facet, p, views, arena, scratch, out);
   }
 };
 
@@ -70,10 +73,10 @@ struct SyncModel {
     p.total_failures -= failures_used;
     return p;
   }
-  static void expand(const topology::Simplex& facet, const Params& p,
-                     ViewRegistry& views, topology::VertexArena& arena,
-                     std::vector<detail::RoundGroup>* out) {
-    detail::expand_sync_round(facet, p, views, arena, out);
+  static void expand(Row facet, const Params& p, ViewRegistry& views,
+                     topology::VertexArena& arena,
+                     detail::ExpandScratch& scratch, detail::RoundOutput* out) {
+    detail::expand_sync_round(facet, p, views, arena, scratch, out);
   }
 };
 
@@ -89,10 +92,10 @@ struct SemiSyncModel {
     p.total_failures -= failures_used;
     return p;
   }
-  static void expand(const topology::Simplex& facet, const Params& p,
-                     ViewRegistry& views, topology::VertexArena& arena,
-                     std::vector<detail::RoundGroup>* out) {
-    detail::expand_semisync_round(facet, p, views, arena, out);
+  static void expand(Row facet, const Params& p, ViewRegistry& views,
+                     topology::VertexArena& arena,
+                     detail::ExpandScratch& scratch, detail::RoundOutput* out) {
+    detail::expand_semisync_round(facet, p, views, arena, scratch, out);
   }
 };
 
@@ -108,89 +111,70 @@ struct IisModel {
     --p.rounds;
     return p;
   }
-  static void expand(const topology::Simplex& facet, const Params&,
-                     ViewRegistry& views, topology::VertexArena& arena,
-                     std::vector<detail::RoundGroup>* out) {
-    detail::expand_iis_round(facet, views, arena, out);
+  static void expand(Row facet, const Params&, ViewRegistry& views,
+                     topology::VertexArena& arena,
+                     detail::ExpandScratch& scratch, detail::RoundOutput* out) {
+    detail::expand_iis_round(facet, views, arena, scratch, out);
   }
 };
 
-/// One level's items: facets awaiting a round, with their model params.
+/// One level's items: facets awaiting a round as rows, with their model
+/// params (row i runs under params[i]).
 template <typename Model>
-using Frontier =
-    std::vector<std::pair<topology::Simplex, typename Model::Params>>;
+struct Frontier {
+  topology::FacetRows facets;
+  std::vector<typename Model::Params> params;
 
-// Distinct sorted vertex rows of any width, end to end in one array under a
-// flat index: one allocation per table, not per row. The domination scan's
-// strict faces and the f-vector's counted face orbits live here.
-class RowSet {
- public:
-  /// Adds the row; false if it was already present.
-  bool insert(const topology::VertexId* row, std::size_t width) {
-    const std::size_t next = starts_.size() - 1;
-    if (index_.find_or_insert(util::row_hash(row, width), next,
-                              [&](std::size_t i) {
-                                return equal(i, row, width);
-                              }) != next) {
-      return false;
-    }
-    rows_.insert(rows_.end(), row, row + width);
-    starts_.push_back(rows_.size());
-    return true;
+  std::size_t size() const { return params.size(); }
+  bool empty() const { return params.empty(); }
+  void push_back(Row facet, const typename Model::Params& p) {
+    facets.push_back(facet);
+    params.push_back(p);
   }
-
-  bool contains(const topology::VertexId* row, std::size_t width) const {
-    return index_.find(util::row_hash(row, width), [&](std::size_t i) {
-             return equal(i, row, width);
-           }) != util::FlatIndex::kAbsent;
+  void clear() {
+    facets.clear();
+    params.clear();
   }
-
- private:
-  bool equal(std::size_t i, const topology::VertexId* row,
-             std::size_t width) const {
-    return starts_[i + 1] - starts_[i] == width &&
-           std::equal(row, row + width, rows_.data() + starts_[i]);
-  }
-
-  // Row i is rows_[starts_[i], starts_[i + 1]).
-  std::vector<topology::VertexId> rows_;
-  std::vector<std::size_t> starts_{0};
-  util::FlatIndex index_;
 };
 
 // Orbit-mode accumulation: canonical representatives of the final-round
 // facets, first-seen order, deduplicated by representative.
 struct OrbitAccum {
   OrbitContext* ctx = nullptr;
-  std::vector<OrbitRecord> records;
-  util::FlatIndex seen;  // over records, keyed by rep
+  OrbitRecords records;
+  util::FlatIndex seen;               // over records, keyed by rep
+  std::vector<topology::VertexId> rep;  // canonicalize's output row
 
-  void add_final(const topology::Simplex& facet) {
+  void add_final(Row facet) {
     util::poll_deadline();
-    CanonicalFacet canon = ctx->canonicalize(facet);
+    const std::uint32_t stabilizer = ctx->canonicalize(facet, rep);
     g_obs_orbit_canonicalized.add(1);
-    const std::vector<topology::VertexId>& rep = canon.rep.vertices();
     const std::size_t next = records.size();
-    if (seen.find_or_insert(util::row_hash(rep.data(), rep.size()), next,
+    if (seen.find_or_insert(topology::row_hash(rep), next,
                             [&](std::size_t i) {
-                              return records[i].rep == canon.rep;
+                              return topology::row_equal(records.rep(i), rep);
                             }) != next) {
       return;
     }
     g_obs_orbit_reps.add(1);
-    records.push_back(OrbitRecord{std::move(canon.rep), canon.stabilizer,
-                                  /*dominated=*/false, /*seed=*/facet});
+    records.push_back(rep, stabilizer, facet);
   }
 };
 
 // The level loop (see construction.h for the phase diagram). In full mode
 // the result accretes into *full_out; in orbit mode (orbit != nullptr)
 // incoming facets are canonicalized before DEDUPE and final facets flow
-// into the orbit accumulator instead.
+// into the orbit accumulator instead. Every array here lives for the whole
+// build and is cleared, not freed, between levels.
 template <typename Model>
 void run_pipeline(Frontier<Model> frontier, ViewRegistry& views,
                   topology::VertexArena& arena,
                   topology::SimplicialComplex* full_out, OrbitAccum* orbit) {
+  Frontier<Model> items;
+  detail::RoundOutput children;
+  std::vector<std::size_t> owner;  // children.groups[g] came from item owner[g]
+  detail::ExpandScratch scratch;
+  std::vector<topology::VertexId> rep;
   while (!frontier.empty()) {
     // Cooperative cancellation (util/cancel.h): a deadlined caller (the
     // serving layer) unwinds from here or from the per-item polls below;
@@ -207,32 +191,32 @@ void run_pipeline(Frontier<Model> frontier, ViewRegistry& views,
     // canonical representative, so G-equivalent items dedupe too. Within
     // one level every item has the same remaining round count, so keys
     // (which omit rounds) cannot conflate items that should stay distinct.
-    Frontier<Model> items;
-    items.reserve(frontier.size());
+    items.clear();
     {
       obs::SpanTimer span("construction.dedupe");
       // Keyed by (packed params, vertex row) over the kept items.
       util::FlatIndex seen;
       seen.reserve(frontier.size());
-      for (auto& [facet, params] : frontier) {
+      for (std::size_t f = 0; f < frontier.size(); ++f) {
+        Row facet = frontier.facets[f];
         if (orbit != nullptr) {
           util::poll_deadline();
-          facet = orbit->ctx->canonicalize(facet).rep;
+          orbit->ctx->canonicalize(facet, rep);
+          facet = rep;
           g_obs_orbit_canonicalized.add(1);
         }
+        const typename Model::Params& params = frontier.params[f];
         const std::uint64_t key = Model::params_key(params);
-        const std::vector<topology::VertexId>& row = facet.vertices();
         const std::size_t next = items.size();
         if (seen.find_or_insert(
-                util::row_hash(row.data(), row.size(), key), next,
-                [&](std::size_t i) {
-                  return Model::params_key(items[i].second) == key &&
-                         items[i].first.vertices() == row;
+                topology::row_hash(facet, key), next, [&](std::size_t i) {
+                  return Model::params_key(items.params[i]) == key &&
+                         topology::row_equal(items.facets[i], facet);
                 }) != next) {
           g_obs_deduped.add(1);
           continue;
         }
-        items.emplace_back(std::move(facet), params);
+        items.push_back(facet, params);
       }
       frontier.clear();
     }
@@ -240,41 +224,55 @@ void run_pipeline(Frontier<Model> frontier, ViewRegistry& views,
     // EXPAND, in frontier order, straight into the canonical registries.
     // The whole level expands before CONSUME runs: orbit-mode CONSUME
     // interns relabelled views, and interleaving the two would renumber ids.
-    std::vector<std::vector<detail::RoundGroup>> expansions(items.size());
+    children.clear();
+    owner.clear();
     {
       obs::SpanTimer span("construction.expand",
                           static_cast<std::int64_t>(items.size()));
       for (std::size_t i = 0; i < items.size(); ++i) {
         util::poll_deadline();
-        Model::expand(items[i].first, items[i].second, views, arena,
-                      &expansions[i]);
+        Model::expand(items.facets[i], items.params[i], views, arena, scratch,
+                      &children);
+        owner.resize(children.groups.size(), i);
       }
     }
 
-    // CONSUME: move each expansion into the result, the orbit accumulator
-    // or the next level.
+    // CONSUME: the children go to the next level, the orbit accumulator or
+    // the result. Every item of a level has the same remaining rounds.
     obs::SpanTimer consume_span("construction.consume");
-    for (std::size_t i = 0; i < items.size(); ++i) {
-      util::poll_deadline();
-      const typename Model::Params& params = items[i].second;
-      for (detail::RoundGroup& group : expansions[i]) {
-        if (Model::rounds(params) > 1) {
-          const typename Model::Params child =
-              Model::child(params, group.failures_used);
-          for (topology::Simplex& facet : group.facets) {
-            frontier.emplace_back(std::move(facet), child);
-          }
-        } else if (orbit != nullptr) {
-          for (const topology::Simplex& facet : group.facets) {
-            orbit->add_final(facet);
-          }
-        } else {
-          full_out->add_facets(std::move(group.facets));
-        }
+    const bool final_round =
+        items.empty() || Model::rounds(items.params[0]) <= 1;
+    if (!final_round) {
+      // The children's rows become the next frontier as they are; each row
+      // takes the params its group left.
+      std::swap(frontier.facets, children.facets);
+      frontier.params.reserve(frontier.facets.size());
+      for (std::size_t g = 0; g < children.groups.size(); ++g) {
+        util::poll_deadline();
+        const detail::RoundGroup& group = children.groups[g];
+        frontier.params.resize(
+            group.last,
+            Model::child(items.params[owner[g]], group.failures_used));
       }
-      expansions[i] = {};
+    } else if (orbit != nullptr) {
+      for (std::size_t r = 0; r < children.facets.size(); ++r) {
+        orbit->add_final(children.facets[r]);
+      }
+    } else {
+      for (const detail::RoundGroup& group : children.groups) {
+        util::poll_deadline();
+        full_out->add_facets(children.facets.rows(group.first, group.last));
+      }
     }
   }
+}
+
+template <typename Model>
+Frontier<Model> seed_one(const topology::Simplex& input,
+                         const typename Model::Params& params) {
+  Frontier<Model> frontier;
+  frontier.push_back(input.vertices(), params);
+  return frontier;
 }
 
 template <typename Model>
@@ -282,7 +280,7 @@ Frontier<Model> seed_all(const topology::SimplicialComplex& inputs,
                          const typename Model::Params& params) {
   Frontier<Model> frontier;
   for (const topology::Simplex& facet : inputs.facets()) {
-    frontier.emplace_back(facet, params);
+    frontier.push_back(facet.vertices(), params);
   }
   return frontier;
 }
@@ -306,14 +304,13 @@ topology::SimplicialComplex run_full(Frontier<Model> seeds, ViewRegistry& views,
 // g·F is a strict face of some representative H — g·F ⊊ H' for a full
 // facet H' = h·H reduces to (h⁻¹g)·F ⊊ H. Only possible across different
 // facet sizes, so pure rep sets (async, IIS) skip the scan entirely.
-void finish_orbit_result(std::vector<OrbitRecord> records,
-                         OrbitComplexResult& result) {
+void finish_orbit_result(OrbitRecords records, OrbitComplexResult& result) {
   obs::SpanTimer span("construction.orbit_finish",
                       static_cast<std::int64_t>(records.size()));
   const std::size_t group_size = result.group.size();
   bool pure = true;
-  for (const OrbitRecord& rec : records) {
-    if (rec.rep.size() != records.front().rep.size()) {
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    if (records.rep(i).size() != records.rep(0).size()) {
       pure = false;
       break;
     }
@@ -322,41 +319,43 @@ void finish_orbit_result(std::vector<OrbitRecord> records,
     // Every strict face of every representative, one row set; an orbit is
     // dominated iff some image of its seed lands in it. Faces are the
     // representative's masked subsequences, so every row comes out sorted.
-    RowSet strict_faces;
+    topology::RowSet strict_faces;
     std::vector<topology::VertexId> row;
-    for (const OrbitRecord& rec : records) {
-      const std::vector<topology::VertexId>& rep = rec.rep.vertices();
-      const std::uint64_t whole = (std::uint64_t{1} << rep.size()) - 1;
+    for (const OrbitRecord rec : records) {
+      const std::uint64_t whole = (std::uint64_t{1} << rec.rep.size()) - 1;
       for (std::uint64_t mask = 1; mask < whole; ++mask) {
         row.clear();
-        for (std::size_t i = 0; i < rep.size(); ++i) {
-          if ((mask >> i) & 1U) row.push_back(rep[i]);
+        for (std::size_t i = 0; i < rec.rep.size(); ++i) {
+          if ((mask >> i) & 1U) row.push_back(rec.rep[i]);
         }
-        strict_faces.insert(row.data(), row.size());
+        strict_faces.insert(row);
       }
     }
-    for (OrbitRecord& rec : records) {
+    for (std::size_t r = 0; r < records.size(); ++r) {
       util::poll_deadline();
-      for (std::size_t gi = 0; gi < group_size && !rec.dominated; ++gi) {
+      const Row seed = records[r].seed;
+      for (std::size_t gi = 0; gi < group_size; ++gi) {
         row.clear();
-        for (const topology::VertexId v : rec.seed.vertices()) {
+        for (const topology::VertexId v : seed) {
           row.push_back(result.images.image(gi, v));
         }
         std::sort(row.begin(), row.end());
-        rec.dominated = strict_faces.contains(row.data(), row.size());
+        if (strict_faces.contains(row)) {
+          records.set_dominated(r);
+          break;
+        }
       }
     }
   }
 
-  std::vector<topology::Simplex> maximal;
-  maximal.reserve(records.size());
-  for (const OrbitRecord& rec : records) {
+  topology::FacetRows maximal;
+  for (const OrbitRecord rec : records) {
     if (rec.dominated) continue;
     result.full_facet_count +=
         static_cast<std::uint64_t>(group_size) / rec.stabilizer;
     maximal.push_back(rec.rep);
   }
-  result.reduced.add_facets(std::move(maximal));
+  result.reduced.add_facets(maximal);
   result.orbits = std::move(records);
 }
 
@@ -367,14 +366,15 @@ OrbitComplexResult run_orbit(const topology::Simplex& input,
                              topology::VertexArena& arena) {
   OrbitComplexResult result;
   result.group = SymmetryGroup::for_input_facet(input, views, arena);
-  std::vector<OrbitRecord> records;
+  OrbitRecords records;
   {
     OrbitContext ctx(result.group, views, arena);
     OrbitAccum accum;
     accum.ctx = &ctx;
-    run_pipeline<Model>({{input, params}}, views, arena, nullptr, &accum);
+    run_pipeline<Model>(seed_one<Model>(input, params), views, arena, nullptr,
+                        &accum);
     // Only the records and the vertex images outlive the pipeline; the
-    // state memo and the accumulator's rep set are freed before the
+    // state memo and the accumulator's rep index are freed before the
     // post-processing allocates.
     records = std::move(accum.records);
     result.images = std::move(ctx).take_images();
@@ -435,17 +435,17 @@ std::vector<std::size_t> orbit_full_f_vector(const OrbitComplexResult& result,
   // S a non-dominated seed, so its orbit shows up among the faces of S.
   // Facet orbits count from their records (see construction.h); each proper
   // face orbit counts the first time its canonical form shows up.
-  RowSet counted;
+  topology::RowSet counted;
   std::vector<std::size_t> f;
   // rows: the seed's image under each element as one row of (image vertex,
   // seed position) pairs, sorted, so the image of the face a bit mask over
   // seed positions selects is the row's masked subsequence, in vertex order.
   std::vector<ImageEntry> rows;
   std::vector<topology::VertexId> rep;
-  for (const OrbitRecord& rec : result.orbits) {
+  for (const OrbitRecord rec : result.orbits) {
     if (rec.dominated) continue;
     util::poll_deadline();
-    const std::vector<topology::VertexId>& seed = rec.seed.vertices();
+    const Row seed = rec.seed;
     const std::size_t k = seed.size();
     if (f.size() < k) f.resize(k, 0);
     f[k - 1] += group_size / rec.stabilizer;
@@ -476,7 +476,7 @@ std::vector<std::size_t> orbit_full_f_vector(const OrbitComplexResult& result,
       for (std::size_t i = 0; i < k; ++i) {
         if ((mask >> best[i].position) & 1U) rep.push_back(best[i].vertex);
       }
-      if (!counted.insert(rep.data(), rep.size())) continue;
+      if (!counted.insert(rep)) continue;
       f[rep.size() - 1] += group_size / stabilizer;
     }
   }
@@ -489,27 +489,49 @@ topology::SimplicialComplex reconstitute_full(const OrbitComplexResult& result,
   obs::SpanTimer span("construction.orbit_reconstitute",
                       static_cast<std::int64_t>(result.full_facet_count));
   require_build_registries(result, views, arena, "reconstitute_full");
-  // Room for every distinct image plus one orbit's repeats before dedupe.
-  std::vector<topology::Simplex> facets;
-  facets.reserve(static_cast<std::size_t>(result.full_facet_count) +
-                 result.group.size());
-  for (const OrbitRecord& rec : result.orbits) {
+  // Room for every distinct image.
+  const std::size_t full = static_cast<std::size_t>(result.full_facet_count);
+  topology::FacetRows facets;
+  facets.reserve(full, full * static_cast<std::size_t>(
+                                  std::max(result.reduced.dimension() + 1, 0)));
+  std::vector<topology::VertexId> images;  // one orbit's image rows
+  std::vector<std::uint32_t> order;
+  for (const OrbitRecord rec : result.orbits) {
     if (rec.dominated) continue;
     util::poll_deadline();
-    const std::size_t first = facets.size();
-    for (std::size_t gi = 0; gi < result.group.size(); ++gi) {
-      facets.push_back(result.images.relabel_facet(gi, rec.seed));
+    const std::size_t k = rec.seed.size();
+    const std::size_t group_size = result.group.size();
+    images.clear();
+    for (std::size_t gi = 0; gi < group_size; ++gi) {
+      for (const topology::VertexId v : rec.seed) {
+        images.push_back(result.images.image(gi, v));
+      }
+      std::sort(images.end() - static_cast<std::ptrdiff_t>(k), images.end());
     }
-    // A nontrivial stabilizer repeats each image |Stab| times; keep one.
+    const auto image_row = [&](std::uint32_t gi) {
+      return Row(images.data() + gi * k, k);
+    };
+    order.resize(group_size);
+    std::iota(order.begin(), order.end(), 0u);
+    // A nontrivial stabilizer repeats each image |Stab| times; keep one, in
+    // sorted order.
     if (rec.stabilizer > 1) {
-      const auto begin = facets.begin() + static_cast<std::ptrdiff_t>(first);
-      std::sort(begin, facets.end());
-      facets.erase(std::unique(begin, facets.end()), facets.end());
+      std::sort(order.begin(), order.end(),
+                [&](std::uint32_t a, std::uint32_t b) {
+                  return topology::row_less(image_row(a), image_row(b));
+                });
+      order.erase(std::unique(order.begin(), order.end(),
+                              [&](std::uint32_t a, std::uint32_t b) {
+                                return topology::row_equal(image_row(a),
+                                                           image_row(b));
+                              }),
+                  order.end());
     }
+    for (const std::uint32_t gi : order) facets.push_back(image_row(gi));
   }
-  topology::SimplicialComplex full;
-  full.add_facets(std::move(facets));
-  return full;
+  topology::SimplicialComplex full_complex;
+  full_complex.add_facets(facets);
+  return full_complex;
 }
 
 topology::ComponentCounter orbit_full_components(
@@ -521,14 +543,14 @@ topology::ComponentCounter orbit_full_components(
   topology::ComponentCounter counter;
   std::vector<topology::VertexId> row;
   std::size_t rows = 0;
-  for (const OrbitRecord& rec : result.orbits) {
+  for (const OrbitRecord rec : result.orbits) {
     if (rec.dominated) continue;
     // A nontrivial stabilizer repeats images; a repeated row unites
     // nothing new.
     for (std::size_t gi = 0; gi < result.group.size(); ++gi) {
       if ((rows++ & 4095) == 0) util::poll_deadline();
       row.clear();
-      for (const topology::VertexId v : rec.seed.vertices()) {
+      for (const topology::VertexId v : rec.seed) {
         row.push_back(result.images.image(gi, v));
       }
       counter.add_row(row);
@@ -541,7 +563,8 @@ topology::SimplicialComplex async_protocol_complex(
     const topology::Simplex& input, const AsyncParams& params,
     ViewRegistry& views, topology::VertexArena& arena) {
   require_rounds(params.rounds, "async_protocol_complex");
-  return run_full<AsyncModel>({{input, params}}, views, arena);
+  return run_full<AsyncModel>(seed_one<AsyncModel>(input, params), views,
+                              arena);
 }
 
 topology::SimplicialComplex async_protocol_complex_over(
@@ -556,7 +579,8 @@ topology::SimplicialComplex sync_protocol_complex(
     const topology::Simplex& input, const SyncParams& params,
     ViewRegistry& views, topology::VertexArena& arena) {
   require_rounds(params.rounds, "sync_protocol_complex");
-  return run_full<SyncModel>({{input, params}}, views, arena);
+  return run_full<SyncModel>(seed_one<SyncModel>(input, params), views,
+                             arena);
 }
 
 topology::SimplicialComplex sync_protocol_complex_over(
@@ -571,7 +595,8 @@ topology::SimplicialComplex semisync_protocol_complex(
     const topology::Simplex& input, const SemiSyncParams& params,
     ViewRegistry& views, topology::VertexArena& arena) {
   require_rounds(params.rounds, "semisync_protocol_complex");
-  return run_full<SemiSyncModel>({{input, params}}, views, arena);
+  return run_full<SemiSyncModel>(seed_one<SemiSyncModel>(input, params),
+                                 views, arena);
 }
 
 topology::SimplicialComplex semisync_protocol_complex_over(
@@ -586,7 +611,8 @@ topology::SimplicialComplex iis_protocol_complex(
     const topology::Simplex& input, int rounds, ViewRegistry& views,
     topology::VertexArena& arena) {
   require_rounds(rounds, "iis_protocol_complex");
-  return run_full<IisModel>({{input, IisParams{rounds}}}, views, arena);
+  return run_full<IisModel>(seed_one<IisModel>(input, IisParams{rounds}),
+                            views, arena);
 }
 
 topology::SimplicialComplex iis_protocol_complex_over(

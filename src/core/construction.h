@@ -13,20 +13,26 @@
 //                 makes repeated facets common from round 2 on.
 //   2. EXPAND   — each unique item is expanded in frontier order by the
 //                 shared one-round expander (round_ops.h), interning straight
-//                 into the canonical registries, into a vector local to the
-//                 level. Views and vertices an earlier item of the same level
-//                 created are found by hash-consing, so ids are fixed by the
-//                 frontier order and the model's enumeration order alone.
-//   3. CONSUME  — final-round items move their facets into the result via
-//                 SimplicialComplex::add_facets (bulk fast lane); earlier
-//                 rounds move their children into the next level with the
-//                 failure budget reduced per adversary group.
+//                 into the canonical registries, into one row array local to
+//                 the level. Views and vertices an earlier item of the same
+//                 level created are found by hash-consing, so ids are fixed by
+//                 the frontier order and the model's enumeration order alone.
+//   3. CONSUME  — final-round items append each adversary group's rows to
+//                 the result via SimplicialComplex::add_facets (bulk fast
+//                 lane); earlier rounds hand the level's rows to the next
+//                 level, each with the failure budget its group left.
+//
+// Facets travel as sorted vertex rows (topology/rows.h) from EXPAND to the
+// complex: the frontier, the deduplicated items and a level's children are
+// each one vertex array with offsets plus a params array, so no facet costs
+// a heap vector of its own.
 //
 // Nothing outlives the build: every child view is interned at round = input
 // round + 1, so a one-round expansion never recurs at another depth, and
 // DEDUPE already drops the repeats within a level. The loop polls the
-// caller's deadline (util/cancel.h) once per level, per item in EXPAND and
-// CONSUME, and per facet wherever orbit mode canonicalizes.
+// caller's deadline (util/cancel.h) once per level, per item in EXPAND, per
+// adversary group in CONSUME, and per facet wherever orbit mode
+// canonicalizes.
 //
 // ConstructionMode::kOrbit rides on the same loop (DESIGN §5.16): the
 // orbit-quotient pipeline. The paper's round operators commute with joint
@@ -44,6 +50,7 @@
 // nothing after the build relabels or interns anything.
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/async_complex.h"
@@ -54,6 +61,7 @@
 #include "topology/arena.h"
 #include "topology/complex.h"
 #include "topology/components.h"
+#include "topology/rows.h"
 #include "topology/simplex.h"
 
 namespace psph::core {
@@ -71,18 +79,76 @@ struct ConstructionOptions {
 
 // ---- orbit-quotient results ----
 
-/// One final-facet orbit: the canonical representative, its stabilizer size
-/// (so |orbit| = |G| / stabilizer), whether the orbit is dominated in the
-/// full complex (its members are strict faces of some maximal facet;
-/// dominated orbits contribute faces but no maximal facets), and its seed.
+/// One final-facet orbit as OrbitRecords hands it out: the canonical
+/// representative, its stabilizer size (so |orbit| = |G| / stabilizer),
+/// whether the orbit is dominated in the full complex (its members are
+/// strict faces of some maximal facet; dominated orbits contribute faces but
+/// no maximal facets), and its seed: the final facet the build first
+/// canonicalized into this record. The seed's image under every group
+/// element is in the result's `images`, so the whole orbit (= the seed's
+/// images) is reachable by table reads. rep and seed are sorted rows in the
+/// records' array, valid while the records live unchanged.
 struct OrbitRecord {
-  topology::Simplex rep;
+  std::span<const topology::VertexId> rep;
   std::uint32_t stabilizer = 1;
   bool dominated = false;
-  /// The final facet the build first canonicalized into this record. Its
-  /// image under every group element is in the result's `images`, so the
-  /// whole orbit (= the seed's images) is reachable by table reads.
-  topology::Simplex seed;
+  std::span<const topology::VertexId> seed;
+};
+
+/// A build's orbit records in first-seen order. Each record's rep and seed
+/// (one width) sit side by side in one vertex array, so adding a record
+/// copies two rows and reading one is an array read.
+class OrbitRecords {
+ public:
+  /// Reads the records in order, each as an OrbitRecord value.
+  class iterator {
+   public:
+    iterator(const OrbitRecords* records, std::size_t i)
+        : records_(records), i_(i) {}
+    OrbitRecord operator*() const { return (*records_)[i_]; }
+    iterator& operator++() {
+      ++i_;
+      return *this;
+    }
+    bool operator==(const iterator& other) const { return i_ == other.i_; }
+
+   private:
+    const OrbitRecords* records_;
+    std::size_t i_;
+  };
+
+  std::size_t size() const { return records_.size(); }
+  OrbitRecord operator[](std::size_t i) const {
+    const Record& r = records_[i];
+    return {rep(i), r.stabilizer, r.dominated,
+            {rows_.data() + r.begin + r.width, r.width}};
+  }
+  std::span<const topology::VertexId> rep(std::size_t i) const {
+    return {rows_.data() + records_[i].begin, records_[i].width};
+  }
+  iterator begin() const { return {this, 0}; }
+  iterator end() const { return {this, size()}; }
+
+  /// Appends a record, not dominated; rep and seed have one width and must
+  /// not point into these records.
+  void push_back(std::span<const topology::VertexId> rep,
+                 std::uint32_t stabilizer,
+                 std::span<const topology::VertexId> seed) {
+    records_.push_back({rows_.size(), rep.size(), stabilizer, false});
+    rows_.insert(rows_.end(), rep.begin(), rep.end());
+    rows_.insert(rows_.end(), seed.begin(), seed.end());
+  }
+  void set_dominated(std::size_t i) { records_[i].dominated = true; }
+
+ private:
+  struct Record {
+    std::size_t begin = 0;  // rep at rows_[begin], seed right after it
+    std::size_t width = 0;
+    std::uint32_t stabilizer = 1;
+    bool dominated = false;
+  };
+  std::vector<topology::VertexId> rows_;
+  std::vector<Record> records_;
 };
 
 /// The orbit pipeline's output. `reduced` is the complex spanned by the
@@ -93,7 +159,7 @@ struct OrbitRecord {
 /// tests) the complex itself by reconstitute_full.
 struct OrbitComplexResult {
   topology::SimplicialComplex reduced;
-  std::vector<OrbitRecord> orbits;  // first-seen order, dominated included
+  OrbitRecords orbits;  // first-seen order, dominated included
   SymmetryGroup group;
   /// Exact maximal-facet count of the full complex:
   /// Σ over non-dominated orbits of |G| / stabilizer.

@@ -74,11 +74,12 @@ std::uint64_t ordered_bell(int m) {
 topology::SimplicialComplex iis_round_complex(const topology::Simplex& input,
                                               ViewRegistry& views,
                                               topology::VertexArena& arena) {
-  std::vector<detail::RoundGroup> groups;
-  detail::expand_iis_round(input, views, arena, &groups);
+  detail::ExpandScratch scratch;
+  detail::RoundOutput out;
+  detail::expand_iis_round(input.vertices(), views, arena, scratch, &out);
   topology::SimplicialComplex result;
-  for (detail::RoundGroup& group : groups) {
-    result.add_facets(std::move(group.facets));
+  for (const detail::RoundGroup& group : out.groups) {
+    result.add_facets(out.facets.rows(group.first, group.last));
   }
   return result;
 }

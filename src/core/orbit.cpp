@@ -27,7 +27,7 @@ std::vector<std::pair<ProcessId, std::int64_t>> input_labels(
     const topology::VertexArena& arena) {
   std::vector<std::pair<ProcessId, std::int64_t>> labels;
   for (const topology::VertexId v : input.vertices()) {
-    const View& view = views.view(arena.state(v));
+    const View view = views.view(arena.state(v));
     if (view.round != 0) {
       throw std::invalid_argument(
           "SymmetryGroup: input vertex state is not a round-0 view");
@@ -44,17 +44,6 @@ constexpr StateId kNoState = std::numeric_limits<StateId>::max();
 /// Counts vertex-memo misses: images computed (and interned) rather than
 /// read back from a table.
 obs::Counter g_obs_relabels("construction.orbit_relabels");
-
-/// The simplex spanned by the images of `facet`'s vertices.
-template <typename Image>
-topology::Simplex relabeled(const topology::Simplex& facet, Image image) {
-  std::vector<topology::VertexId> mapped;
-  mapped.reserve(facet.size());
-  for (const topology::VertexId v : facet.vertices()) {
-    mapped.push_back(image(v));
-  }
-  return topology::Simplex(std::move(mapped));
-}
 
 }  // namespace
 
@@ -149,7 +138,7 @@ StateId OrbitContext::relabel_state(std::size_t element_index, StateId state) {
   if (state < memo.size() && memo[state] != kNoState) return memo[state];
 
   const SymmetryElement& g = group_.element(element_index);
-  const View& v = views_.view(state);
+  const View v = views_.view(state);
   const ProcessId pid = g.map_pid(v.pid);
   StateId result;
   if (v.round == 0) {
@@ -162,13 +151,13 @@ StateId OrbitContext::relabel_state(std::size_t element_index, StateId state) {
     for (std::size_t i = 0; i < senders; ++i) {
       // Recursion strictly descends in round number, so it terminates; each
       // (g, state) pair relabels once and is thereafter a memo hit. It may
-      // intern, and a registry that grows moves its views, so each entry is
-      // read afresh rather than through `v`.
+      // intern, and a registry that grows moves its heard arena, so each
+      // entry is read afresh through the id rather than through `v.heard`.
       const HeardEntry e = views_.view(state).heard[i];
       heard.push_back({g.map_pid(e.from), relabel_state(element_index, e.state),
                        e.last_micro});
     }
-    result = views_.intern_round(pid, round, std::move(heard));
+    result = views_.intern_round(pid, round, heard);
   }
   if (state >= memo.size()) memo.resize(views_.size(), kNoState);
   memo[state] = result;
@@ -193,41 +182,35 @@ topology::VertexId OrbitContext::relabel_vertex_miss(
 
 topology::Simplex OrbitContext::relabel_facet(std::size_t element_index,
                                               const topology::Simplex& facet) {
-  return relabeled(facet, [&](topology::VertexId v) {
-    return relabel_vertex(element_index, v);
-  });
+  std::vector<topology::VertexId> mapped;
+  mapped.reserve(facet.size());
+  for (const topology::VertexId v : facet.vertices()) {
+    mapped.push_back(relabel_vertex(element_index, v));
+  }
+  return topology::Simplex(std::move(mapped));
 }
 
-CanonicalFacet OrbitContext::canonicalize(const topology::Simplex& facet) {
-  CanonicalFacet best{facet, 1};
-  if (group_.size() == 1) return best;
+std::uint32_t OrbitContext::canonicalize(
+    std::span<const topology::VertexId> facet,
+    std::vector<topology::VertexId>& rep) {
+  rep.assign(facet.begin(), facet.end());
+  std::uint32_t stabilizer = 1;
   // Element 0 is the identity: start from the facet itself, then challenge
-  // with every non-trivial relabeling. Ties count the stabilizer. Candidates
-  // are compared as sorted raw vertex vectors in a reused scratch buffer —
-  // a Simplex is only materialized when a candidate actually wins.
-  std::vector<topology::VertexId> scratch;
-  scratch.reserve(facet.size());
+  // with every non-trivial relabeling. Ties count the stabilizer.
   for (std::size_t gi = 1; gi < group_.size(); ++gi) {
-    scratch.clear();
-    for (const topology::VertexId v : facet.vertices()) {
-      scratch.push_back(relabel_vertex(gi, v));
+    candidate_.clear();
+    for (const topology::VertexId v : facet) {
+      candidate_.push_back(relabel_vertex(gi, v));
     }
-    std::sort(scratch.begin(), scratch.end());
-    if (scratch < best.rep.vertices()) {
-      best.rep = topology::Simplex(scratch);
-      best.stabilizer = 1;
-    } else if (scratch == best.rep.vertices()) {
-      ++best.stabilizer;
+    std::sort(candidate_.begin(), candidate_.end());
+    if (candidate_ < rep) {
+      rep.assign(candidate_.begin(), candidate_.end());
+      stabilizer = 1;
+    } else if (candidate_ == rep) {
+      ++stabilizer;
     }
   }
-  return best;
-}
-
-topology::Simplex OrbitImages::relabel_facet(
-    std::size_t element_index, const topology::Simplex& facet) const {
-  return relabeled(facet, [&](topology::VertexId v) {
-    return image(element_index, v);
-  });
+  return stabilizer;
 }
 
 void OrbitImages::missing_image() {

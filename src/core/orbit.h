@@ -19,8 +19,11 @@
 //     constructions reach).
 //   * OrbitContext  — deterministic canonicalization of facets under G.
 //     A facet's canonical form is the lexicographically least relabeled
-//     vertex vector over all g ∈ G, where relabeled views are hash-consed
+//     vertex row over all g ∈ G, where relabeled views are hash-consed
 //     through the same ViewRegistry/VertexArena the pipeline builds in.
+//     Facets go in as vertex rows (spans into the pipeline's level arrays)
+//     and the representative comes out in the caller's scratch row, so a
+//     canonicalization allocates nothing once the buffers are warm.
 //     Relabeling is memoized in flat per-element tables indexed by StateId
 //     and by VertexId, so a vertex relabels (and interns) once per element
 //     and every later canonicalization touching it is array reads: the
@@ -37,6 +40,7 @@
 // across thread counts.
 
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -86,14 +90,6 @@ class SymmetryGroup {
   std::vector<SymmetryElement> elements_;
 };
 
-/// The result of canonicalizing one facet: the orbit representative and the
-/// number of group elements that map the facet onto the representative
-/// (= |Stab| by orbit–stabilizer, so |orbit| = |G| / stabilizer).
-struct CanonicalFacet {
-  topology::Simplex rep;
-  std::uint32_t stabilizer = 1;
-};
-
 /// The vertex images an OrbitContext computed, detached from the context
 /// and its state memo: image(g, v) = g·v for every vertex the context
 /// relabeled under element g (element 0, the identity, needs no table).
@@ -118,10 +114,6 @@ class OrbitImages {
     }
     return table[vertex];
   }
-
-  /// g-image of a whole facet (vertex set; Simplex re-sorts).
-  topology::Simplex relabel_facet(std::size_t element_index,
-                                  const topology::Simplex& facet) const;
 
  private:
   friend class OrbitContext;
@@ -163,9 +155,14 @@ class OrbitContext {
   topology::Simplex relabel_facet(std::size_t element_index,
                                   const topology::Simplex& facet);
 
-  /// Canonical orbit representative: the lexicographically least relabeled
-  /// vertex vector over all g, plus the stabilizer count.
-  CanonicalFacet canonicalize(const topology::Simplex& facet);
+  /// Writes the canonical orbit representative of the sorted row `facet` —
+  /// the lexicographically least relabeled row over all g — into `rep`, and
+  /// returns the number of elements mapping the facet onto it (= |Stab| by
+  /// orbit–stabilizer, so |orbit| = |G| / stabilizer). `facet` must not
+  /// point into `rep`; interning never moves it, so it may point into any
+  /// row array of the caller's.
+  std::uint32_t canonicalize(std::span<const topology::VertexId> facet,
+                             std::vector<topology::VertexId>& rep);
 
   /// Detaches the vertex-image tables filled so far; the context is spent.
   OrbitImages take_images() && { return std::move(images_); }
@@ -186,6 +183,8 @@ class OrbitContext {
   std::vector<std::vector<StateId>> memo_;
   /// The vertex memo, kept in the form the orbit result retains.
   OrbitImages images_;
+  /// canonicalize's candidate row.
+  std::vector<topology::VertexId> candidate_;
 };
 
 }  // namespace psph::core

@@ -22,11 +22,13 @@ SimplicialComplex pseudosphere(
 
   // Drop positions with empty value sets (Lemma 4, property 2).
   std::vector<ProcessId> live_pids;
-  std::vector<std::vector<StateId>> live_sets;
+  detail::ChoiceTable live_sets;
   for (std::size_t i = 0; i < pids.size(); ++i) {
     if (!value_sets[i].empty()) {
       live_pids.push_back(pids[i]);
-      live_sets.push_back(value_sets[i]);
+      live_sets.states.insert(live_sets.states.end(), value_sets[i].begin(),
+                              value_sets[i].end());
+      live_sets.close_position();
     }
   }
 
@@ -35,9 +37,10 @@ SimplicialComplex pseudosphere(
 
   // All facets of one pseudosphere are distinct and share one dimension, so
   // the bulk insert takes SimplicialComplex::add_facets's pure fast lane.
-  std::vector<topology::Simplex> facets;
-  detail::product_facets(live_pids, live_sets, arena, &facets);
-  result.add_facets(std::move(facets));
+  detail::ExpandScratch scratch;
+  topology::FacetRows facets;
+  detail::product_facets(live_pids, live_sets, arena, scratch, &facets);
+  result.add_facets(facets);
   return result;
 }
 

@@ -59,25 +59,30 @@ topology::SimplicialComplex semisync_round_complex_for_pattern(
       throw std::invalid_argument("failure pattern: microround out of range");
     }
   }
-  const detail::SortedFacet decoded = detail::decode_sorted(input, arena);
-  std::vector<topology::Simplex> facets;
+  detail::SortedFacet decoded;
+  detail::decode_sorted(input.vertices(), arena, decoded);
+  detail::ExpandScratch scratch;
+  topology::FacetRows facets;
   detail::semisync_pattern_facets(decoded, sorted, mu, -1, views, arena,
-                                  &facets);
+                                  scratch, &facets);
   topology::SimplicialComplex result;
-  result.add_facets(std::move(facets));
+  result.add_facets(facets);
   return result;
 }
 
 topology::SimplicialComplex semisync_lemma20_rhs(
     const topology::Simplex& input, const FailurePattern& pattern, int mu,
     ViewRegistry& views, topology::VertexArena& arena) {
-  const detail::SortedFacet decoded = detail::decode_sorted(input, arena);
+  detail::SortedFacet decoded;
+  detail::decode_sorted(input.vertices(), arena, decoded);
+  detail::ExpandScratch scratch;
+  topology::FacetRows facets;
   topology::SimplicialComplex result;
   for (std::size_t j = 0; j < pattern.fail_set.size(); ++j) {
-    std::vector<topology::Simplex> facets;
+    facets.clear();
     detail::semisync_pattern_facets(decoded, pattern, mu, static_cast<int>(j),
-                                    views, arena, &facets);
-    result.add_facets(std::move(facets));
+                                    views, arena, scratch, &facets);
+    result.add_facets(facets);
   }
   return result;
 }
@@ -85,11 +90,13 @@ topology::SimplicialComplex semisync_lemma20_rhs(
 topology::SimplicialComplex semisync_round_complex(
     const topology::Simplex& input, const SemiSyncParams& params,
     ViewRegistry& views, topology::VertexArena& arena) {
-  std::vector<detail::RoundGroup> groups;
-  detail::expand_semisync_round(input, params, views, arena, &groups);
+  detail::ExpandScratch scratch;
+  detail::RoundOutput out;
+  detail::expand_semisync_round(input.vertices(), params, views, arena,
+                                scratch, &out);
   topology::SimplicialComplex result;
-  for (detail::RoundGroup& group : groups) {
-    result.add_facets(std::move(group.facets));
+  for (const detail::RoundGroup& group : out.groups) {
+    result.add_facets(out.facets.rows(group.first, group.last));
   }
   return result;
 }
@@ -100,16 +107,18 @@ topology::SimplicialComplex semisync_protocol_complex_seq(
   if (params.rounds < 1) {
     throw std::invalid_argument("semisync_protocol_complex: rounds < 1");
   }
-  const detail::SortedFacet decoded = detail::decode_sorted(input, arena);
+  detail::SortedFacet decoded;
+  detail::decode_sorted(input.vertices(), arena, decoded);
   const int cap = std::min(params.failures_per_round, params.total_failures);
+  detail::ExpandScratch scratch;
   topology::SimplicialComplex result;
   for (const FailurePattern& pattern : enumerate_failure_patterns(
            decoded.pids, cap, params.micro_rounds)) {
-    std::vector<topology::Simplex> facets;
+    topology::FacetRows facets;
     detail::semisync_pattern_facets(decoded, pattern, params.micro_rounds, -1,
-                                    views, arena, &facets);
+                                    views, arena, scratch, &facets);
     topology::SimplicialComplex round_complex;
-    round_complex.add_facets(std::move(facets));
+    round_complex.add_facets(facets);
     if (params.rounds == 1) {
       result.merge(round_complex);
       continue;

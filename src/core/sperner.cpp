@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <span>
 #include <stdexcept>
 
 #include "topology/subdivision.h"
@@ -77,13 +78,14 @@ std::size_t count_panchromatic(const SpernerInstance& instance) {
     throw std::invalid_argument("count_panchromatic: illegal coloring");
   }
   std::size_t count = 0;
-  instance.complex.for_each_facet([&](const topology::Simplex& facet) {
-    std::set<topology::VertexId> colors;
-    for (topology::VertexId v : facet.vertices()) {
-      colors.insert(instance.coloring[v]);
-    }
-    if (static_cast<int>(colors.size()) == instance.dim + 1) ++count;
-  });
+  instance.complex.for_each_facet(
+      [&](std::span<const topology::VertexId> facet) {
+        std::set<topology::VertexId> colors;
+        for (topology::VertexId v : facet) {
+          colors.insert(instance.coloring[v]);
+        }
+        if (static_cast<int>(colors.size()) == instance.dim + 1) ++count;
+      });
   return count;
 }
 

@@ -18,11 +18,14 @@ topology::SimplicialComplex sync_round_complex_for_failset(
     ViewRegistry& views, topology::VertexArena& arena) {
   std::vector<ProcessId> sorted_k = fail_set;
   std::sort(sorted_k.begin(), sorted_k.end());
-  const detail::SortedFacet decoded = detail::decode_sorted(input, arena);
-  std::vector<topology::Simplex> facets;
-  detail::sync_failset_facets(decoded, sorted_k, {}, views, arena, &facets);
+  detail::SortedFacet decoded;
+  detail::decode_sorted(input.vertices(), arena, decoded);
+  detail::ExpandScratch scratch;
+  topology::FacetRows facets;
+  detail::sync_failset_facets(decoded, sorted_k, {}, views, arena, scratch,
+                              &facets);
   topology::SimplicialComplex result;
-  result.add_facets(std::move(facets));
+  result.add_facets(facets);
   return result;
 }
 
@@ -31,15 +34,18 @@ topology::SimplicialComplex sync_lemma15_rhs(
     ViewRegistry& views, topology::VertexArena& arena) {
   std::vector<ProcessId> sorted_k = fail_set;
   std::sort(sorted_k.begin(), sorted_k.end());
-  const detail::SortedFacet decoded = detail::decode_sorted(input, arena);
+  detail::SortedFacet decoded;
+  detail::decode_sorted(input.vertices(), arena, decoded);
+  detail::ExpandScratch scratch;
+  topology::FacetRows facets;
   topology::SimplicialComplex result;
-  for (ProcessId heard_for_sure : sorted_k) {
+  for (const ProcessId heard_for_sure : sorted_k) {
     // ψ(S\K; 2^{K - {j}}): the views in which j's round message *was*
     // delivered, i.e. the missed set avoids j.
-    std::vector<topology::Simplex> facets;
-    detail::sync_failset_facets(decoded, sorted_k, {heard_for_sure}, views,
-                                arena, &facets);
-    result.add_facets(std::move(facets));
+    facets.clear();
+    detail::sync_failset_facets(decoded, sorted_k, {&heard_for_sure, 1},
+                                views, arena, scratch, &facets);
+    result.add_facets(facets);
   }
   return result;
 }
@@ -47,11 +53,13 @@ topology::SimplicialComplex sync_lemma15_rhs(
 topology::SimplicialComplex sync_round_complex(
     const topology::Simplex& input, const SyncParams& params,
     ViewRegistry& views, topology::VertexArena& arena) {
-  std::vector<detail::RoundGroup> groups;
-  detail::expand_sync_round(input, params, views, arena, &groups);
+  detail::ExpandScratch scratch;
+  detail::RoundOutput out;
+  detail::expand_sync_round(input.vertices(), params, views, arena, scratch,
+                            &out);
   topology::SimplicialComplex result;
-  for (detail::RoundGroup& group : groups) {
-    result.add_facets(std::move(group.facets));
+  for (const detail::RoundGroup& group : out.groups) {
+    result.add_facets(out.facets.rows(group.first, group.last));
   }
   return result;
 }
@@ -62,15 +70,18 @@ topology::SimplicialComplex sync_protocol_complex_seq(
   if (params.rounds < 1) {
     throw std::invalid_argument("sync_protocol_complex: rounds < 1");
   }
-  const detail::SortedFacet decoded = detail::decode_sorted(input, arena);
+  detail::SortedFacet decoded;
+  detail::decode_sorted(input.vertices(), arena, decoded);
   const int cap = std::min(params.failures_per_round, params.total_failures);
+  detail::ExpandScratch scratch;
   topology::SimplicialComplex result;
   for (const std::vector<ProcessId>& fail_set :
        lexicographic_fail_sets(decoded.pids, cap)) {
-    std::vector<topology::Simplex> facets;
-    detail::sync_failset_facets(decoded, fail_set, {}, views, arena, &facets);
+    topology::FacetRows facets;
+    detail::sync_failset_facets(decoded, fail_set, {}, views, arena, scratch,
+                                &facets);
     topology::SimplicialComplex round_complex;
-    round_complex.add_facets(std::move(facets));
+    round_complex.add_facets(facets);
     if (params.rounds == 1) {
       result.merge(round_complex);
       continue;

@@ -15,11 +15,20 @@
 // Hash-consing means two local states arising in different branches of a
 // construction are the same StateId exactly when they are indistinguishable
 // to the process — the similarity structure the paper's proofs live on.
-// Each view is stored once, in id order; the index over it is a flat
-// open-addressing table of (hash, id) entries (util/flat_index.h).
+// Each view is stored once, in id order: its plain fields in one record
+// array, its heard entries end to end with every other view's in one arena.
+// The index over them is a flat open-addressing table of (hash, id) entries
+// (util/flat_index.h). intern_round takes the heard list as a borrowed span
+// and probes without allocating: only a view seen for the first time is
+// copied into the arena.
+//
+// view(id) returns a small value whose `heard` is a span into that arena. It
+// dies when the registry grows, so across any call that can intern, read a
+// view again through its id rather than through a held span.
 
 #include <cstdint>
 #include <set>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -50,13 +59,13 @@ struct HeardEntry {
   }
 };
 
+/// A view as the registry hands it out. `heard` points into the registry's
+/// arena (see the header comment for how long it lives).
 struct View {
   ProcessId pid = -1;
   int round = 0;
-  std::int64_t input = 0;          // meaningful iff round == 0
-  std::vector<HeardEntry> heard;   // sorted by sender; empty iff round == 0
-
-  bool operator==(const View& other) const = default;
+  std::int64_t input = 0;               // meaningful iff round == 0
+  std::span<const HeardEntry> heard;    // sorted by sender; empty iff round 0
 };
 
 struct ViewHash {
@@ -80,19 +89,23 @@ class ViewRegistry {
   /// id would pass util::FlatIndex::kMaxId.
   StateId intern_input(ProcessId pid, std::int64_t input);
 
-  /// Interns a round-r view (r >= 1). `heard` is sorted internally; one
-  /// entry per sender is required. Same ids and limit as intern_input.
+  /// Interns a round-r view (r >= 1). `heard` is borrowed: it is copied into
+  /// a scratch buffer and sorted there, so it may be in any order and may
+  /// point anywhere, this registry's own arena included. One entry per
+  /// sender is required. Same ids and limit as intern_input.
   StateId intern_round(ProcessId pid, int round,
-                       std::vector<HeardEntry> heard);
+                       std::span<const HeardEntry> heard);
 
-  const View& view(StateId id) const;
-  int round(StateId id) const { return view(id).round; }
-  ProcessId pid(StateId id) const { return view(id).pid; }
+  View view(StateId id) const;
+  int round(StateId id) const { return record(id).round; }
+  ProcessId pid(StateId id) const { return record(id).pid; }
 
   /// All input values visible in this view, i.e. inputs of processes the
-  /// owner has (transitively) heard from. Full information means these are
-  /// exactly the values the owner may validly decide.
-  const std::set<std::int64_t>& inputs_seen(StateId id) const;
+  /// owner has (transitively) heard from, ascending. Full information means
+  /// these are exactly the values the owner may validly decide. Memoized
+  /// per id as rows of one value array, so the span dies at the next call
+  /// that fills the memo (any inputs_seen or min_input_seen).
+  std::span<const std::int64_t> inputs_seen(StateId id) const;
 
   /// min of inputs_seen — the canonical FloodSet decision rule.
   std::int64_t min_input_seen(StateId id) const;
@@ -109,14 +122,33 @@ class ViewRegistry {
   /// subset).
   const std::string& to_string(StateId id) const;
 
-  std::size_t size() const { return views_.size(); }
+  std::size_t size() const { return records_.size(); }
 
  private:
-  StateId intern(View v);
+  // A stored view: its plain fields and where its heard entries are.
+  struct Record {
+    ProcessId pid = -1;
+    int round = 0;
+    std::int64_t input = 0;
+    std::size_t heard_begin = 0;
+    std::size_t heard_size = 0;
+  };
+  // A memoized inputs_seen row; size == kUnset while not yet computed.
+  struct SeenRow {
+    std::size_t begin = 0;
+    std::size_t size = kUnset;
+  };
+  static constexpr std::size_t kUnset = static_cast<std::size_t>(-1);
 
-  std::vector<View> views_;  // by StateId
-  util::FlatIndex index_;    // over views_
-  mutable std::unordered_map<StateId, std::set<std::int64_t>> inputs_cache_;
+  const Record& record(StateId id) const;
+  StateId intern(const View& v);
+
+  std::vector<Record> records_;      // by StateId
+  std::vector<HeardEntry> heard_;    // every view's heard entries, end to end
+  util::FlatIndex index_;            // over records_
+  std::vector<HeardEntry> scratch_;  // intern_round's sorted copy
+  mutable std::vector<SeenRow> seen_rows_;        // by StateId
+  mutable std::vector<std::int64_t> seen_values_;  // the rows, end to end
   mutable std::unordered_map<StateId, std::string> string_cache_;
 };
 

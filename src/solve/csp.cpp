@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <span>
 #include <stdexcept>
 
 #include "util/cancel.h"
@@ -23,10 +24,10 @@ CspProblem compile_csp(const topology::SimplicialComplex& protocol, int k,
       protocol.facet_count() *
       static_cast<std::size_t>(std::max(protocol.dimension() + 1, 0)));
   std::vector<int> row;
-  protocol.for_each_facet([&](const topology::Simplex& facet) {
+  protocol.for_each_facet([&](std::span<const topology::VertexId> facet) {
     if ((problem.facets.size() & 4095) == 0) util::poll_deadline();
     row.clear();
-    for (topology::VertexId v : facet.vertices()) {
+    for (topology::VertexId v : facet) {
       dense_of.at(v) = 0;
       row.push_back(static_cast<int>(v));
     }
@@ -53,7 +54,7 @@ CspProblem compile_csp(const topology::SimplicialComplex& protocol, int k,
   const auto seen = [&](const auto& self, core::StateId id) -> std::uint64_t {
     std::uint64_t& memo = seen_of.at(static_cast<std::size_t>(id));
     if (memo != 0) return memo;
-    const core::View& view = views.view(id);
+    const core::View view = views.view(id);
     if (view.round == 0) {
       auto it = std::find(met.begin(), met.end(), view.input);
       if (it == met.end()) {

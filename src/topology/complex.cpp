@@ -4,21 +4,12 @@
 #include <numeric>
 #include <sstream>
 #include <stdexcept>
-#include <unordered_set>
 
 #include "util/cancel.h"
 #include "util/flat_index.h"
 #include "util/hash.h"
 
 namespace psph::topology {
-
-namespace {
-
-std::size_t facet_hash(const Simplex& s) {
-  return util::row_hash(s.vertices().data(), s.size());
-}
-
-}  // namespace
 
 SimplicialComplex::SimplicialComplex(const SimplicialComplex& other) {
   *this = other;
@@ -31,7 +22,7 @@ SimplicialComplex& SimplicialComplex::operator=(
   // them stays race-free; the destination mutex is fresh. Whatever the
   // source has not built is not built for the copy either.
   std::lock_guard<std::mutex> lock(other.cache_mutex_);
-  slots_ = other.slots_;
+  rows_ = other.rows_;
   live_count_ = other.live_count_;
   min_facet_dim_ = other.min_facet_dim_;
   max_facet_dim_ = other.max_facet_dim_;
@@ -42,7 +33,6 @@ SimplicialComplex& SimplicialComplex::operator=(
     by_vertex_.clear();
   }
   by_vertex_built_.store(indexed, std::memory_order_relaxed);
-  index_ = other.index_;
   face_cache_ = other.face_cache_;
   face_depth_.store(other.face_depth_.load(std::memory_order_relaxed),
                     std::memory_order_relaxed);
@@ -57,7 +47,7 @@ SimplicialComplex& SimplicialComplex::operator=(
     SimplicialComplex&& other) noexcept {
   if (this == &other) return *this;
   // Moving-from implies exclusive access to `other`; no lock needed.
-  slots_ = std::move(other.slots_);
+  rows_ = std::move(other.rows_);
   live_count_ = other.live_count_;
   min_facet_dim_ = other.min_facet_dim_;
   max_facet_dim_ = other.max_facet_dim_;
@@ -65,14 +55,13 @@ SimplicialComplex& SimplicialComplex::operator=(
   by_vertex_built_.store(
       other.by_vertex_built_.load(std::memory_order_relaxed),
       std::memory_order_relaxed);
-  index_ = std::move(other.index_);
   face_cache_ = std::move(other.face_cache_);
   face_depth_.store(other.face_depth_.load(std::memory_order_relaxed),
                     std::memory_order_relaxed);
+  other.rows_.clear();
   other.live_count_ = 0;
   other.min_facet_dim_ = std::numeric_limits<int>::max();
   other.max_facet_dim_ = -1;
-  other.index_.clear();
   other.by_vertex_built_.store(false, std::memory_order_relaxed);
   other.face_depth_.store(-1, std::memory_order_relaxed);
   return *this;
@@ -82,7 +71,11 @@ void SimplicialComplex::add_facet(Simplex s) {
   if (s.empty()) {
     throw std::invalid_argument("add_facet: empty simplex");
   }
-  const std::size_t hash = facet_hash(s);
+  add_row(s.vertices());
+}
+
+void SimplicialComplex::add_row(std::span<const VertexId> s) {
+  const std::uint64_t hash = row_hash(s);
   if (has_facet(s, hash)) return;
   if (dominated(s)) return;
   invalidate_face_cache();
@@ -93,11 +86,12 @@ void SimplicialComplex::add_facet(Simplex s) {
   // scanning the per-vertex slot lists of s's vertices — filtered to lower
   // dimension — finds them all. On pure complexes both scans are no-ops, so
   // bulk construction (pseudosphere products) is O(1) per facet. A removed
-  // facet's index entry goes stale in place (see index_).
-  if (min_facet_dim_ < s.dimension()) {
+  // facet's slot empties in place (see rows_).
+  const int dim = static_cast<int>(s.size()) - 1;
+  if (min_facet_dim_ < dim) {
     build_vertex_index();
     std::vector<std::size_t> candidates;
-    for (VertexId v : s.vertices()) {
+    for (VertexId v : s) {
       const auto it = by_vertex_.find(v);
       if (it == by_vertex_.end()) continue;
       for (std::size_t slot : it->second) candidates.push_back(slot);
@@ -106,52 +100,49 @@ void SimplicialComplex::add_facet(Simplex s) {
     candidates.erase(std::unique(candidates.begin(), candidates.end()),
                      candidates.end());
     for (std::size_t slot : candidates) {
-      const Simplex& facet = slots_[slot];
+      const std::span<const VertexId> facet = rows_[slot];
       if (facet.empty()) continue;  // tombstone
-      if (facet.dimension() < s.dimension() && facet.is_face_of(s)) {
-        slots_[slot] = Simplex();
+      if (facet.size() < s.size() &&
+          std::includes(s.begin(), s.end(), facet.begin(), facet.end())) {
+        rows_.erase(slot);
         --live_count_;
       }
     }
   }
-  append_facet(std::move(s), hash);
+  note_facet(rows_.insert(s, hash).first, s);
 }
 
-bool SimplicialComplex::dominated(const Simplex& s) const {
+bool SimplicialComplex::dominated(std::span<const VertexId> s) const {
   // Only *strictly* larger facets can properly contain s (improper
   // containment, i.e. equality, is handled by the facet-index lookups at
   // the call sites). A facet containing s must contain s's first vertex.
-  if (max_facet_dim_ <= s.dimension()) return false;
+  if (max_facet_dim_ <= static_cast<int>(s.size()) - 1) return false;
   build_vertex_index();
   const auto it = by_vertex_.find(s[0]);
   if (it == by_vertex_.end()) return false;
   for (std::size_t slot : it->second) {
-    const Simplex& facet = slots_[slot];
-    if (!facet.empty() && facet.dimension() > s.dimension() &&
-        s.is_face_of(facet)) {
+    const std::span<const VertexId> facet = rows_[slot];
+    if (facet.size() > s.size() &&
+        std::includes(facet.begin(), facet.end(), s.begin(), s.end())) {
       return true;
     }
   }
   return false;
 }
 
-bool SimplicialComplex::has_facet(const Simplex& s,
-                                  std::size_t hash) const {
-  return index_.find(hash, [&](std::size_t slot) {
-           return slots_[slot] == s;
-         }) != util::FlatIndex::kAbsent;
+bool SimplicialComplex::has_facet(std::span<const VertexId> s,
+                                  std::uint64_t hash) const {
+  return rows_.find(s, hash) != util::FlatIndex::kAbsent;
 }
 
-void SimplicialComplex::append_facet(Simplex s, std::size_t hash) {
-  reserve_index(1);
-  const std::size_t slot = slots_.size();
-  index_.insert(hash, slot);
+void SimplicialComplex::note_facet(std::size_t slot,
+                                   std::span<const VertexId> s) {
   if (by_vertex_built_.load(std::memory_order_relaxed)) {
-    for (VertexId v : s.vertices()) by_vertex_[v].push_back(slot);
+    for (VertexId v : s) by_vertex_[v].push_back(slot);
   }
-  min_facet_dim_ = std::min(min_facet_dim_, s.dimension());
-  max_facet_dim_ = std::max(max_facet_dim_, s.dimension());
-  slots_.push_back(std::move(s));
+  const int dim = static_cast<int>(s.size()) - 1;
+  min_facet_dim_ = std::min(min_facet_dim_, dim);
+  max_facet_dim_ = std::max(max_facet_dim_, dim);
   ++live_count_;
 }
 
@@ -160,86 +151,71 @@ void SimplicialComplex::build_vertex_index() const {
   std::lock_guard<std::mutex> lock(cache_mutex_);
   if (by_vertex_built_.load(std::memory_order_relaxed)) return;
   by_vertex_.clear();
-  for (std::size_t slot = 0; slot < slots_.size(); ++slot) {
-    for (VertexId v : slots_[slot].vertices()) by_vertex_[v].push_back(slot);
+  for (std::size_t slot = 0; slot < rows_.size(); ++slot) {
+    for (VertexId v : rows_[slot]) by_vertex_[v].push_back(slot);
   }
   by_vertex_built_.store(true, std::memory_order_release);
 }
 
-void SimplicialComplex::reserve_index(std::size_t more) {
-  // A grow drops the stale entries (erased facets' tombstone slots); every
-  // live facet has exactly one entry.
-  index_.reserve(more, [this](std::size_t slot) {
-    return !slots_[slot].empty();
-  });
-}
-
-void SimplicialComplex::add_facets(std::vector<Simplex> facets) {
+void SimplicialComplex::add_facets(RowSpan facets) {
   if (facets.empty()) return;
-  int batch_dim = facets[0].dimension();
-  for (const Simplex& s : facets) {
-    if (s.empty()) throw std::invalid_argument("add_facet: empty simplex");
-    if (s.dimension() != batch_dim) batch_dim = -2;  // mixed batch
+  const std::size_t batch_width = facets[0].size();
+  bool pure = true;
+  for (std::size_t i = 0; i < facets.size(); ++i) {
+    const std::span<const VertexId> row = facets[i];
+    if (row.empty()) throw std::invalid_argument("add_facet: empty simplex");
+    if (std::adjacent_find(row.begin(), row.end(),
+                           std::greater_equal<VertexId>()) != row.end()) {
+      throw std::invalid_argument(
+          "add_facets: a row is not strictly increasing");
+    }
+    if (row.size() != batch_width) pure = false;  // mixed batch
   }
-  // Growth policy: room for the whole batch, at least doubling. Sizing to
-  // exactly size + batch would reallocate the slots and rehash the index
-  // on every small batch, which makes batched construction quadratic.
-  const std::size_t want = slots_.size() + facets.size();
-  if (want > slots_.capacity()) {
-    slots_.reserve(std::max(want, 2 * slots_.capacity()));
-  }
-  reserve_index(facets.size());
+  // Growth policy: room for the whole batch, at least doubling (rows.h).
+  rows_.reserve(facets.size(), facets.vertex_count());
+  const int batch_dim = static_cast<int>(batch_width) - 1;
   const bool complex_compatible =
       live_count_ == 0 ||
       (min_facet_dim_ == batch_dim && max_facet_dim_ == batch_dim);
-  if (batch_dim < 0 || !complex_compatible) {
+  if (!pure || !complex_compatible) {
     // Mixed dimensions somewhere: domination is possible, take the scanning
     // path facet by facet.
-    for (Simplex& s : facets) add_facet(std::move(s));
+    for (std::size_t i = 0; i < facets.size(); ++i) add_row(facets[i]);
     return;
   }
   // Pure fast lane: every live facet and every incoming facet has dimension
   // batch_dim, so no facet can strictly contain another — domination scans
   // are provably no-ops and only exact-duplicate detection remains.
   invalidate_face_cache();
-  for (Simplex& s : facets) {
-    const std::size_t hash = facet_hash(s);
-    if (has_facet(s, hash)) continue;  // exact duplicate
-    append_facet(std::move(s), hash);
+  for (std::size_t i = 0; i < facets.size(); ++i) {
+    const std::span<const VertexId> row = facets[i];
+    const auto [slot, added] = rows_.insert(row, row_hash(row));
+    if (added) note_facet(slot, row);  // else an exact duplicate
   }
 }
 
 void SimplicialComplex::merge(const SimplicialComplex& other) {
   // Batch through add_facets so pure-into-pure merges (unions of equal-rank
   // pseudospheres) take the fast lane.
-  std::vector<Simplex> batch;
-  batch.reserve(other.live_count_);
-  for (const Simplex& facet : other.slots_) {
-    if (!facet.empty()) batch.push_back(facet);
-  }
-  add_facets(std::move(batch));
+  FacetRows batch;
+  other.for_each_facet(
+      [&](std::span<const VertexId> facet) { batch.push_back(facet); });
+  add_facets(batch);
 }
 
 std::vector<Simplex> SimplicialComplex::facets() const {
   std::vector<Simplex> result;
   result.reserve(live_count_);
-  for (const Simplex& facet : slots_) {
-    if (!facet.empty()) result.push_back(facet);
-  }
+  for_each_facet(
+      [&](std::span<const VertexId> facet) { result.emplace_back(facet); });
   std::sort(result.begin(), result.end());
   return result;
 }
 
-void SimplicialComplex::for_each_facet(
-    const std::function<void(const Simplex&)>& fn) const {
-  for (const Simplex& facet : slots_) {
-    if (!facet.empty()) fn(facet);
-  }
-}
-
 bool SimplicialComplex::contains(const Simplex& s) const {
   if (s.empty()) return !empty();
-  return dominated(s) || has_facet(s, facet_hash(s));
+  return dominated(s.vertices()) ||
+         has_facet(s.vertices(), row_hash(s.vertices()));
 }
 
 void SimplicialComplex::invalidate_face_cache() {
@@ -273,17 +249,17 @@ void SimplicialComplex::build_face_levels(int depth) const {
   // that builds the cache. Rows live in one flat array per level, so no
   // face costs an allocation of its own. A build that stops short of
   // dimension() starts from the (top+1)-subsets of every taller facet.
-  std::vector<std::vector<const Simplex*>> facets_by_dim(top + 1);
-  std::vector<const Simplex*> taller;
-  for (const Simplex& facet : slots_) {
-    if (facet.empty()) continue;
-    const std::size_t d = static_cast<std::size_t>(facet.dimension());
+  using Row = std::span<const VertexId>;
+  std::vector<std::vector<Row>> facets_by_dim(top + 1);
+  std::vector<Row> taller;
+  for_each_facet([&](Row facet) {
+    const std::size_t d = facet.size() - 1;
     if (d > top) {
-      taller.push_back(&facet);
+      taller.push_back(facet);
     } else if (d >= bottom) {
-      facets_by_dim[d].push_back(&facet);
+      facets_by_dim[d].push_back(facet);
     }
-  }
+  });
 
   // Cooperative cancellation (util/cancel.h): polled once per level and
   // every 4096 rows. A throw leaves face_depth_ as it was (warm_face_cache
@@ -296,7 +272,7 @@ void SimplicialComplex::build_face_levels(int depth) const {
   std::vector<std::size_t> pick(top + 1);
   for (std::size_t width = top + 1; width > bottom; --width) {
     util::poll_deadline();
-    const std::vector<const Simplex*>& own = facets_by_dim[width - 1];
+    const std::vector<Row>& own = facets_by_dim[width - 1];
     FaceTable* above = width <= top ? &face_cache_[width] : nullptr;
     const std::size_t above_count =
         above != nullptr ? above->rows.size() / (width + 1) : 0;
@@ -318,16 +294,14 @@ void SimplicialComplex::build_face_levels(int depth) const {
       }
       return id;
     };
-    if (above == nullptr && taller.empty()) {
+    // Where row id i's vertices are: the facet rows themselves at the top
+    // of a full build, else this level's pool.
+    const bool top_of_full = above == nullptr && taller.empty();
+    if (top_of_full) {
       // Top level of a full build: only facets, which the facet index keeps
-      // distinct, so no intern table is needed (skipping it lowers the
-      // build's peak memory).
-      pool.reserve(own.size() * width);
-      for (; n < own.size(); ++n) {
-        poll_every_4096(n);
-        pool.insert(pool.end(), own[n]->vertices().begin(),
-                    own[n]->vertices().end());
-      }
+      // distinct, so the level is read straight from the facet rows, with
+      // no intern table and no pool.
+      n = own.size();
     } else if (above == nullptr) {
       // Top level of a shallow build: this level's facets plus every
       // width-subset of every taller facet. C(k, width) per facet bounds
@@ -335,11 +309,11 @@ void SimplicialComplex::build_face_levels(int depth) const {
       // the pool start small and double.
       for (std::size_t i = 0; i < own.size(); ++i) {
         poll_every_4096(i);
-        intern(own[i]->vertices().data());
+        intern(own[i].data());
       }
       for (std::size_t f = 0; f < taller.size(); ++f) {
         poll_every_4096(f);
-        const std::vector<VertexId>& vertices = taller[f]->vertices();
+        const Row vertices = taller[f];
         const std::size_t k = vertices.size();
         // Subsets as increasing index picks in lexicographic order; the
         // facet's vertices are sorted, so every key is a sorted row.
@@ -370,7 +344,7 @@ void SimplicialComplex::build_face_levels(int depth) const {
       // table so probes from above dedup against them.
       for (std::size_t i = 0; i < own.size(); ++i) {
         poll_every_4096(i);
-        intern(own[i]->vertices().data());
+        intern(own[i].data());
       }
       above->boundary_links.resize(above_count * (width + 1));
       std::size_t* link = above->boundary_links.data();
@@ -387,19 +361,19 @@ void SimplicialComplex::build_face_levels(int depth) const {
     // Sort this level by permuting row ids; fix the links recorded for the
     // level above in place. Rows of one width compare lexicographically
     // exactly as the Simplexes they spell.
+    const auto row = [&](std::uint32_t id) {
+      return top_of_full ? own[id].data() : pool.data() + id * width;
+    };
     std::vector<std::uint32_t> perm(n);
     std::iota(perm.begin(), perm.end(), 0u);
-    const VertexId* rows = pool.data();
-    std::sort(perm.begin(), perm.end(),
-              [rows, width](std::uint32_t a, std::uint32_t b) {
-                return std::lexicographical_compare(
-                    rows + a * width, rows + (a + 1) * width,
-                    rows + b * width, rows + (b + 1) * width);
-              });
+    std::sort(perm.begin(), perm.end(), [&](std::uint32_t a, std::uint32_t b) {
+      return std::lexicographical_compare(row(a), row(a) + width, row(b),
+                                          row(b) + width);
+    });
     FaceTable& level = face_cache_[width - 1];
     level.rows.resize(n * width);
     for (std::size_t i = 0; i < n; ++i) {
-      std::copy(rows + perm[i] * width, rows + (perm[i] + 1) * width,
+      std::copy(row(perm[i]), row(perm[i]) + width,
                 level.rows.begin() + static_cast<std::ptrdiff_t>(i * width));
     }
     if (above != nullptr) {
@@ -521,13 +495,12 @@ std::size_t SimplicialComplex::count_of_dim(int d) const {
 }
 
 std::vector<VertexId> SimplicialComplex::vertex_ids() const {
-  std::unordered_set<VertexId> seen;
-  for (const Simplex& facet : slots_) {
-    if (facet.empty()) continue;
-    for (VertexId v : facet.vertices()) seen.insert(v);
-  }
-  std::vector<VertexId> result(seen.begin(), seen.end());
+  std::vector<VertexId> result;
+  for_each_facet([&](std::span<const VertexId> facet) {
+    result.insert(result.end(), facet.begin(), facet.end());
+  });
   std::sort(result.begin(), result.end());
+  result.erase(std::unique(result.begin(), result.end()), result.end());
   return result;
 }
 
@@ -552,38 +525,41 @@ long long SimplicialComplex::euler_characteristic() const {
 }
 
 bool SimplicialComplex::is_pure() const {
-  for (const Simplex& facet : slots_) {
-    if (!facet.empty() && facet.dimension() != max_facet_dim_) return false;
-  }
-  return true;
+  bool pure = true;
+  for_each_facet([&](std::span<const VertexId> facet) {
+    if (static_cast<int>(facet.size()) - 1 != max_facet_dim_) pure = false;
+  });
+  return pure;
 }
 
 bool SimplicialComplex::operator==(const SimplicialComplex& other) const {
   if (live_count_ != other.live_count_) return false;
-  for (const Simplex& facet : slots_) {
-    if (!facet.empty() && !other.has_facet(facet, facet_hash(facet))) {
-      return false;
-    }
-  }
-  return true;
+  bool equal = true;
+  for_each_facet([&](std::span<const VertexId> facet) {
+    if (equal && !other.has_facet(facet, row_hash(facet))) equal = false;
+  });
+  return equal;
 }
 
 bool SimplicialComplex::is_subcomplex_of(
     const SimplicialComplex& other) const {
-  for (const Simplex& facet : slots_) {
-    if (!facet.empty() && !other.contains(facet)) return false;
-  }
-  return true;
+  bool sub = true;
+  for_each_facet([&](std::span<const VertexId> facet) {
+    if (sub && !other.dominated(facet) &&
+        !other.has_facet(facet, row_hash(facet))) {
+      sub = false;
+    }
+  });
+  return sub;
 }
 
 SimplicialComplex SimplicialComplex::apply_vertex_map(
     const std::function<VertexId(VertexId)>& map, bool allow_collapse) const {
   SimplicialComplex image;
-  for (const Simplex& facet : slots_) {
-    if (facet.empty()) continue;
+  for_each_facet([&](std::span<const VertexId> facet) {
     std::vector<VertexId> mapped;
     mapped.reserve(facet.size());
-    for (VertexId v : facet.vertices()) mapped.push_back(map(v));
+    for (VertexId v : facet) mapped.push_back(map(v));
     std::sort(mapped.begin(), mapped.end());
     const auto dup = std::unique(mapped.begin(), mapped.end());
     if (dup != mapped.end()) {
@@ -595,7 +571,7 @@ SimplicialComplex SimplicialComplex::apply_vertex_map(
       mapped.erase(dup, mapped.end());
     }
     image.add_facet(Simplex(std::move(mapped)));
-  }
+  });
   return image;
 }
 

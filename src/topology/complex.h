@@ -7,6 +7,12 @@
 // maintains maximality: dominated insertions are dropped and newly dominated
 // facets are removed, so unions of pseudospheres deduplicate automatically.
 //
+// The facets are sorted vertex rows in one topology::RowSet (rows.h): one
+// vertex array with a slot per facet under the facet index, no heap vector
+// per facet. A facet removed by domination leaves its slot empty (a
+// tombstone), so slot order is insertion order with the removed facets
+// skipped, and for_each_facet visits the live rows in that order.
+//
 // Face queries (simplices_of_dim, count_of_dim, f_vector,
 // euler_characteristic, boundary matrices) all read one lazily built
 // per-dimension face table, built only as deep as the deepest dimension
@@ -28,13 +34,14 @@
 #include <functional>
 #include <limits>
 #include <mutex>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "topology/rows.h"
 #include "topology/simplex.h"
 #include "topology/types.h"
-#include "util/flat_index.h"
 
 namespace psph::topology {
 
@@ -51,15 +58,17 @@ class SimplicialComplex {
   /// Inserting the empty simplex is rejected.
   void add_facet(Simplex s);
 
-  /// Inserts a batch of candidate facets, equivalent to add_facet in a
-  /// loop. When every incoming facet has one dimension d and the complex is
-  /// empty or pure of the same dimension (the common case when unioning
+  /// Inserts a batch of candidate facets, each a nonempty, strictly
+  /// increasing vertex row (std::invalid_argument otherwise, before any is
+  /// inserted); equivalent to add_facet in a loop, widths may mix. When
+  /// every incoming facet has one dimension d and the complex is empty or
+  /// pure of the same dimension (the common case when unioning
   /// pseudospheres), insertion takes a fast lane that skips the per-facet
   /// domination scans entirely — only the exact-duplicate hash check
   /// remains. Mixed-dimension batches fall back to add_facet per facet.
   /// The facet tables grow geometrically, so many small batches cost the
   /// same amortized time per facet as one large one.
-  void add_facets(std::vector<Simplex> facets);
+  void add_facets(RowSpan facets);
 
   /// Inserts every facet of `other`.
   void merge(const SimplicialComplex& other);
@@ -75,8 +84,16 @@ class SimplicialComplex {
   /// Snapshot of the current facets in deterministic (sorted) order.
   std::vector<Simplex> facets() const;
 
-  /// Calls `fn` for each facet (unspecified order, no allocation of a copy).
-  void for_each_facet(const std::function<void(const Simplex&)>& fn) const;
+  /// Calls `fn` with each facet's vertex row (a std::span<const VertexId>),
+  /// in slot order: insertion order with removed facets skipped. Nothing is
+  /// copied; `fn` must not mutate the complex.
+  template <typename Fn>
+  void for_each_facet(Fn&& fn) const {
+    for (std::size_t slot = 0; slot < rows_.size(); ++slot) {
+      const std::span<const VertexId> row = rows_[slot];
+      if (!row.empty()) fn(row);
+    }
+  }
 
   /// True if `s` is a face of some facet. The empty simplex is contained in
   /// every nonempty complex.
@@ -120,8 +137,8 @@ class SimplicialComplex {
   /// query builds the rest again.
   void warm_face_cache(int depth = std::numeric_limits<int>::max()) const;
 
-  /// All vertex ids used by at least one facet, sorted. Does not touch the
-  /// face cache (linear in the facet representation).
+  /// All vertex ids used by at least one facet, sorted: sort and unique
+  /// over a copy of the facet rows. Does not touch the face cache.
   std::vector<VertexId> vertex_ids() const;
 
   /// f-vector: entry d is the number of d-simplexes, d = 0..dimension().
@@ -167,18 +184,22 @@ class SimplicialComplex {
     std::unordered_map<Simplex, std::size_t, SimplexHash, SimplexEq> index;
   };
 
-  bool dominated(const Simplex& s) const;
-  bool has_facet(const Simplex& s, std::size_t hash) const;
-  void append_facet(Simplex s, std::size_t hash);
-  void reserve_index(std::size_t more);
+  void add_row(std::span<const VertexId> s);
+  bool dominated(std::span<const VertexId> s) const;
+  bool has_facet(std::span<const VertexId> s, std::uint64_t hash) const;
+  // Records a facet just stored in `slot` (per-vertex index, dimensions).
+  void note_facet(std::size_t slot, std::span<const VertexId> s);
   void build_vertex_index() const;
   void invalidate_face_cache();
   void build_face_levels(int depth) const;
   const FaceTable* face_table(int d) const;
   FaceTable& materialize_faces(int d) const;
 
-  // Stable slots; erased facets become empty simplexes (tombstones).
-  std::vector<Simplex> slots_;
+  // The facets, one slot each, under the facet index (kept at most 3/4
+  // full). Erasing a facet empties its slot in place (a tombstone) and
+  // leaves its index entry behind, matching no live row; the next grow
+  // drops it.
+  RowSet rows_{3};
   std::size_t live_count_ = 0;
   // Bounds on live facet dimensions, gating the domination scans so
   // pure-complex bulk inserts are O(1). The max is *exact*: add_facet only
@@ -193,10 +214,6 @@ class SimplicialComplex {
   // and maintained by every insertion after that.
   mutable std::unordered_map<VertexId, std::vector<std::size_t>> by_vertex_;
   mutable std::atomic<bool> by_vertex_built_{false};
-  // Facet index over slots_ ids, at most 3/4 full. Erasing a facet leaves
-  // its entry behind pointing at a tombstone slot, which never equals a
-  // live key; the next grow drops it.
-  util::FlatIndex index_{3};
 
   // Lazily built face lattice, entry d = FaceTable for the d-simplexes:
   // dimension() + 1 entries once anything is built, of which 0..face_depth_

@@ -1,5 +1,6 @@
 #include "topology/components.h"
 
+#include <span>
 #include <utility>
 
 #include "obs/obs.h"
@@ -59,10 +60,10 @@ ComponentCounter components_of(const SimplicialComplex& k) {
   obs::SpanTimer span("homology.components");
   ComponentCounter counter;
   std::size_t rows = 0;
-  k.for_each_facet([&](const Simplex& facet) {
+  k.for_each_facet([&](std::span<const VertexId> facet) {
     // Cooperative cancellation (util/cancel.h), every 4096 facets.
     if ((rows++ & 4095) == 0) util::poll_deadline();
-    counter.add_row(facet.vertices());
+    counter.add_row(facet.data(), facet.size());
   });
   return counter;
 }

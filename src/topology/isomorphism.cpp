@@ -1,6 +1,7 @@
 #include "topology/isomorphism.h"
 
 #include <algorithm>
+#include <span>
 #include <unordered_set>
 
 namespace psph::topology {
@@ -19,17 +20,17 @@ bool is_isomorphism(const SimplicialComplex& a, const SimplicialComplex& b,
 
   if (a.facet_count() != b.facet_count()) return false;
   bool ok = true;
-  a.for_each_facet([&](const Simplex& facet) {
+  a.for_each_facet([&](std::span<const VertexId> facet) {
     if (!ok) return;
     std::vector<VertexId> mapped;
     mapped.reserve(facet.size());
-    for (VertexId v : facet.vertices()) mapped.push_back(map.at(v));
+    for (VertexId v : facet) mapped.push_back(map.at(v));
     Simplex image_facet{std::move(mapped)};
     // The image must itself be a facet of b (not merely contained): facets
     // must map onto facets for the inverse map to be simplicial too.
     bool is_facet = false;
-    b.for_each_facet([&](const Simplex& g) {
-      if (g == image_facet) is_facet = true;
+    b.for_each_facet([&](std::span<const VertexId> g) {
+      if (row_equal(g, image_facet.vertices())) is_facet = true;
     });
     if (!is_facet) ok = false;
   });
@@ -44,9 +45,9 @@ ComplexFingerprint fingerprint(const SimplicialComplex& k) {
   ComplexFingerprint fp;
   fp.f_vector = k.f_vector();
   std::unordered_map<VertexId, std::size_t> degree;
-  k.for_each_facet([&](const Simplex& facet) {
-    fp.facet_dimensions.push_back(facet.dimension());
-    for (VertexId v : facet.vertices()) ++degree[v];
+  k.for_each_facet([&](std::span<const VertexId> facet) {
+    fp.facet_dimensions.push_back(static_cast<int>(facet.size()) - 1);
+    for (VertexId v : facet) ++degree[v];
   });
   for (const auto& [v, d] : degree) fp.vertex_degrees.push_back(d);
   std::sort(fp.vertex_degrees.begin(), fp.vertex_degrees.end());
@@ -71,11 +72,11 @@ bool full_check(const SearchState& state) {
   bool ok = true;
   std::unordered_set<Simplex, SimplexHash> facets_b;
   state.b->for_each_facet(
-      [&](const Simplex& g) { facets_b.insert(g); });
-  state.a->for_each_facet([&](const Simplex& facet) {
+      [&](std::span<const VertexId> g) { facets_b.insert(Simplex(g)); });
+  state.a->for_each_facet([&](std::span<const VertexId> facet) {
     if (!ok) return;
     std::vector<VertexId> mapped;
-    for (VertexId v : facet.vertices()) mapped.push_back(state.forward.at(v));
+    for (VertexId v : facet) mapped.push_back(state.forward.at(v));
     if (facets_b.count(Simplex{std::move(mapped)}) == 0) ok = false;
   });
   return ok;
@@ -91,10 +92,12 @@ bool backtrack(SearchState& state, std::size_t index) {
     // Cheap local pruning: every fully mapped facet of `a` restricted to the
     // assigned vertices must be a simplex of `b`.
     bool feasible = true;
-    state.a->for_each_facet([&](const Simplex& facet) {
-      if (!feasible || !facet.contains(v)) return;
+    state.a->for_each_facet([&](std::span<const VertexId> facet) {
+      if (!feasible || !std::binary_search(facet.begin(), facet.end(), v)) {
+        return;
+      }
       std::vector<VertexId> mapped;
-      for (VertexId u : facet.vertices()) {
+      for (VertexId u : facet) {
         const auto it = state.forward.find(u);
         if (it != state.forward.end()) mapped.push_back(it->second);
       }

@@ -1,6 +1,7 @@
 #include "topology/operations.h"
 
 #include <algorithm>
+#include <span>
 #include <stdexcept>
 #include <unordered_set>
 
@@ -38,15 +39,19 @@ SimplicialComplex intersection_of(const SimplicialComplex& a,
 
 SimplicialComplex star(const SimplicialComplex& k, const Simplex& s) {
   SimplicialComplex result;
-  k.for_each_facet([&](const Simplex& facet) {
-    if (s.is_face_of(facet)) result.add_facet(facet);
+  k.for_each_facet([&](std::span<const VertexId> facet) {
+    if (std::includes(facet.begin(), facet.end(), s.vertices().begin(),
+                      s.vertices().end())) {
+      result.add_facet(Simplex(facet));
+    }
   });
   return result;
 }
 
 SimplicialComplex link(const SimplicialComplex& k, const Simplex& s) {
   SimplicialComplex result;
-  k.for_each_facet([&](const Simplex& facet) {
+  k.for_each_facet([&](std::span<const VertexId> facet_row) {
+    const Simplex facet(facet_row);
     if (!s.is_face_of(facet)) return;
     // The link contribution of this facet is facet \ s.
     Simplex remainder = facet;
@@ -59,7 +64,8 @@ SimplicialComplex link(const SimplicialComplex& k, const Simplex& s) {
 SimplicialComplex skeleton(const SimplicialComplex& k, int d) {
   SimplicialComplex result;
   if (d < 0) return result;
-  k.for_each_facet([&](const Simplex& facet) {
+  k.for_each_facet([&](std::span<const VertexId> facet_row) {
+    const Simplex facet(facet_row);
     if (facet.dimension() <= d) {
       result.add_facet(facet);
     } else {
@@ -85,9 +91,9 @@ SimplicialComplex join(const SimplicialComplex& a,
     throw std::invalid_argument("join: vertex sets are not disjoint");
   }
   SimplicialComplex result;
-  a.for_each_facet([&](const Simplex& fa) {
-    b.for_each_facet([&](const Simplex& fb) {
-      result.add_facet(fa.unite(fb));
+  a.for_each_facet([&](std::span<const VertexId> fa) {
+    b.for_each_facet([&](std::span<const VertexId> fb) {
+      result.add_facet(Simplex(fa).unite(Simplex(fb)));
     });
   });
   return result;
@@ -97,9 +103,9 @@ SimplicialComplex induced(const SimplicialComplex& k,
                           const std::vector<VertexId>& keep) {
   std::unordered_set<VertexId> allowed(keep.begin(), keep.end());
   SimplicialComplex result;
-  k.for_each_facet([&](const Simplex& facet) {
+  k.for_each_facet([&](std::span<const VertexId> facet) {
     std::vector<VertexId> kept;
-    for (VertexId v : facet.vertices()) {
+    for (VertexId v : facet) {
       if (allowed.count(v) != 0) kept.push_back(v);
     }
     if (!kept.empty()) result.add_facet(Simplex(std::move(kept)));

@@ -17,6 +17,9 @@ Simplex::Simplex(std::vector<VertexId> vertices)
   }
 }
 
+Simplex::Simplex(std::span<const VertexId> vertices)
+    : Simplex(std::vector<VertexId>(vertices.begin(), vertices.end())) {}
+
 Simplex::Simplex(std::initializer_list<VertexId> vertices)
     : Simplex(std::vector<VertexId>(vertices)) {}
 

@@ -6,6 +6,7 @@
 
 #include <cstddef>
 #include <initializer_list>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -21,6 +22,7 @@ class Simplex {
 
   /// Builds a simplex from vertices; sorts them and rejects duplicates.
   explicit Simplex(std::vector<VertexId> vertices);
+  explicit Simplex(std::span<const VertexId> vertices);
   Simplex(std::initializer_list<VertexId> vertices);
 
   /// Number of vertices minus one; the empty simplex has dimension -1.

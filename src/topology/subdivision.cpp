@@ -1,6 +1,7 @@
 #include "topology/subdivision.h"
 
 #include <functional>
+#include <span>
 #include <unordered_map>
 
 namespace psph::topology {
@@ -22,8 +23,8 @@ Subdivision barycentric_subdivision(const SimplicialComplex& k) {
   // through a facet of dimension d has the form σ_0 ⊂ ... ⊂ σ_d with
   // dim σ_i = i; equivalently an ordering v_0, v_1, ... of the facet's
   // vertices where σ_i = {v_0..v_i}. So chains correspond to permutations.
-  k.for_each_facet([&](const Simplex& facet) {
-    std::vector<VertexId> order(facet.vertices());
+  k.for_each_facet([&](std::span<const VertexId> facet) {
+    std::vector<VertexId> order(facet.begin(), facet.end());
     // Heap's-algorithm-free approach: recurse over "which vertex joins next".
     std::vector<VertexId> chain_vertices;
     std::vector<VertexId> prefix;

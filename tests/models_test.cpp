@@ -186,9 +186,9 @@ TEST(SyncFigure3, OneRoundThreeProcessesOneFailure) {
   EXPECT_EQ(s1.count_of_dim(0), 9u);
   EXPECT_EQ(s1.facet_count(), 10u);
   std::size_t triangles = 0, edges = 0;
-  s1.for_each_facet([&](const topology::Simplex& facet) {
-    if (facet.dimension() == 2) ++triangles;
-    if (facet.dimension() == 1) ++edges;
+  s1.for_each_facet([&](std::span<const topology::VertexId> facet) {
+    if (facet.size() == 3) ++triangles;
+    if (facet.size() == 2) ++edges;
   });
   EXPECT_EQ(triangles, 1u);
   EXPECT_EQ(edges, 9u);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "core/agreement.h"
@@ -155,10 +156,10 @@ SearchResult search_decision_map(const topology::SimplicialComplex& protocol,
     problem.domain.push_back(core::allowed_values(v, views, arena));
   }
   problem.facets_of.assign(problem.vertices.size(), {});
-  protocol.for_each_facet([&](const topology::Simplex& facet) {
+  protocol.for_each_facet([&](std::span<const topology::VertexId> facet) {
     std::vector<int> indices;
     indices.reserve(facet.size());
-    for (topology::VertexId v : facet.vertices()) {
+    for (topology::VertexId v : facet) {
       indices.push_back(problem.index.at(v));
     }
     const int facet_id = static_cast<int>(problem.facets.size());

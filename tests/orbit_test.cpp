@@ -15,6 +15,7 @@
 #include <chrono>
 #include <cstdint>
 #include <numeric>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -31,6 +32,7 @@
 namespace {
 
 using namespace psph;
+using Heard = std::vector<core::HeardEntry>;
 
 std::uint64_t factorial(int n) {
   std::uint64_t f = 1;
@@ -95,14 +97,17 @@ TEST(OrbitContextTest, OrbitMembersShareOneCanonicalForm) {
 
   core::OrbitContext ctx(
       core::SymmetryGroup::for_input_facet(input, views, arena), views, arena);
+  std::vector<topology::VertexId> rep;
+  std::vector<topology::VertexId> image_rep;
   for (const topology::Simplex& facet : complex.facets()) {
-    const core::CanonicalFacet canon = ctx.canonicalize(facet);
+    const std::uint32_t stabilizer = ctx.canonicalize(facet.vertices(), rep);
     // Every group image of the facet canonicalizes to the same rep, and the
     // stabilizer divides the group order (orbit–stabilizer).
-    EXPECT_EQ(ctx.group().size() % canon.stabilizer, 0u);
+    EXPECT_EQ(ctx.group().size() % stabilizer, 0u);
     for (std::size_t gi = 0; gi < ctx.group().size(); ++gi) {
       const topology::Simplex image = ctx.relabel_facet(gi, facet);
-      EXPECT_EQ(ctx.canonicalize(image).rep, canon.rep);
+      EXPECT_EQ(ctx.canonicalize(image.vertices(), image_rep), stabilizer);
+      EXPECT_EQ(image_rep, rep);
     }
   }
 }
@@ -117,9 +122,9 @@ TEST(OrbitContextTest, RelabelingAViewSurvivesTheRegistryGrowing) {
   const core::StateId s0 = views.intern_input(0, 0);
   const core::StateId s1 = views.intern_input(1, 1);
   const core::StateId r1 = views.intern_round(
-      0, 1, {{0, s0, core::kNoMicro}, {1, s1, core::kNoMicro}});
+      0, 1, Heard{{0, s0, core::kNoMicro}, {1, s1, core::kNoMicro}});
   const core::StateId r2 =
-      views.intern_round(0, 2, {{0, r1, core::kNoMicro}});
+      views.intern_round(0, 2, Heard{{0, r1, core::kNoMicro}});
   ASSERT_EQ(views.size(), 4u);
   const topology::Simplex input{arena.intern(0, s0), arena.intern(1, s1)};
   const topology::VertexId vertex = arena.intern(0, r2);
@@ -130,14 +135,14 @@ TEST(OrbitContextTest, RelabelingAViewSurvivesTheRegistryGrowing) {
   const topology::VertexId image = ctx.relabel_vertex(1, vertex);
 
   const core::StateId r1_image = views.intern_round(
-      1, 1, {{1, s1, core::kNoMicro}, {0, s0, core::kNoMicro}});
+      1, 1, Heard{{1, s1, core::kNoMicro}, {0, s0, core::kNoMicro}});
   EXPECT_EQ(views.size(), 6u);  // r1's image and r2's image are new
   EXPECT_EQ(arena.pid(image), 1);
-  const core::View& v = views.view(arena.state(image));
+  const core::View v = views.view(arena.state(image));
   EXPECT_EQ(v.pid, 1);
   EXPECT_EQ(v.round, 2);
-  EXPECT_EQ(v.heard,
-            (std::vector<core::HeardEntry>{{1, r1_image, core::kNoMicro}}));
+  EXPECT_EQ(Heard(v.heard.begin(), v.heard.end()),
+            (Heard{{1, r1_image, core::kNoMicro}}));
 }
 
 TEST(OrbitContextTest, IdentityGroupFixesEverything) {
@@ -145,9 +150,9 @@ TEST(OrbitContextTest, IdentityGroupFixesEverything) {
   topology::VertexArena arena;
   const topology::Simplex input = core::rainbow_input(3, views, arena);
   core::OrbitContext ctx(core::SymmetryGroup::identity(), views, arena);
-  const core::CanonicalFacet canon = ctx.canonicalize(input);
-  EXPECT_EQ(canon.rep, input);
-  EXPECT_EQ(canon.stabilizer, 1u);
+  std::vector<topology::VertexId> rep;
+  EXPECT_EQ(ctx.canonicalize(input.vertices(), rep), 1u);
+  EXPECT_EQ(rep, input.vertices());
 }
 
 // --------------------------------------------- differential: 4 models ----
@@ -435,9 +440,9 @@ class Digest {
       bytes_.push_back(static_cast<std::uint8_t>(bits >> (8 * i)));
     }
   }
-  void simplex(const topology::Simplex& s) {
+  void simplex(std::span<const topology::VertexId> s) {
     word(static_cast<std::int64_t>(s.size()));
-    for (const topology::VertexId v : s.vertices()) word(v);
+    for (const topology::VertexId v : s) word(v);
   }
   std::uint64_t value() const {
     return util::hash_bytes(bytes_.data(), bytes_.size());
@@ -455,10 +460,10 @@ std::uint64_t full_digest(const topology::SimplicialComplex& complex,
   Digest d;
   const std::vector<topology::Simplex> facets = complex.facets();
   d.word(static_cast<std::int64_t>(facets.size()));
-  for (const topology::Simplex& facet : facets) d.simplex(facet);
+  for (const topology::Simplex& facet : facets) d.simplex(facet.vertices());
   d.word(static_cast<std::int64_t>(views.size()));
   for (std::size_t id = 0; id < views.size(); ++id) {
-    const core::View& view = views.view(static_cast<core::StateId>(id));
+    const core::View view = views.view(static_cast<core::StateId>(id));
     d.word(view.pid);
     d.word(view.round);
     d.word(view.input);
@@ -474,6 +479,18 @@ std::uint64_t full_digest(const topology::SimplicialComplex& complex,
     d.word(arena.pid(static_cast<topology::VertexId>(id)));
     d.word(arena.state(static_cast<topology::VertexId>(id)));
   }
+  return d.value();
+}
+
+// Full mode, slot order: the facets as for_each_facet visits them, which is
+// CONSUME's append order with the removed facets skipped.
+std::uint64_t slot_digest(const topology::SimplicialComplex& complex,
+                          const core::ViewRegistry&,
+                          const topology::VertexArena&) {
+  Digest d;
+  d.word(static_cast<std::int64_t>(complex.facet_count()));
+  complex.for_each_facet(
+      [&](std::span<const topology::VertexId> facet) { d.simplex(facet); });
   return d.value();
 }
 
@@ -504,6 +521,19 @@ std::uint64_t digest_of(int n1, Build build, DigestOf digest) {
   topology::VertexArena arena;
   const topology::Simplex input = core::rainbow_input(n1, views, arena);
   const auto result = build(input, views, arena);
+  return digest(result, views, arena);
+}
+
+// Builds over the input complex of n1 processes and `values` (the path
+// solve::decide takes) in fresh registries and digests the result.
+template <typename Build, typename DigestOf>
+std::uint64_t digest_over(int n1, const std::vector<std::int64_t>& values,
+                          Build build, DigestOf digest) {
+  core::ViewRegistry views;
+  topology::VertexArena arena;
+  const topology::SimplicialComplex inputs =
+      core::input_complex(n1, values, views, arena);
+  const auto result = build(inputs, views, arena);
   return digest(result, views, arena);
 }
 
@@ -577,6 +607,79 @@ TEST(Construction, OutputMatchesPinnedDigests) {
                       orbit_digest),
             0xff9678a45b3e2784ULL)
       << "orbit iis (3,3)";
+
+  // Slot order of the four full-mode points above.
+  EXPECT_EQ(digest_of(3,
+                      [](const Input& in, Views& v, Arena& a) {
+                        return core::async_protocol_complex(in, {3, 1, 2}, v,
+                                                            a);
+                      },
+                      slot_digest),
+            0xc4b533abb975f02dULL)
+      << "slots async (3,1,2)";
+  EXPECT_EQ(digest_of(4,
+                      [](const Input& in, Views& v, Arena& a) {
+                        return core::sync_protocol_complex(in, {4, 2, 1, 3}, v,
+                                                           a);
+                      },
+                      slot_digest),
+            0x72dbd6491c06c920ULL)
+      << "slots sync (4,2,1,3)";
+  EXPECT_EQ(digest_of(3,
+                      [](const Input& in, Views& v, Arena& a) {
+                        return core::semisync_protocol_complex(
+                            in, {3, 1, 1, 2, 2}, v, a);
+                      },
+                      slot_digest),
+            0x55853e32fa2e660aULL)
+      << "slots semisync (3,1,1,2,2)";
+  EXPECT_EQ(digest_of(3,
+                      [](const Input& in, Views& v, Arena& a) {
+                        return core::iis_protocol_complex(in, 2, v, a);
+                      },
+                      slot_digest),
+            0xd38c409567e3695cULL)
+      << "slots iis (3,2)";
+
+  // solve::decide's path: builds over an input complex, digested whole and
+  // in slot order (compile_csp numbers facets in slot order).
+  using Inputs = topology::SimplicialComplex;
+  const auto async_over = [](const Inputs& in, Views& v, Arena& a) {
+    return core::async_protocol_complex_over(in, {3, 1, 1}, v, a);
+  };
+  const auto sync_over = [](const Inputs& in, Views& v, Arena& a) {
+    return core::sync_protocol_complex_over(in, {4, 2, 1, 2}, v, a);
+  };
+  const auto semisync_over = [](const Inputs& in, Views& v, Arena& a) {
+    return core::semisync_protocol_complex_over(in, {4, 2, 1, 2, 1}, v, a);
+  };
+  const auto iis_over = [](const Inputs& in, Views& v, Arena& a) {
+    return core::iis_protocol_complex_over(in, 2, v, a);
+  };
+  EXPECT_EQ(digest_over(3, {0, 1, 2}, async_over, full_digest),
+            0x035b5ac6b74acb60ULL)
+      << "full async (3,1,1) over input_complex(3, {0,1,2})";
+  EXPECT_EQ(digest_over(3, {0, 1, 2}, async_over, slot_digest),
+            0x4dd9147956e63246ULL)
+      << "slots async (3,1,1) over input_complex(3, {0,1,2})";
+  EXPECT_EQ(digest_over(4, {0, 1}, sync_over, full_digest),
+            0xa53605171f6b2efdULL)
+      << "full sync (4,2,1,2) over input_complex(4, {0,1})";
+  EXPECT_EQ(digest_over(4, {0, 1}, sync_over, slot_digest),
+            0x977131b76c815114ULL)
+      << "slots sync (4,2,1,2) over input_complex(4, {0,1})";
+  EXPECT_EQ(digest_over(4, {0, 1}, semisync_over, full_digest),
+            0x3b91a7ee10d1a016ULL)
+      << "full semisync (4,2,1,2,1) over input_complex(4, {0,1})";
+  EXPECT_EQ(digest_over(4, {0, 1}, semisync_over, slot_digest),
+            0x3aa2cf51f32c45faULL)
+      << "slots semisync (4,2,1,2,1) over input_complex(4, {0,1})";
+  EXPECT_EQ(digest_over(3, {0, 1}, iis_over, full_digest),
+            0x543b6d9f1e993073ULL)
+      << "full iis (3,2) over input_complex(3, {0,1})";
+  EXPECT_EQ(digest_over(3, {0, 1}, iis_over, slot_digest),
+            0xe1d33542c92f21b6ULL)
+      << "slots iis (3,2) over input_complex(3, {0,1})";
 }
 
 // ------------------------------------------------------------ deadline ----

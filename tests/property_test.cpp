@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -187,8 +188,10 @@ TEST(Property, SkeletonIdempotentAndMonotone) {
 // ---- Differential homology suite ----
 //
 // One generator, three independent oracles per case:
-//   1. bulk add_facets == one add_facets({s}) per facet == incremental
-//      add_facet (three insertion paths, one complex),
+//   1. incremental add_facet, one mixed-width row batch and one single-row
+//      batch per facet each equal a maximal-set reference built from a
+//      std::set<Simplex> (facets, count, dimension, contains on faces and
+//      non-faces), and so do a copy and a moved-to complex of each,
 //   2. χ from the f-vector == 1 + Σ (-1)^d β̃_d over GF(2) and GF(3) (the
 //      alternating-sum identity holds over every field, torsion or not),
 //   3. universal coefficients: β̃_d(GF(q)) = β̃_d(Z) + t_q(d) + t_q(d-1),
@@ -222,20 +225,83 @@ TEST(PropertyDifferential, HomologyAgreesAcrossEnginesAndFields) {
         random_facets(rng, vertices, facets, max_dim);
 
     // (1) Three insertion paths must produce the same complex: one facet at
-    // a time, one bulk batch, and one single-facet batch per facet (the
-    // construction pipeline's consume pattern).
+    // a time, one mixed-width row batch, and one single-row batch per facet
+    // (the construction pipeline's consume pattern). Each must equal the
+    // maximal sets of the facet list, and so must a copy and a moved-to
+    // complex of it.
     SimplicialComplex incremental;
     for (const Simplex& s : facet_list) incremental.add_facet(s);
+    topology::FacetRows rows;
+    for (const Simplex& s : facet_list) rows.push_back(s.vertices());
     SimplicialComplex bulk;
-    bulk.add_facets(facet_list);
+    bulk.add_facets(rows);
     SimplicialComplex batched;
-    for (const Simplex& s : facet_list) batched.add_facets({s});
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      batched.add_facets(rows.rows(i, i + 1));
+    }
+    const std::string where =
+        "seed=" + std::to_string(seed) + " trial=" + std::to_string(trial);
+    const std::set<Simplex> distinct(facet_list.begin(), facet_list.end());
+    std::vector<Simplex> maximal;
+    for (const Simplex& s : distinct) {
+      const bool contained = std::any_of(
+          distinct.begin(), distinct.end(), [&](const Simplex& t) {
+            return t.size() > s.size() && s.is_face_of(t);
+          });
+      if (!contained) maximal.push_back(s);
+    }
+    int max_dim_seen = -1;
+    for (const Simplex& s : maximal) {
+      max_dim_seen = std::max(max_dim_seen, s.dimension());
+    }
+    // Probe simplexes: every face of a maximal facet, plus random vertex
+    // sets (on a stream of their own, so the cases stay the same), each
+    // contained iff some maximal facet holds it.
+    std::vector<Simplex> probes;
+    for (const Simplex& s : maximal) {
+      for (const Simplex& face : s.all_faces()) probes.push_back(face);
+    }
+    util::Rng probe_rng = rng.split("probes" + std::to_string(trial));
+    for (int i = 0; i < 20; ++i) {
+      const int size = 1 + static_cast<int>(probe_rng.next_below(
+                               static_cast<std::uint64_t>(max_dim + 2)));
+      std::vector<VertexId> vs;
+      for (const int id : probe_rng.sample_without_replacement(
+               vertices, std::min(size, vertices))) {
+        vs.push_back(static_cast<VertexId>(id));
+      }
+      probes.emplace_back(std::move(vs));
+    }
+    const auto expect_reference = [&](const SimplicialComplex& k,
+                                      const char* path) {
+      EXPECT_EQ(k.facets(), maximal) << path << " " << where;
+      EXPECT_EQ(k.facet_count(), maximal.size()) << path << " " << where;
+      EXPECT_EQ(k.dimension(), max_dim_seen) << path << " " << where;
+      for (const Simplex& probe : probes) {
+        const bool held = std::any_of(
+            maximal.begin(), maximal.end(),
+            [&](const Simplex& s) { return probe.is_face_of(s); });
+        EXPECT_EQ(k.contains(probe), held)
+            << path << " " << probe.to_string() << " " << where;
+      }
+    };
+    for (const auto& [k, path] :
+         {std::pair<const SimplicialComplex*, const char*>{&incremental,
+                                                           "add_facet"},
+          {&bulk, "one batch"},
+          {&batched, "batch per facet"}}) {
+      expect_reference(*k, path);
+      SimplicialComplex copy = *k;
+      expect_reference(copy, "copy");
+      EXPECT_EQ(copy, *k) << path << " " << where;
+      const SimplicialComplex moved = std::move(copy);
+      expect_reference(moved, "moved-to");
+      EXPECT_EQ(moved, *k) << path << " " << where;
+    }
     ASSERT_EQ(incremental, bulk)
-        << "add_facets != add_facet; seed=" << seed << " trial=" << trial;
+        << "one row batch != add_facet; " << where;
     ASSERT_EQ(batched, incremental)
-        << "add_facets({s}) != add_facet; seed=" << seed << " trial=" << trial;
-    ASSERT_EQ(batched, bulk) << "add_facets({s}) != add_facets; seed=" << seed
-                             << " trial=" << trial;
+        << "batch per facet != add_facet; " << where;
 
     const SimplicialComplex& k = incremental;
     if (k.empty()) continue;
@@ -464,11 +530,14 @@ TEST(PropertyIntern, ViewIdsMatchAnOrderedMapReference) {
   }
   ASSERT_EQ(views.size(), reference.size()) << "seed " << seed;
   for (const auto& [key, id] : reference) {
-    const core::View& view = views.view(id);
+    const core::View view = views.view(id);
     EXPECT_EQ(view.pid, std::get<0>(key)) << "seed " << seed;
     EXPECT_EQ(view.round, std::get<1>(key)) << "seed " << seed;
     EXPECT_EQ(view.input, std::get<2>(key)) << "seed " << seed;
-    EXPECT_EQ(view.heard, std::get<3>(key)) << "seed " << seed;
+    EXPECT_EQ(std::vector<core::HeardEntry>(view.heard.begin(),
+                                            view.heard.end()),
+              std::get<3>(key))
+        << "seed " << seed;
   }
 }
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <span>
 #include <vector>
 
 #include "core/pseudosphere.h"
@@ -18,6 +19,7 @@ namespace psph::core {
 namespace {
 
 using topology::HomologyReport;
+using Heard = std::vector<HeardEntry>;
 using topology::SimplicialComplex;
 using topology::VertexArena;
 
@@ -42,18 +44,20 @@ TEST(ViewRegistry, InternRoundNormalizesOrder) {
   ViewRegistry views;
   const StateId s0 = views.intern_input(0, 1);
   const StateId s1 = views.intern_input(1, 2);
-  const StateId a = views.intern_round(0, 1, {{0, s0, kNoMicro}, {1, s1, kNoMicro}});
-  const StateId b = views.intern_round(0, 1, {{1, s1, kNoMicro}, {0, s0, kNoMicro}});
+  const StateId a =
+      views.intern_round(0, 1, Heard{{0, s0, kNoMicro}, {1, s1, kNoMicro}});
+  const StateId b =
+      views.intern_round(0, 1, Heard{{1, s1, kNoMicro}, {0, s0, kNoMicro}});
   EXPECT_EQ(a, b);
 }
 
 TEST(ViewRegistry, InternRoundRejectsBadInput) {
   ViewRegistry views;
   const StateId s0 = views.intern_input(0, 1);
-  EXPECT_THROW(views.intern_round(0, 0, {{0, s0, kNoMicro}}),
+  EXPECT_THROW(views.intern_round(0, 0, Heard{{0, s0, kNoMicro}}),
                std::invalid_argument);
   EXPECT_THROW(
-      views.intern_round(0, 1, {{0, s0, kNoMicro}, {0, s0, kNoMicro}}),
+      views.intern_round(0, 1, Heard{{0, s0, kNoMicro}, {0, s0, kNoMicro}}),
       std::invalid_argument);
 }
 
@@ -65,13 +69,55 @@ TEST(ViewRegistry, InputsSeenTransitive) {
   // Round 1: P0 heard P0, P1. Round 2: P2 heard its own round-1 state and
   // P0's round-1 state.
   const StateId r1 =
-      views.intern_round(0, 1, {{0, s0, kNoMicro}, {1, s1, kNoMicro}});
-  const StateId r1self = views.intern_round(2, 1, {{2, s2, kNoMicro}});
-  const StateId r2 =
-      views.intern_round(2, 2, {{2, r1self, kNoMicro}, {0, r1, kNoMicro}});
-  const std::set<std::int64_t> expect{10, 20, 30};
-  EXPECT_EQ(views.inputs_seen(r2), expect);
+      views.intern_round(0, 1, Heard{{0, s0, kNoMicro}, {1, s1, kNoMicro}});
+  const StateId r1self = views.intern_round(2, 1, Heard{{2, s2, kNoMicro}});
+  const StateId r2 = views.intern_round(
+      2, 2, Heard{{2, r1self, kNoMicro}, {0, r1, kNoMicro}});
+  const std::span<const std::int64_t> seen = views.inputs_seen(r2);
+  EXPECT_EQ(std::vector<std::int64_t>(seen.begin(), seen.end()),
+            (std::vector<std::int64_t>{10, 20, 30}));
   EXPECT_EQ(views.min_input_seen(r2), 10);
+}
+
+TEST(ViewRegistry, InternRoundMayBorrowItsOwnArena) {
+  // The heard list is copied before anything grows, so a span into the
+  // registry's own arena is a valid argument even when the intern grows it.
+  ViewRegistry views;
+  const StateId s0 = views.intern_input(0, 1);
+  const StateId s1 = views.intern_input(1, 2);
+  const StateId r1 =
+      views.intern_round(0, 1, Heard{{0, s0, kNoMicro}, {1, s1, kNoMicro}});
+  for (int round = 2; round < 40; ++round) {
+    const StateId again = views.intern_round(0, round, views.view(r1).heard);
+    EXPECT_EQ(views.view(again).round, round);
+    EXPECT_EQ(Heard(views.view(again).heard.begin(),
+                    views.view(again).heard.end()),
+              (Heard{{0, s0, kNoMicro}, {1, s1, kNoMicro}}));
+  }
+  EXPECT_EQ(views.intern_round(0, 1, views.view(r1).heard), r1);
+}
+
+TEST(ViewRegistry, InputsSeenRowsAreSortedAndMemoized) {
+  ViewRegistry views;
+  const StateId s0 = views.intern_input(0, 30);
+  const StateId s1 = views.intern_input(1, 10);
+  const StateId s2 = views.intern_input(2, 30);
+  const StateId r1 = views.intern_round(
+      0, 1, Heard{{0, s0, kNoMicro}, {1, s1, kNoMicro}, {2, s2, kNoMicro}});
+  const auto values = [&](StateId id) {
+    const std::span<const std::int64_t> seen = views.inputs_seen(id);
+    return std::vector<std::int64_t>(seen.begin(), seen.end());
+  };
+  EXPECT_EQ(values(r1), (std::vector<std::int64_t>{10, 30}));
+  EXPECT_EQ(values(s2), (std::vector<std::int64_t>{30}));
+  // Rounds built on r1 fill more rows; r1's reads the same afterwards.
+  StateId top = r1;
+  for (int round = 2; round < 20; ++round) {
+    top = views.intern_round(0, round, Heard{{0, top, kNoMicro}});
+    EXPECT_EQ(values(top), (std::vector<std::int64_t>{10, 30}));
+  }
+  EXPECT_EQ(values(r1), (std::vector<std::int64_t>{10, 30}));
+  EXPECT_EQ(views.min_input_seen(top), 10);
 }
 
 TEST(ViewRegistry, DirectSenders) {
@@ -79,7 +125,7 @@ TEST(ViewRegistry, DirectSenders) {
   const StateId s0 = views.intern_input(0, 1);
   const StateId s1 = views.intern_input(1, 2);
   const StateId r1 =
-      views.intern_round(0, 1, {{0, s0, kNoMicro}, {1, s1, kNoMicro}});
+      views.intern_round(0, 1, Heard{{0, s0, kNoMicro}, {1, s1, kNoMicro}});
   EXPECT_EQ(views.direct_senders(r1), (std::set<ProcessId>{0, 1}));
   EXPECT_EQ(views.direct_senders(s0), (std::set<ProcessId>{0}));
 }
@@ -88,7 +134,7 @@ TEST(ViewRegistry, ToStringIsReadable) {
   ViewRegistry views;
   const StateId s0 = views.intern_input(0, 5);
   EXPECT_EQ(views.to_string(s0), "P0@r0=5");
-  const StateId r1 = views.intern_round(1, 1, {{0, s0, 3}});
+  const StateId r1 = views.intern_round(1, 1, Heard{{0, s0, 3}});
   EXPECT_EQ(views.to_string(r1), "P1@r1<P0u3:P0@r0=5>");
 }
 

@@ -26,6 +26,12 @@ namespace {
 using core::ViewRegistry;
 using topology::VertexArena;
 
+/// The inputs a state has seen, as a vector.
+std::vector<std::int64_t> seen(const ViewRegistry& views, core::StateId state) {
+  const std::span<const std::int64_t> values = views.inputs_seen(state);
+  return {values.begin(), values.end()};
+}
+
 // ----------------------------------------------------------- sync runs ----
 
 class NoFailureSyncAdversary : public SyncAdversary {
@@ -67,8 +73,7 @@ TEST(SyncExecutor, FailureFreeEveryoneHearsEveryone) {
   EXPECT_EQ(trace.rounds(), 2);
   ASSERT_EQ(trace.states.back().size(), 3u);
   for (const auto& [pid, state] : trace.states.back()) {
-    EXPECT_EQ(views.inputs_seen(state),
-              (std::set<std::int64_t>{10, 20, 30}))
+    EXPECT_EQ(seen(views, state), (std::vector<std::int64_t>{10, 20, 30}))
         << "P" << pid;
     EXPECT_EQ(views.round(state), 2);
   }
@@ -82,10 +87,10 @@ TEST(SyncExecutor, CrashedProcessHasNoFinalState) {
   EXPECT_EQ(trace.states.back().size(), 2u);
   EXPECT_FALSE(trace.final_state(2).has_value());
   // P0 received the crasher's message, P1 did not.
-  EXPECT_EQ(views.inputs_seen(*trace.final_state(0)),
-            (std::set<std::int64_t>{10, 20, 30}));
-  EXPECT_EQ(views.inputs_seen(*trace.final_state(1)),
-            (std::set<std::int64_t>{10, 20}));
+  EXPECT_EQ(seen(views, *trace.final_state(0)),
+            (std::vector<std::int64_t>{10, 20, 30}));
+  EXPECT_EQ(seen(views, *trace.final_state(1)),
+            (std::vector<std::int64_t>{10, 20}));
   EXPECT_EQ(trace.crashed_in[1], (std::vector<ProcessId>{2}));
 }
 

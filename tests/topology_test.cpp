@@ -11,6 +11,7 @@
 #include <atomic>
 #include <chrono>
 #include <set>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -31,6 +32,13 @@
 
 namespace psph::topology {
 namespace {
+
+/// The facets as one row batch for add_facets.
+FacetRows rows_of(const std::vector<Simplex>& facets) {
+  FacetRows rows;
+  for (const Simplex& s : facets) rows.push_back(s.vertices());
+  return rows;
+}
 
 // ---------------------------------------------------------------- simplex --
 
@@ -117,7 +125,7 @@ TEST(Complex, AddFacetsMatchesAddFacetLoop) {
   SimplicialComplex bulk;
   SimplicialComplex loop;
   for (const std::vector<Simplex>& batch : batches) {
-    bulk.add_facets(batch);
+    bulk.add_facets(rows_of(batch));
     for (const Simplex& s : batch) loop.add_facet(s);
     EXPECT_EQ(bulk, loop);
   }
@@ -127,38 +135,91 @@ TEST(Complex, AddFacetsMatchesAddFacetLoop) {
 
 TEST(Complex, AddFacetsPureLaneDeduplicates) {
   SimplicialComplex k;
-  k.add_facets({Simplex{1, 2}, Simplex{2, 3}, Simplex{1, 2}, Simplex{2, 3}});
+  k.add_facets(
+      rows_of({Simplex{1, 2}, Simplex{2, 3}, Simplex{1, 2}, Simplex{2, 3}}));
   EXPECT_EQ(k.facet_count(), 2u);
   EXPECT_TRUE(k.is_pure());
   // A second pure batch of the same dimension also takes the fast lane and
   // must still drop exact duplicates of facets already present.
-  k.add_facets({Simplex{2, 3}, Simplex{3, 4}});
+  k.add_facets(rows_of({Simplex{2, 3}, Simplex{3, 4}}));
   EXPECT_EQ(k.facet_count(), 3u);
 }
 
 TEST(Complex, AddFacetsMixedBatchKeepsMaximality) {
   SimplicialComplex k;
-  k.add_facets({Simplex{1, 2, 3}, Simplex{1, 2}, Simplex{4}});
+  k.add_facets(rows_of({Simplex{1, 2, 3}, Simplex{1, 2}, Simplex{4}}));
   EXPECT_EQ(k.facet_count(), 2u);  // {1,2} is dominated
-  k.add_facets({Simplex{1, 2, 3, 4, 5}});
+  k.add_facets(rows_of({Simplex{1, 2, 3, 4, 5}}));
   EXPECT_EQ(k.facet_count(), 1u);  // dominates everything so far
-  EXPECT_THROW(k.add_facets({Simplex{6}, Simplex()}), std::invalid_argument);
+  EXPECT_THROW(k.add_facets(rows_of({Simplex{6}, Simplex()})),
+               std::invalid_argument);
+  // A row that is not strictly increasing is rejected before anything of
+  // its batch is inserted.
+  FacetRows unsorted;
+  unsorted.push_back(std::vector<VertexId>{7, 8});
+  unsorted.push_back(std::vector<VertexId>{9, 9});
+  EXPECT_THROW(k.add_facets(unsorted), std::invalid_argument);
+  EXPECT_FALSE(k.contains(Simplex{7, 8}));
 }
 
 TEST(Complex, AddFacetsEmptyBatchAndGrowth) {
   SimplicialComplex k;
-  k.add_facets({});
+  k.add_facets(rows_of({}));
   EXPECT_TRUE(k.empty());
   k.add_facet(Simplex{1, 2});
   EXPECT_EQ(k.facet_count(), 1u);
   // Many one-facet batches (the construction consume pattern) grow the
   // tables past several capacities.
-  for (VertexId v = 10; v < 300; ++v) k.add_facets({Simplex{v, v + 1000}});
-  k.add_facets({});
+  for (VertexId v = 10; v < 300; ++v) {
+    k.add_facets(rows_of({Simplex{v, v + 1000}}));
+  }
+  k.add_facets(rows_of({}));
   EXPECT_EQ(k.facet_count(), 291u);
   EXPECT_TRUE(k.contains(Simplex{1, 2}));
   EXPECT_TRUE(k.contains(Simplex{299, 1299}));
   EXPECT_FALSE(k.contains(Simplex{299, 1298}));
+}
+
+TEST(Rows, FacetRowsHoldMixedWidthsEndToEnd) {
+  FacetRows rows;
+  rows.push_back(std::vector<VertexId>{1, 2, 3});
+  const std::span<VertexId> filled = rows.append_row(2);
+  filled[0] = 7;
+  filled[1] = 9;
+  rows.push_back(std::vector<VertexId>{4});
+  ASSERT_EQ(rows.size(), 3u);
+  EXPECT_TRUE(row_equal(rows[1], std::vector<VertexId>{7, 9}));
+  const RowSpan tail = rows.rows(1, 3);
+  ASSERT_EQ(tail.size(), 2u);
+  EXPECT_EQ(tail.vertex_count(), 3u);
+  EXPECT_TRUE(row_equal(tail[1], std::vector<VertexId>{4}));
+  rows.clear();
+  EXPECT_TRUE(rows.empty());
+}
+
+TEST(Rows, RowSetIdsTombstonesAndGrowth) {
+  RowSet set;
+  const std::vector<VertexId> a{1, 2};
+  const std::vector<VertexId> b{1, 2, 3};
+  using Inserted = std::pair<std::size_t, bool>;
+  EXPECT_EQ(set.insert(a, row_hash(a)), (Inserted{0, true}));
+  EXPECT_EQ(set.insert(b, row_hash(b)), (Inserted{1, true}));
+  EXPECT_EQ(set.insert(a, row_hash(a)), (Inserted{0, false}));
+  set.erase(0);
+  EXPECT_TRUE(set[0].empty());
+  EXPECT_FALSE(set.contains(a));
+  // Re-adding an erased row takes a new slot; the old entry stays stale
+  // until the grows below drop it, and never matches.
+  EXPECT_EQ(set.insert(a, row_hash(a)), (Inserted{2, true}));
+  for (VertexId v = 10; v < 2000; ++v) {
+    const std::vector<VertexId> row{v, v + 5000};
+    ASSERT_TRUE(set.insert(row));
+  }
+  EXPECT_EQ(set.find(a, row_hash(a)), 2u);
+  EXPECT_EQ(set.find(b, row_hash(b)), 1u);
+  EXPECT_TRUE(set.contains(std::vector<VertexId>{1999, 6999}));
+  EXPECT_FALSE(set.contains(std::vector<VertexId>{1999, 7000}));
+  EXPECT_EQ(set.size(), 3u + 1990u);
 }
 
 TEST(Complex, FacetIndexTombstones) {
@@ -167,7 +228,7 @@ TEST(Complex, FacetIndexTombstones) {
   k.add_facet(Simplex{1, 2, 3});  // erases {1,2}: its index entry goes stale
   EXPECT_EQ(k.facet_count(), 1u);
   k.add_facet(Simplex{1, 2});  // dominated, so a no-op
-  k.add_facets({Simplex{1, 2}});
+  k.add_facets(rows_of({Simplex{1, 2}}));
   EXPECT_EQ(k.facet_count(), 1u);
   EXPECT_EQ(k.facets(), (std::vector<Simplex>{Simplex{1, 2, 3}}));
   // More stale entries: points swallowed by the edges added after them.
@@ -217,7 +278,7 @@ TEST(Complex, PureBulkBatchDefersTheVertexIndex) {
   std::vector<Simplex> strip;  // triangles {v, v+1, v+2}: a triangulated band
   for (VertexId v = 0; v < 200; ++v) strip.push_back(Simplex{v, v + 1, v + 2});
   SimplicialComplex k;
-  k.add_facets(strip);
+  k.add_facets(rows_of(strip));
   SimplicialComplex copy = k;
 
   std::atomic<int> found{0};
@@ -259,9 +320,10 @@ TEST(Complex, PureBulkBatchDefersTheVertexIndex) {
 
 TEST(Complex, AddFacetsInvalidatesFaceCache) {
   SimplicialComplex k;
-  k.add_facets({Simplex{1, 2, 3}});
+  k.add_facets(rows_of({Simplex{1, 2, 3}}));
   EXPECT_EQ(k.count_of_dim(1), 3u);  // primes the face cache
-  k.add_facets({Simplex{2, 3, 4}});  // fast lane must still invalidate
+  // The fast lane must still invalidate.
+  k.add_facets(rows_of({Simplex{2, 3, 4}}));
   EXPECT_EQ(k.count_of_dim(1), 5u);
   EXPECT_EQ(k.count_of_dim(2), 2u);
 }
