@@ -11,7 +11,6 @@
 #include "core/theorems.h"
 #include "solve/csp.h"
 #include "solve/engine.h"
-#include "topology/collapse.h"
 #include "topology/homology.h"
 #include "util/timer.h"
 

@@ -80,16 +80,11 @@ void BM_SemiSyncRoundComplex(benchmark::State& state) {
 }
 BENCHMARK(BM_SemiSyncRoundComplex)->DenseRange(3, 5);
 
-// ---- Multi-round construction: pipeline vs sequential reference ----
+// ---- Multi-round construction ----
 //
-// Two variants per model, all over Args({n, rounds}):
-//   *ProtocolComplex      — the level loop, fresh registries per iteration
-//                           (the default path users hit).
-//   *ProtocolComplexSeq   — the `_seq` depth-first reference construction;
-//                           the baseline the level loop is measured against.
-//
-// Construction runs on the calling thread, so --threads does not change
-// these numbers.
+// *ProtocolComplex: the level loop over Args({n, rounds}), fresh registries
+// per iteration (the path users hit). Construction runs on the calling
+// thread, so --threads does not change these numbers.
 
 void BM_AsyncProtocolComplex(benchmark::State& state) {
   const int n1 = static_cast<int>(state.range(0));
@@ -103,23 +98,6 @@ void BM_AsyncProtocolComplex(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AsyncProtocolComplex)
-    ->ArgNames({"n", "r"})
-    ->Args({3, 2})
-    ->Args({3, 3})
-    ->Args({4, 2});
-
-void BM_AsyncProtocolComplexSeq(benchmark::State& state) {
-  const int n1 = static_cast<int>(state.range(0));
-  const int rounds = static_cast<int>(state.range(1));
-  for (auto _ : state) {
-    core::ViewRegistry views;
-    topology::VertexArena arena;
-    const topology::Simplex input = core::rainbow_input(n1, views, arena);
-    benchmark::DoNotOptimize(core::async_protocol_complex_seq(
-        input, {n1, 1, rounds}, views, arena));
-  }
-}
-BENCHMARK(BM_AsyncProtocolComplexSeq)
     ->ArgNames({"n", "r"})
     ->Args({3, 2})
     ->Args({3, 3})
@@ -143,24 +121,6 @@ BENCHMARK(BM_SyncProtocolComplex)
     ->Args({5, 2})
     ->Args({5, 3});
 
-void BM_SyncProtocolComplexSeq(benchmark::State& state) {
-  const int n1 = static_cast<int>(state.range(0));
-  const int rounds = static_cast<int>(state.range(1));
-  for (auto _ : state) {
-    core::ViewRegistry views;
-    topology::VertexArena arena;
-    const topology::Simplex input = core::rainbow_input(n1, views, arena);
-    benchmark::DoNotOptimize(core::sync_protocol_complex_seq(
-        input, {n1, 2, 1, rounds}, views, arena));
-  }
-}
-BENCHMARK(BM_SyncProtocolComplexSeq)
-    ->ArgNames({"n", "r"})
-    ->Args({4, 2})
-    ->Args({4, 3})
-    ->Args({5, 2})
-    ->Args({5, 3});
-
 void BM_SemisyncProtocolComplex(benchmark::State& state) {
   const int n1 = static_cast<int>(state.range(0));
   const int rounds = static_cast<int>(state.range(1));
@@ -173,23 +133,6 @@ void BM_SemisyncProtocolComplex(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SemisyncProtocolComplex)
-    ->ArgNames({"n", "r"})
-    ->Args({3, 2})
-    ->Args({4, 2})
-    ->Args({5, 2});
-
-void BM_SemisyncProtocolComplexSeq(benchmark::State& state) {
-  const int n1 = static_cast<int>(state.range(0));
-  const int rounds = static_cast<int>(state.range(1));
-  for (auto _ : state) {
-    core::ViewRegistry views;
-    topology::VertexArena arena;
-    const topology::Simplex input = core::rainbow_input(n1, views, arena);
-    benchmark::DoNotOptimize(core::semisync_protocol_complex_seq(
-        input, {n1, 1, 1, 2, rounds}, views, arena));
-  }
-}
-BENCHMARK(BM_SemisyncProtocolComplexSeq)
     ->ArgNames({"n", "r"})
     ->Args({3, 2})
     ->Args({4, 2})

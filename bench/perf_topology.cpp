@@ -1,6 +1,6 @@
 // Performance of the topology engine (google-benchmark): pseudosphere
 // construction, face enumeration, boundary matrices, GF(p) homology, exact
-// SNF, barycentric subdivision, and collapse.
+// SNF, barycentric subdivision, and the Morse reduction.
 
 #include <benchmark/benchmark.h>
 
@@ -14,7 +14,6 @@
 #include "topology/operations.h"
 #include "topology/subdivision.h"
 #include "util/parallel.h"
-#include "util/random.h"
 
 namespace {
 
@@ -126,26 +125,6 @@ void BM_MorseReduce(benchmark::State& state) {
 }
 BENCHMARK(BM_MorseReduce)->DenseRange(3, 6);
 
-// GF(2) elimination kernel. The paper's boundary matrices are only a
-// handful of 64-bit words wide, so a fixed seeded random matrix with a few
-// thousand columns is used to expose the XOR loop itself; arg 0 is the
-// column count in units of 1024.
-void BM_RankMod2(benchmark::State& state) {
-  const std::size_t cols = static_cast<std::size_t>(state.range(0)) * 1024;
-  const std::size_t rows = cols / 4;
-  util::Rng rng(0x52414e4bu);
-  math::SparseMatrix matrix(rows, cols);
-  for (std::size_t r = 0; r < rows; ++r) {
-    for (std::size_t c = 0; c < cols; ++c) {
-      if (rng.next_below(16) == 0) matrix.set(r, c, 1);
-    }
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(matrix.rank_mod_p(2));
-  }
-}
-BENCHMARK(BM_RankMod2)->Arg(1)->Arg(4)->ArgNames({"kcols"});
-
 // Exact SNF on a raw boundary matrix, bypassing the Morse preprocessor so
 // the dense elimination (and its parallel row phase) is what's timed.
 void BM_SmithNormalForm(benchmark::State& state) {
@@ -180,19 +159,6 @@ void BM_BarycentricSubdivision(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BarycentricSubdivision)->DenseRange(2, 5);
-
-void BM_GreedyCollapse(benchmark::State& state) {
-  topology::SimplicialComplex k;
-  std::vector<topology::VertexId> vertices;
-  for (int i = 0; i <= state.range(0); ++i) {
-    vertices.push_back(static_cast<topology::VertexId>(i));
-  }
-  k.add_facet(topology::Simplex(vertices));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(topology::collapse_greedily(k));
-  }
-}
-BENCHMARK(BM_GreedyCollapse)->DenseRange(3, 8);
 
 void BM_IntersectionOfPseudospheres(benchmark::State& state) {
   topology::VertexArena arena;

@@ -94,21 +94,6 @@ std::uint64_t percentile(std::vector<std::uint64_t>& sorted_us, double p) {
   return sorted_us[index];
 }
 
-check::FaultPlan plan_from_seed(std::uint64_t seed, std::size_t horizon) {
-  util::Rng rng(seed);
-  check::FaultPlan plan;
-  std::set<std::size_t>* categories[] = {
-      &plan.fail_writes,    &plan.short_writes,  &plan.fail_renames,
-      &plan.fail_dir_syncs, &plan.corrupt_reads, &plan.truncate_reads,
-  };
-  for (std::set<std::size_t>* category : categories) {
-    for (std::size_t op = 0; op < horizon; ++op) {
-      if (rng.next_below(16) == 0) category->insert(op);
-    }
-  }
-  return plan;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -183,7 +168,8 @@ int main(int argc, char** argv) {
         store_dir.empty() ? (temp_root / "store").string() : store_dir;
     if (fault_seed != 0) {
       options.fs = std::make_shared<check::FaultyFsOps>(
-          plan_from_seed(static_cast<std::uint64_t>(fault_seed), 100'000));
+          check::plan_from_seed(static_cast<std::uint64_t>(fault_seed),
+                                100'000));
     }
     server = std::make_unique<serve::Server>(options);
     server->start();

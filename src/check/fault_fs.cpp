@@ -2,7 +2,24 @@
 
 #include <stdexcept>
 
+#include "util/random.h"
+
 namespace psph::check {
+
+FaultPlan plan_from_seed(std::uint64_t seed, std::size_t horizon) {
+  util::Rng rng(seed);
+  FaultPlan plan;
+  std::set<std::size_t>* categories[] = {
+      &plan.fail_writes,    &plan.short_writes,  &plan.fail_renames,
+      &plan.fail_dir_syncs, &plan.corrupt_reads, &plan.truncate_reads,
+  };
+  for (std::set<std::size_t>* category : categories) {
+    for (std::size_t op = 0; op < horizon; ++op) {
+      if (rng.next_below(16) == 0) category->insert(op);
+    }
+  }
+  return plan;
+}
 
 FaultyFsOps::FaultyFsOps(FaultPlan plan, std::shared_ptr<store::FsOps> inner)
     : plan_(std::move(plan)),

@@ -22,6 +22,7 @@
 // to a miss — the store must *never* return plausible-but-wrong bytes.
 
 #include <cstddef>
+#include <cstdint>
 #include <mutex>
 #include <set>
 
@@ -44,6 +45,13 @@ struct FaultPlan {
   /// read_file calls whose result is truncated to the first half.
   std::set<std::size_t> truncate_reads;
 };
+
+/// Deterministic sprinkle of faults across the first `horizon` operations
+/// of each category: density 1/16 per category, drawn from one seeded
+/// stream category after category, so faults do not line up. The same seed
+/// always gives the same plan (the daemon's and the load generator's
+/// --fault-seed).
+FaultPlan plan_from_seed(std::uint64_t seed, std::size_t horizon);
 
 class FaultyFsOps : public store::FsOps {
  public:

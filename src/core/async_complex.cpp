@@ -1,6 +1,6 @@
 #include "core/async_complex.h"
 
-#include <stdexcept>
+#include <algorithm>
 
 #include "core/round_ops.h"
 #include "math/combinatorics.h"
@@ -31,25 +31,6 @@ topology::SimplicialComplex async_round_complex(
   topology::SimplicialComplex result;
   for (const detail::RoundGroup& group : out.groups) {
     result.add_facets(out.facets.rows(group.first, group.last));
-  }
-  return result;
-}
-
-topology::SimplicialComplex async_protocol_complex_seq(
-    const topology::Simplex& input, const AsyncParams& params,
-    ViewRegistry& views, topology::VertexArena& arena) {
-  if (params.rounds < 1) {
-    throw std::invalid_argument("async_protocol_complex: rounds < 1");
-  }
-  topology::SimplicialComplex one_round =
-      async_round_complex(input, params, views, arena);
-  if (params.rounds == 1) return one_round;
-
-  AsyncParams next = params;
-  next.rounds = params.rounds - 1;
-  topology::SimplicialComplex result;
-  for (const topology::Simplex& facet : one_round.facets()) {
-    result.merge(async_protocol_complex_seq(facet, next, views, arena));
   }
   return result;
 }

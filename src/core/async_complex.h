@@ -38,16 +38,9 @@ topology::SimplicialComplex async_round_complex(const topology::Simplex& input,
                                                 topology::VertexArena& arena);
 
 /// A^r(S): the r-round complex by the inductive construction. Runs the
-/// level loop of construction.h; output is bit-identical to the sequential
-/// reference.
+/// level loop of construction.h; output equals the depth-first recursion
+/// the tests keep as a reference (tests/oracle).
 topology::SimplicialComplex async_protocol_complex(
-    const topology::Simplex& input, const AsyncParams& params,
-    ViewRegistry& views, topology::VertexArena& arena);
-
-/// Sequential depth-first reference construction of A^r(S). Kept as the
-/// correctness oracle for the pipeline (tests) and as the benchmark
-/// baseline.
-topology::SimplicialComplex async_protocol_complex_seq(
     const topology::Simplex& input, const AsyncParams& params,
     ViewRegistry& views, topology::VertexArena& arena);
 

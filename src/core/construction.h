@@ -4,9 +4,9 @@
 //
 // The r-round complexes of every model are inductive unions: expand each
 // facet of the one-round complex by another round, recursively. The naive
-// recursion (kept as the *_protocol_complex_seq reference functions) is
-// depth-first. This module replaces it with one level loop on the calling
-// thread, three phases per level:
+// recursion is depth-first; the tests keep it as their reference
+// (tests/oracle/protocol_complex_seq.h). This module replaces it with one
+// level loop on the calling thread, three phases per level:
 //
 //   1. DEDUPE   — the frontier (all facets awaiting one round of expansion)
 //                 is deduplicated by (facet, model params). Hash-consing

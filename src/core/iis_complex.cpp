@@ -84,20 +84,4 @@ topology::SimplicialComplex iis_round_complex(const topology::Simplex& input,
   return result;
 }
 
-topology::SimplicialComplex iis_protocol_complex_seq(
-    const topology::Simplex& input, int rounds, ViewRegistry& views,
-    topology::VertexArena& arena) {
-  if (rounds < 1) {
-    throw std::invalid_argument("iis_protocol_complex: rounds < 1");
-  }
-  topology::SimplicialComplex one_round =
-      iis_round_complex(input, views, arena);
-  if (rounds == 1) return one_round;
-  topology::SimplicialComplex result;
-  for (const topology::Simplex& facet : one_round.facets()) {
-    result.merge(iis_protocol_complex_seq(facet, rounds - 1, views, arena));
-  }
-  return result;
-}
-
 }  // namespace psph::core

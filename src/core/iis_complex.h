@@ -36,15 +36,9 @@ topology::SimplicialComplex iis_round_complex(const topology::Simplex& input,
                                               topology::VertexArena& arena);
 
 /// r-round iterated complex. Runs the level loop of construction.h; output
-/// is bit-identical to the sequential reference.
+/// equals the depth-first recursion the tests keep as a reference
+/// (tests/oracle).
 topology::SimplicialComplex iis_protocol_complex(
-    const topology::Simplex& input, int rounds, ViewRegistry& views,
-    topology::VertexArena& arena);
-
-/// Sequential depth-first reference construction of IIS^r. Kept as the
-/// correctness oracle for the pipeline (tests) and as the benchmark
-/// baseline.
-topology::SimplicialComplex iis_protocol_complex_seq(
     const topology::Simplex& input, int rounds, ViewRegistry& views,
     topology::VertexArena& arena);
 

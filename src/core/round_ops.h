@@ -6,8 +6,8 @@
 // span (Lemma 11 for async, Lemma 14 for sync, Lemma 19 for semi-sync, the
 // chromatic subdivision for IIS) — is written once here and interns
 // straight into the canonical ViewRegistry / VertexArena. The public
-// one-round functions, the *_seq recursions and the multi-round pipeline
-// (construction.h) all call these.
+// one-round functions and the multi-round pipeline (construction.h) call
+// these, as do the tests' depth-first reference recursions.
 //
 // Facets come out as sorted vertex rows appended to one topology::FacetRows
 // (rows.h), each adversary group a run of them, so no facet costs a heap

@@ -101,37 +101,4 @@ topology::SimplicialComplex semisync_round_complex(
   return result;
 }
 
-topology::SimplicialComplex semisync_protocol_complex_seq(
-    const topology::Simplex& input, const SemiSyncParams& params,
-    ViewRegistry& views, topology::VertexArena& arena) {
-  if (params.rounds < 1) {
-    throw std::invalid_argument("semisync_protocol_complex: rounds < 1");
-  }
-  detail::SortedFacet decoded;
-  detail::decode_sorted(input.vertices(), arena, decoded);
-  const int cap = std::min(params.failures_per_round, params.total_failures);
-  detail::ExpandScratch scratch;
-  topology::SimplicialComplex result;
-  for (const FailurePattern& pattern : enumerate_failure_patterns(
-           decoded.pids, cap, params.micro_rounds)) {
-    topology::FacetRows facets;
-    detail::semisync_pattern_facets(decoded, pattern, params.micro_rounds, -1,
-                                    views, arena, scratch, &facets);
-    topology::SimplicialComplex round_complex;
-    round_complex.add_facets(facets);
-    if (params.rounds == 1) {
-      result.merge(round_complex);
-      continue;
-    }
-    SemiSyncParams next = params;
-    next.rounds = params.rounds - 1;
-    next.total_failures =
-        params.total_failures - static_cast<int>(pattern.fail_set.size());
-    for (const topology::Simplex& facet : round_complex.facets()) {
-      result.merge(semisync_protocol_complex_seq(facet, next, views, arena));
-    }
-  }
-  return result;
-}
-
 }  // namespace psph::core

@@ -67,16 +67,9 @@ topology::SimplicialComplex semisync_round_complex(
     ViewRegistry& views, topology::VertexArena& arena);
 
 /// M^r(S): the inductive r-round construction (fresh (K, F) per round,
-/// budget decreasing). Runs the level loop of construction.h; output is
-/// bit-identical to the sequential reference.
+/// budget decreasing). Runs the level loop of construction.h; output equals
+/// the depth-first recursion the tests keep as a reference (tests/oracle).
 topology::SimplicialComplex semisync_protocol_complex(
-    const topology::Simplex& input, const SemiSyncParams& params,
-    ViewRegistry& views, topology::VertexArena& arena);
-
-/// Sequential depth-first reference construction of M^r(S). Kept as the
-/// correctness oracle for the pipeline (tests) and as the benchmark
-/// baseline.
-topology::SimplicialComplex semisync_protocol_complex_seq(
     const topology::Simplex& input, const SemiSyncParams& params,
     ViewRegistry& views, topology::VertexArena& arena);
 

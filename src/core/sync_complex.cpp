@@ -1,7 +1,6 @@
 #include "core/sync_complex.h"
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "core/round_ops.h"
 #include "math/combinatorics.h"
@@ -60,39 +59,6 @@ topology::SimplicialComplex sync_round_complex(
   topology::SimplicialComplex result;
   for (const detail::RoundGroup& group : out.groups) {
     result.add_facets(out.facets.rows(group.first, group.last));
-  }
-  return result;
-}
-
-topology::SimplicialComplex sync_protocol_complex_seq(
-    const topology::Simplex& input, const SyncParams& params,
-    ViewRegistry& views, topology::VertexArena& arena) {
-  if (params.rounds < 1) {
-    throw std::invalid_argument("sync_protocol_complex: rounds < 1");
-  }
-  detail::SortedFacet decoded;
-  detail::decode_sorted(input.vertices(), arena, decoded);
-  const int cap = std::min(params.failures_per_round, params.total_failures);
-  detail::ExpandScratch scratch;
-  topology::SimplicialComplex result;
-  for (const std::vector<ProcessId>& fail_set :
-       lexicographic_fail_sets(decoded.pids, cap)) {
-    topology::FacetRows facets;
-    detail::sync_failset_facets(decoded, fail_set, {}, views, arena, scratch,
-                                &facets);
-    topology::SimplicialComplex round_complex;
-    round_complex.add_facets(facets);
-    if (params.rounds == 1) {
-      result.merge(round_complex);
-      continue;
-    }
-    SyncParams next = params;
-    next.rounds = params.rounds - 1;
-    next.total_failures =
-        params.total_failures - static_cast<int>(fail_set.size());
-    for (const topology::Simplex& facet : round_complex.facets()) {
-      result.merge(sync_protocol_complex_seq(facet, next, views, arena));
-    }
   }
   return result;
 }

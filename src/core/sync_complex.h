@@ -45,15 +45,9 @@ topology::SimplicialComplex sync_round_complex(const topology::Simplex& input,
                                                topology::VertexArena& arena);
 
 /// S^r(S): the inductive r-round construction. Runs the level loop of
-/// construction.h; output is bit-identical to the sequential reference.
+/// construction.h; output equals the depth-first recursion the tests keep
+/// as a reference (tests/oracle).
 topology::SimplicialComplex sync_protocol_complex(
-    const topology::Simplex& input, const SyncParams& params,
-    ViewRegistry& views, topology::VertexArena& arena);
-
-/// Sequential depth-first reference construction of S^r(S). Kept as the
-/// correctness oracle for the pipeline (tests) and as the benchmark
-/// baseline.
-topology::SimplicialComplex sync_protocol_complex_seq(
     const topology::Simplex& input, const SyncParams& params,
     ViewRegistry& views, topology::VertexArena& arena);
 

@@ -1,7 +1,6 @@
 #include "math/matrix.h"
 
 #include <algorithm>
-#include <bit>
 #include <stdexcept>
 
 #include "math/modular.h"
@@ -11,7 +10,6 @@ namespace psph::math {
 namespace {
 
 constexpr std::size_t kNoPivot = static_cast<std::size_t>(-1);
-constexpr std::uint32_t kNoPivot32 = static_cast<std::uint32_t>(-1);
 
 // Iterator to the entry with column c, or end() if absent.
 SparseMatrix::Row::iterator find_col(SparseMatrix::Row& row, std::size_t c) {
@@ -87,7 +85,6 @@ std::vector<std::vector<std::int64_t>> SparseMatrix::to_dense() const {
 
 std::size_t SparseMatrix::rank_mod_p(std::int64_t p) const {
   if (p < 2) throw std::invalid_argument("rank_mod_p: p must be prime >= 2");
-  if (p == 2) return rank_mod_2();
 
   // Working copy with entries normalized into [0, p); empty rows dropped.
   std::vector<Row> work;
@@ -155,76 +152,6 @@ std::size_t SparseMatrix::rank_mod_p(std::int64_t p) const {
     pivot_of[row.front().first] = pivot_rows.size();
     pivot_rows.push_back(std::move(row));
     ++rank;
-  }
-  return rank;
-}
-
-std::size_t SparseMatrix::rank_mod_2() const {
-  const std::size_t words = (cols_ + 63) / 64;
-  if (words == 0) return 0;
-
-  // Rows as bitsets in one contiguous arena: over GF(2) elimination is a
-  // word-wise XOR.
-  std::size_t nonzero_rows = 0;
-  for (const Row& row : entries_) {
-    for (const auto& [c, v] : row) {
-      (void)c;
-      if ((v & 1) != 0) {
-        ++nonzero_rows;
-        break;
-      }
-    }
-  }
-  if (nonzero_rows == 0) return 0;
-
-  std::vector<std::uint64_t> arena(nonzero_rows * words, 0);
-
-  // Fill the arena and record each row's population count; processing rows
-  // sparsest-first keeps the recorded pivots low-weight, which both shrinks
-  // the XOR cascade and mirrors the classical low-fill pivoting heuristic.
-  // The (weight, slot) sort key is total, so the elimination order — and
-  // the intermediate bit patterns — are deterministic.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> order;  // weight, slot
-  order.reserve(nonzero_rows);
-  std::size_t slot = 0;
-  for (const Row& row : entries_) {
-    std::uint64_t* bits = arena.data() + slot * words;
-    std::uint32_t weight = 0;
-    for (const auto& [c, v] : row) {
-      if ((v & 1) != 0) {
-        bits[c >> 6] ^= std::uint64_t{1} << (c & 63);
-        ++weight;
-      }
-    }
-    if (weight > 0) {
-      order.emplace_back(weight, static_cast<std::uint32_t>(slot));
-      ++slot;
-    }
-  }
-  std::sort(order.begin(), order.end());
-
-  std::vector<std::uint32_t> pivot_of(cols_, kNoPivot32);
-
-  std::size_t rank = 0;
-  for (const auto& [weight, s] : order) {
-    std::uint64_t* bits = arena.data() + s * words;
-    std::size_t w = 0;
-    for (;;) {
-      while (w < words && bits[w] == 0) ++w;
-      if (w == words) break;  // row became zero: dependent
-      const std::size_t lead =
-          (w << 6) + static_cast<std::size_t>(std::countr_zero(bits[w]));
-      const std::uint32_t pivot = pivot_of[lead];
-      if (pivot == kNoPivot32) {
-        pivot_of[lead] = s;
-        ++rank;
-        break;
-      }
-      // XOR from the leading word: everything before it is already zero
-      // in both rows.
-      const std::uint64_t* pivot_bits = arena.data() + pivot * words;
-      for (std::size_t i = w; i < words; ++i) bits[i] ^= pivot_bits[i];
-    }
   }
   return rank;
 }

@@ -49,12 +49,10 @@ class SparseMatrix {
   std::vector<std::vector<std::int64_t>> to_dense() const;
 
   /// Matrix rank over GF(p) via sparse Gaussian elimination on a working
-  /// copy; p == 2 takes a dense-bitset XOR path. Does not modify *this.
+  /// copy. Does not modify *this.
   std::size_t rank_mod_p(std::int64_t p) const;
 
  private:
-  std::size_t rank_mod_2() const;
-
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
   std::vector<Row> entries_;

@@ -17,32 +17,12 @@
 #include "serve/server.h"
 #include "util/cli.h"
 #include "util/parallel.h"
-#include "util/random.h"
 
 namespace {
 
 volatile std::sig_atomic_t g_signalled = 0;
 
 void handle_signal(int) { g_signalled = 1; }
-
-/// Deterministic sprinkle of faults across the first `horizon` operations
-/// of each category: density 1/16 per category, different offsets per
-/// category so faults do not line up.
-psph::check::FaultPlan plan_from_seed(std::uint64_t seed,
-                                      std::size_t horizon) {
-  psph::util::Rng rng(seed);
-  psph::check::FaultPlan plan;
-  std::set<std::size_t>* categories[] = {
-      &plan.fail_writes,    &plan.short_writes,  &plan.fail_renames,
-      &plan.fail_dir_syncs, &plan.corrupt_reads, &plan.truncate_reads,
-  };
-  for (std::set<std::size_t>* category : categories) {
-    for (std::size_t op = 0; op < horizon; ++op) {
-      if (rng.next_below(16) == 0) category->insert(op);
-    }
-  }
-  return plan;
-}
 
 }  // namespace
 
@@ -75,7 +55,8 @@ int main(int argc, char** argv) {
   options.batch_max = static_cast<std::size_t>(batch_max);
   if (fault_seed != 0) {
     options.fs = std::make_shared<psph::check::FaultyFsOps>(
-        plan_from_seed(static_cast<std::uint64_t>(fault_seed), 100'000));
+        psph::check::plan_from_seed(static_cast<std::uint64_t>(fault_seed),
+                                     100'000));
   }
 
   std::signal(SIGINT, handle_signal);

@@ -439,46 +439,10 @@ const SimplicialComplex::FaceTable* SimplicialComplex::face_table(
   return &face_cache_[static_cast<std::size_t>(d)];
 }
 
-SimplicialComplex::FaceTable& SimplicialComplex::materialize_faces(
-    int d) const {
-  // Caller holds cache_mutex_ and has warmed the cache through d. Every
-  // level in [0, dimension()] has at least one row, so an empty list means
-  // unbuilt.
-  FaceTable& table = face_cache_[static_cast<std::size_t>(d)];
-  if (table.faces.empty()) {
-    const std::size_t width = static_cast<std::size_t>(d) + 1;
-    table.faces.reserve(table.rows.size() / width);
-    for (auto row = table.rows.begin(); row != table.rows.end();
-         row += static_cast<std::ptrdiff_t>(width)) {
-      table.faces.emplace_back(
-          std::vector<VertexId>(row, row + static_cast<std::ptrdiff_t>(width)));
-    }
-  }
-  return table;
-}
-
-const std::vector<Simplex>& SimplicialComplex::simplices_of_dim(int d) const {
-  static const std::vector<Simplex> kNoFaces;
-  if (face_table(d) == nullptr) return kNoFaces;
-  std::lock_guard<std::mutex> lock(cache_mutex_);
-  return materialize_faces(d).faces;
-}
-
-const std::unordered_map<Simplex, std::size_t, SimplexHash, SimplexEq>&
-SimplicialComplex::face_index_of_dim(int d) const {
-  static const std::unordered_map<Simplex, std::size_t, SimplexHash,
-                                  SimplexEq>
-      kNoIndex;
-  if (face_table(d) == nullptr) return kNoIndex;
-  std::lock_guard<std::mutex> lock(cache_mutex_);
-  FaceTable& table = materialize_faces(d);
-  if (table.index.empty()) {
-    table.index.reserve(table.faces.size());
-    for (std::size_t i = 0; i < table.faces.size(); ++i) {
-      table.index.emplace(table.faces[i], i);
-    }
-  }
-  return table.index;
+std::span<const VertexId> SimplicialComplex::face_rows_of_dim(int d) const {
+  const FaceTable* table = face_table(d);
+  return table ? std::span<const VertexId>(table->rows)
+               : std::span<const VertexId>();
 }
 
 const std::vector<std::size_t>& SimplicialComplex::boundary_links_of_dim(

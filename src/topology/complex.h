@@ -13,13 +13,13 @@
 // tombstone), so slot order is insertion order with the removed facets
 // skipped, and for_each_facet visits the live rows in that order.
 //
-// Face queries (simplices_of_dim, count_of_dim, f_vector,
+// Face queries (face_rows_of_dim, count_of_dim, f_vector,
 // euler_characteristic, boundary matrices) all read one lazily built
 // per-dimension face table, built only as deep as the deepest dimension
 // asked for so far: a query about dimension d builds dimensions 0..d, and a
 // later deeper query extends the table in place (the levels already built
 // are not touched). The cache is invalidated by any mutation (add_facet /
-// merge), so references returned by simplices_of_dim / face_index_of_dim /
+// merge), so the rows and links returned by face_rows_of_dim /
 // boundary_links_of_dim are valid only until the next mutation. Concurrent
 // *const* access is safe: the lazy build is guarded by a mutex behind an
 // atomic depth (warm_face_cache() lets callers pay the build before fanning
@@ -99,27 +99,19 @@ class SimplicialComplex {
   /// every nonempty complex.
   bool contains(const Simplex& s) const;
 
-  /// All distinct d-simplexes in sorted order, from the face cache. The
-  /// cache stores faces as flat vertex rows; this list is built from them on
-  /// first request, so callers that need only counts or boundary links
-  /// should use count_of_dim / boundary_links_of_dim. The reference is
-  /// valid until the next mutation. Empty for d outside [0, dimension()].
-  const std::vector<Simplex>& simplices_of_dim(int d) const;
-
-  /// Index map of the d-simplexes: maps each simplex to its position in
-  /// simplices_of_dim(d). Same lifetime contract as simplices_of_dim.
-  /// Transparent hash/equality: lookups accept a sorted vertex vector
-  /// without constructing a Simplex.
-  const std::unordered_map<Simplex, std::size_t, SimplexHash, SimplexEq>&
-  face_index_of_dim(int d) const;
+  /// The distinct d-simplexes from the face cache, as count_of_dim(d)
+  /// sorted (d+1)-wide vertex rows end to end, in lexicographic order: row
+  /// c is the d-simplex of rank c (the boundary operator's row/column id).
+  /// Valid until the next mutation. Empty for d outside [0, dimension()].
+  std::span<const VertexId> face_rows_of_dim(int d) const;
 
   /// Flattened boundary-face indices of the d-simplexes, d in
-  /// [1, dimension()]: entry c*(d+1) + omit is the position in
-  /// simplices_of_dim(d-1) of the face of the c-th d-simplex obtained by
-  /// omitting its omit-th vertex (the boundary operator's row index; the
-  /// incidence sign is (-1)^omit). Built with the face cache, so boundary
-  /// matrices and Morse reductions never re-hash faces. Empty for d
-  /// outside [1, dimension()]; same lifetime contract as simplices_of_dim.
+  /// [1, dimension()]: entry c*(d+1) + omit is the rank among the
+  /// (d-1)-simplexes of the face of the c-th d-simplex obtained by omitting
+  /// its omit-th vertex (the boundary operator's row index; the incidence
+  /// sign is (-1)^omit). Built with the face cache, so boundary matrices
+  /// and Morse reductions never re-hash faces. Empty for d outside
+  /// [1, dimension()]; same lifetime contract as face_rows_of_dim.
   const std::vector<std::size_t>& boundary_links_of_dim(int d) const;
 
   /// Count of distinct d-simplexes. O(1) once the face cache is warm.
@@ -174,14 +166,10 @@ class SimplicialComplex {
   // One dimension's slice of the face lattice. The d-simplexes are one flat
   // array of (d+1)-wide vertex rows in sorted order; a row's position is the
   // simplex's rank (boundary-operator row/col id). boundary_links holds the
-  // flattened codim-1 face ranks ((d+1) per row, omit order). The Simplex
-  // list and the index map are built from the rows on first request, under
-  // the cache mutex.
+  // flattened codim-1 face ranks ((d+1) per row, omit order).
   struct FaceTable {
     std::vector<VertexId> rows;
     std::vector<std::size_t> boundary_links;
-    std::vector<Simplex> faces;
-    std::unordered_map<Simplex, std::size_t, SimplexHash, SimplexEq> index;
   };
 
   void add_row(std::span<const VertexId> s);
@@ -193,7 +181,6 @@ class SimplicialComplex {
   void invalidate_face_cache();
   void build_face_levels(int depth) const;
   const FaceTable* face_table(int d) const;
-  FaceTable& materialize_faces(int d) const;
 
   // The facets, one slot each, under the facet index (kept at most 3/4
   // full). Erasing a facet empties its slot in place (a tombstone) and
@@ -218,9 +205,8 @@ class SimplicialComplex {
   // Lazily built face lattice, entry d = FaceTable for the d-simplexes:
   // dimension() + 1 entries once anything is built, of which 0..face_depth_
   // are valid. Double-checked: readers take the mutex only while the depth
-  // is short of what they need, or to materialize a table's Simplex list /
-  // index map. A deeper build writes only entries above face_depth_, which
-  // no reader touches, and never resizes the vector.
+  // is short of what they need. A deeper build writes only entries above
+  // face_depth_, which no reader touches, and never resizes the vector.
   mutable std::vector<FaceTable> face_cache_;
   mutable std::atomic<int> face_depth_{-1};
   // Guards the lazy builds of face_cache_ and by_vertex_.

@@ -1,9 +1,10 @@
 #include "topology/export.h"
 
 #include <cmath>
+#include <span>
 #include <sstream>
 #include <stdexcept>
-#include <unordered_set>
+#include <unordered_map>
 
 namespace psph::topology {
 
@@ -16,8 +17,9 @@ std::string to_dot(const SimplicialComplex& k,
     if (label) out << " [label=\"" << label(v) << "\"]";
     out << ";\n";
   }
-  for (const Simplex& edge : k.simplices_of_dim(1)) {
-    out << "  v" << edge[0] << " -- v" << edge[1] << ";\n";
+  const std::span<const VertexId> edges = k.face_rows_of_dim(1);
+  for (std::size_t i = 0; i < edges.size(); i += 2) {
+    out << "  v" << edges[i] << " -- v" << edges[i + 1] << ";\n";
   }
   out << "}\n";
   return out.str();
@@ -29,11 +31,11 @@ std::string to_off(const SimplicialComplex& k) {
   for (std::size_t i = 0; i < vertices.size(); ++i) {
     index.emplace(vertices[i], i);
   }
-  const std::vector<Simplex> triangles = k.simplices_of_dim(2);
+  const std::span<const VertexId> triangles = k.face_rows_of_dim(2);
 
   std::ostringstream out;
   out << "OFF\n"
-      << vertices.size() << " " << triangles.size() << " 0\n";
+      << vertices.size() << " " << triangles.size() / 3 << " 0\n";
   // Deterministic layout: vertices evenly spaced on a unit circle, with a
   // small z offset cycling to break coplanarity for viewers.
   const double tau = 6.283185307179586;
@@ -43,9 +45,9 @@ std::string to_off(const SimplicialComplex& k) {
     const double z = 0.15 * static_cast<double>(i % 3);
     out << std::cos(angle) << " " << std::sin(angle) << " " << z << "\n";
   }
-  for (const Simplex& t : triangles) {
-    out << "3 " << index.at(t[0]) << " " << index.at(t[1]) << " "
-        << index.at(t[2]) << "\n";
+  for (std::size_t i = 0; i < triangles.size(); i += 3) {
+    out << "3 " << index.at(triangles[i]) << " " << index.at(triangles[i + 1])
+        << " " << index.at(triangles[i + 2]) << "\n";
   }
   return out.str();
 }

@@ -195,13 +195,6 @@ int homological_connectivity(const SimplicialComplex& k, int up_to_dim,
   return q;
 }
 
-bool is_homologically_connected(const SimplicialComplex& k, int q,
-                                const HomologyOptions& options) {
-  if (q <= -2) return true;
-  if (q == -1) return !k.empty();
-  return homological_connectivity(k, q, options) >= q;
-}
-
 std::string HomologyReport::to_string() const {
   std::ostringstream out;
   out << (nonempty ? "nonempty" : "EMPTY") << " betti~=[";

@@ -33,8 +33,9 @@ namespace psph::topology {
 
 /// Builds the boundary operator ∂_d : C_d → C_{d-1} with entries ±1 using
 /// the sorted-vertex orientation. For d == 0 this returns the augmentation
-/// map C_0 → Z (a single row of ones). Row indices follow
-/// `simplices_of_dim(d-1)` order; column indices follow `simplices_of_dim(d)`.
+/// map C_0 → Z (a single row of ones). Row indices are the ranks of the
+/// (d-1)-simplexes and column indices those of the d-simplexes, the row
+/// order of `face_rows_of_dim(d-1)` and `face_rows_of_dim(d)`.
 math::SparseMatrix boundary_matrix(const SimplicialComplex& k, int d);
 
 struct HomologyOptions {
@@ -74,9 +75,5 @@ HomologyReport reduced_homology(const SimplicialComplex& k,
 /// for Definition 1 used throughout the experiments.
 int homological_connectivity(const SimplicialComplex& k, int up_to_dim,
                              const HomologyOptions& options = {});
-
-/// Convenience: true iff homological_connectivity(k, q) >= q.
-bool is_homologically_connected(const SimplicialComplex& k, int q,
-                                const HomologyOptions& options = {});
 
 }  // namespace psph::topology

@@ -113,12 +113,6 @@ SimplicialComplex induced(const SimplicialComplex& k,
   return result;
 }
 
-SimplicialComplex from_simplex(const Simplex& s) {
-  SimplicialComplex result;
-  if (!s.empty()) result.add_facet(s);
-  return result;
-}
-
 SimplicialComplex boundary_complex(const Simplex& s) {
   SimplicialComplex result;
   if (s.dimension() < 1) return result;  // a vertex has empty boundary

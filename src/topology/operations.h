@@ -40,9 +40,6 @@ SimplicialComplex join(const SimplicialComplex& a, const SimplicialComplex& b);
 SimplicialComplex induced(const SimplicialComplex& k,
                           const std::vector<VertexId>& keep);
 
-/// The complex consisting of a single simplex and all its faces.
-SimplicialComplex from_simplex(const Simplex& s);
-
 /// The full boundary of a simplex: all proper faces (a combinatorial
 /// (d-1)-sphere when s has dimension d).
 SimplicialComplex boundary_complex(const Simplex& s);

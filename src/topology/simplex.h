@@ -76,27 +76,8 @@ class Simplex {
 };
 
 struct SimplexHash {
-  using is_transparent = void;
   std::size_t operator()(const Simplex& s) const {
     return util::hash_range(s.vertices());
-  }
-  /// Heterogeneous form: a sorted vertex list hashes like the Simplex it
-  /// would construct, so face tables can probe with a scratch buffer
-  /// instead of allocating a key per lookup.
-  std::size_t operator()(const std::vector<VertexId>& vertices) const {
-    return util::hash_range(vertices);
-  }
-};
-
-/// Transparent equality matching SimplexHash's heterogeneous contract.
-struct SimplexEq {
-  using is_transparent = void;
-  bool operator()(const Simplex& a, const Simplex& b) const { return a == b; }
-  bool operator()(const Simplex& a, const std::vector<VertexId>& b) const {
-    return a.vertices() == b;
-  }
-  bool operator()(const std::vector<VertexId>& a, const Simplex& b) const {
-    return a == b.vertices();
   }
 };
 

@@ -37,6 +37,52 @@ TEST(Export, OffHeaderAndCounts) {
   EXPECT_NE(off.find("4 4 0"), std::string::npos);  // 4 vertices, 4 faces
 }
 
+TEST(Export, DotAndOffMatchGoldenOnNonPureComplex) {
+  // A tetrahedron, a triangle glued to it along an edge, a dangling edge
+  // and an isolated vertex. Vertex ids skip 4 and 7, so the OFF face lines
+  // show the id-to-index remap.
+  SimplicialComplex k;
+  k.add_facet(Simplex{1, 2, 3, 5});
+  k.add_facet(Simplex{3, 5, 6});
+  k.add_facet(Simplex{6, 8});
+  k.add_facet(Simplex{0});
+  EXPECT_EQ(to_dot(k, [](VertexId v) { return "P" + std::to_string(v); }),
+            "graph complex {\n"
+            "  node [shape=circle];\n"
+            "  v0 [label=\"P0\"];\n"
+            "  v1 [label=\"P1\"];\n"
+            "  v2 [label=\"P2\"];\n"
+            "  v3 [label=\"P3\"];\n"
+            "  v5 [label=\"P5\"];\n"
+            "  v6 [label=\"P6\"];\n"
+            "  v8 [label=\"P8\"];\n"
+            "  v1 -- v2;\n"
+            "  v1 -- v3;\n"
+            "  v1 -- v5;\n"
+            "  v2 -- v3;\n"
+            "  v2 -- v5;\n"
+            "  v3 -- v5;\n"
+            "  v3 -- v6;\n"
+            "  v5 -- v6;\n"
+            "  v6 -- v8;\n"
+            "}\n");
+  EXPECT_EQ(to_off(k),
+            "OFF\n"
+            "7 5 0\n"
+            "1 0 0\n"
+            "0.62349 0.781831 0.15\n"
+            "-0.222521 0.974928 0.3\n"
+            "-0.900969 0.433884 0\n"
+            "-0.900969 -0.433884 0.15\n"
+            "-0.222521 -0.974928 0.3\n"
+            "0.62349 -0.781831 0\n"
+            "3 1 2 3\n"
+            "3 1 2 4\n"
+            "3 1 3 4\n"
+            "3 2 3 4\n"
+            "3 3 4 5\n");
+}
+
 TEST(Export, FacetListingRoundTrip) {
   SimplicialComplex k;
   k.add_facet(Simplex{5, 2, 9});

@@ -11,6 +11,7 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -53,6 +54,33 @@ std::vector<std::uint8_t> test_bytes(std::int64_t tag) {
   store::ByteWriter out;
   out.i64(tag * 1000 + 7);
   return store::seal(store::PayloadKind::kRawBytes, out.bytes());
+}
+
+// ------------------------------------------------------ seeded plans -----
+
+TEST(FaultPlan, SeedFixesThePlanAndEveryIndexIsBelowTheHorizon) {
+  // The daemon and the load generator both turn --fault-seed into a plan
+  // through plan_from_seed, so one seed must name one plan.
+  constexpr std::size_t kHorizon = 1000;
+  const check::FaultPlan plan = check::plan_from_seed(20260808, kHorizon);
+  const check::FaultPlan again = check::plan_from_seed(20260808, kHorizon);
+  const auto categories = [](const check::FaultPlan& p) {
+    return std::vector<std::set<std::size_t>>{
+        p.fail_writes,    p.short_writes,  p.fail_renames,
+        p.fail_dir_syncs, p.corrupt_reads, p.truncate_reads};
+  };
+  EXPECT_EQ(categories(plan), categories(again));
+  for (const std::set<std::size_t>& category : categories(plan)) {
+    // Density 1/16 over 1000 operations: some faults, far from all.
+    ASSERT_GT(category.size(), 20u);
+    EXPECT_LT(category.size(), 200u);
+    EXPECT_LT(*category.rbegin(), kHorizon);
+  }
+  EXPECT_NE(categories(plan), categories(check::plan_from_seed(7, kHorizon)));
+  for (const std::set<std::size_t>& category :
+       categories(check::plan_from_seed(20260808, 0))) {
+    EXPECT_TRUE(category.empty());
+  }
 }
 
 // ------------------------------------------------- faults during save -----

@@ -10,7 +10,7 @@
 #include "core/pseudosphere.h"
 #include "core/theorems.h"
 #include "oracle/decision_search.h"
-#include "topology/collapse.h"
+#include "oracle/greedy_collapse.h"
 #include "topology/homology.h"
 
 namespace psph::core {
@@ -60,7 +60,7 @@ TEST(IIS, OneRoundIsChromaticSubdivisionOfTriangle) {
   // the process: 4 per process (|T| in {1,2,2,3} patterns) -> 3*4 = 12? A
   // process's possible snapshots: {p}, {p,q}, {p,r}, {p,q,r} = 4 each.
   EXPECT_EQ(iis.count_of_dim(0), 12u);
-  EXPECT_TRUE(topology::collapses_to_point(iis));
+  EXPECT_TRUE(oracle::collapses_to_point(iis));
 }
 
 TEST(IIS, ContractibleLikeASubdivision) {

@@ -311,7 +311,8 @@ TEST(SparseMatrix, RankRandomProductBound) {
 
 namespace {
 
-// Dense GF(2) Gaussian elimination, the reference for the bitset fast path.
+// Dense GF(2) Gaussian elimination, the reference for the sparse elimination
+// at p = 2.
 std::size_t dense_rank_mod_2(std::vector<std::vector<std::int64_t>> a) {
   std::size_t rank = 0;
   const std::size_t rows = a.size();
@@ -333,10 +334,10 @@ std::size_t dense_rank_mod_2(std::vector<std::vector<std::int64_t>> a) {
 
 }  // namespace
 
-TEST(SparseMatrix, RankMod2BitsetMatchesDenseReference) {
+TEST(SparseMatrix, RankAtTwoMatchesDenseReference) {
   util::Rng rng(211);
   for (int trial = 0; trial < 50; ++trial) {
-    // Mix shapes around the 64-bit word boundary to cover multi-word rows.
+    // Narrow and wide shapes, with entries of both parities.
     const std::size_t rows = 1 + rng.next_below(8);
     const std::size_t cols = 1 + rng.next_below(trial % 2 == 0 ? 8 : 130);
     SparseMatrix m(rows, cols);
@@ -350,7 +351,7 @@ TEST(SparseMatrix, RankMod2BitsetMatchesDenseReference) {
   }
 }
 
-TEST(SparseMatrix, RankMod2AgreesWithOddPrimeOnTorsionFreeMatrix) {
+TEST(SparseMatrix, RankAtTwoAgreesWithOddPrimeOnTorsionFreeMatrix) {
   // A boundary-like ±1 incidence matrix of a path graph: torsion-free, so
   // the GF(2) rank equals the rank at the default (large) prime.
   SparseMatrix m(5, 4);
@@ -362,9 +363,8 @@ TEST(SparseMatrix, RankMod2AgreesWithOddPrimeOnTorsionFreeMatrix) {
   EXPECT_EQ(m.rank_mod_p(2), 4u);
 }
 
-TEST(SparseMatrix, RankMod2ExactOnWideMatrix) {
-  // Identity-with-duplicates: rank known exactly, wide enough to span three
-  // words of the bitset arena.
+TEST(SparseMatrix, RankAtTwoExactOnWideMatrix) {
+  // Identity-with-duplicates plus one more column: rank known exactly.
   SparseMatrix known(6, 130);
   for (std::size_t r = 0; r < 3; ++r) known.set(r, 40 * r + 7, 1);
   for (std::size_t r = 3; r < 6; ++r) known.set(r, 40 * (r - 3) + 7, 1);

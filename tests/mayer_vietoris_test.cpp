@@ -8,13 +8,16 @@
 #include "core/pseudosphere.h"
 #include "core/sync_complex.h"
 #include "core/theorems.h"
+#include "oracle/mayer_vietoris.h"
 #include "topology/homology.h"
-#include "topology/mayer_vietoris.h"
 #include "topology/operations.h"
 #include "util/random.h"
 
 namespace psph::topology {
 namespace {
+
+using oracle::check_theorem2;
+using oracle::Theorem2Instance;
 
 TEST(Theorem2, TwoTrianglesSharingAnEdge) {
   SimplicialComplex a, b;

@@ -11,6 +11,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <set>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -25,6 +26,7 @@
 #include "core/theorems.h"
 #include "math/smith.h"
 #include "obs/obs.h"
+#include "oracle/protocol_complex_seq.h"
 #include "solve/decide.h"
 #include "topology/homology.h"
 #include "util/random.h"
@@ -180,12 +182,11 @@ TEST_F(ParallelTest, ConnectivityIdenticalAcrossThreadCounts) {
   EXPECT_EQ(serial, 2);
 }
 
-// Every face query's answer for dimensions -1..dimension()+1, the index map
-// as (simplex, rank) pairs in rank order.
+// Every face query's answer for dimensions -1..dimension()+1, the face rows
+// copied out of the cache.
 struct FaceAnswers {
   std::vector<std::size_t> counts;
-  std::vector<std::vector<topology::Simplex>> simplices;
-  std::vector<std::vector<std::pair<topology::Simplex, std::size_t>>> index;
+  std::vector<std::vector<topology::VertexId>> rows;
   std::vector<std::vector<std::size_t>> links;
   std::vector<std::size_t> f_vector;
 
@@ -200,19 +201,15 @@ FaceAnswers query_faces(const topology::SimplicialComplex& k, int first) {
   const std::size_t levels = static_cast<std::size_t>(hi - lo + 1);
   FaceAnswers out;
   out.counts.resize(levels);
-  out.simplices.resize(levels);
-  out.index.resize(levels);
+  out.rows.resize(levels);
   out.links.resize(levels);
   for (std::size_t step = 0; step < levels; ++step) {
     const std::size_t at =
         (static_cast<std::size_t>(first) + step) % levels;
     const int d = lo + static_cast<int>(at);
     out.counts[at] = k.count_of_dim(d);
-    out.simplices[at] = k.simplices_of_dim(d);
-    const auto& index = k.face_index_of_dim(d);
-    out.index[at].assign(index.begin(), index.end());
-    std::sort(out.index[at].begin(), out.index[at].end(),
-              [](const auto& a, const auto& b) { return a.second < b.second; });
+    const std::span<const topology::VertexId> rows = k.face_rows_of_dim(d);
+    out.rows[at].assign(rows.begin(), rows.end());
     out.links[at] = k.boundary_links_of_dim(d);
   }
   out.f_vector = k.f_vector();
@@ -220,8 +217,8 @@ FaceAnswers query_faces(const topology::SimplicialComplex& k, int first) {
 }
 
 // Eight threads query one cold complex at once: whichever thread arrives
-// first builds the face cache, and the Simplex lists and index maps are
-// built on first request, all behind the cache mutex. Every answer must
+// first builds the face cache, behind the cache mutex, and every thread
+// reads the levels it needs once they are published. Every answer must
 // equal a serial pass over an identical complex.
 TEST_F(ParallelTest, ConcurrentFaceQueriesOnColdComplexMatchSerial) {
   using Build = topology::SimplicialComplex (*)();
@@ -244,7 +241,7 @@ TEST_F(ParallelTest, ConcurrentFaceQueriesOnColdComplexMatchSerial) {
     }
     go.store(true, std::memory_order_release);
     for (std::thread& thread : threads) thread.join();
-    ASSERT_FALSE(serial.simplices.empty());
+    ASSERT_FALSE(serial.rows.empty());
     EXPECT_EQ(serial.f_vector, cold.f_vector());
     for (int t = 0; t < kThreads; ++t) {
       EXPECT_TRUE(answers[static_cast<std::size_t>(t)] == serial)
@@ -383,16 +380,17 @@ TEST_F(ParallelTest, PipelineMatchesSequentialReference) {
   const topology::Simplex input = core::rainbow_input(3, views, arena);
 
   EXPECT_EQ(core::async_protocol_complex(input, {3, 1, 2}, views, arena),
-            core::async_protocol_complex_seq(input, {3, 1, 2}, views, arena));
+            oracle::async_protocol_complex_seq(input, {3, 1, 2}, views,
+                                               arena));
   EXPECT_EQ(core::sync_protocol_complex(input, {3, 2, 1, 2}, views, arena),
-            core::sync_protocol_complex_seq(input, {3, 2, 1, 2}, views,
-                                            arena));
+            oracle::sync_protocol_complex_seq(input, {3, 2, 1, 2}, views,
+                                              arena));
   EXPECT_EQ(
       core::semisync_protocol_complex(input, {3, 1, 1, 2, 2}, views, arena),
-      core::semisync_protocol_complex_seq(input, {3, 1, 1, 2, 2}, views,
-                                          arena));
+      oracle::semisync_protocol_complex_seq(input, {3, 1, 1, 2, 2}, views,
+                                            arena));
   EXPECT_EQ(core::iis_protocol_complex(input, 2, views, arena),
-            core::iis_protocol_complex_seq(input, 2, views, arena));
+            oracle::iis_protocol_complex_seq(input, 2, views, arena));
 }
 
 // Randomized extension of the same differential: the model, process count,
@@ -431,14 +429,14 @@ TEST_F(ParallelTest, RandomizedPipelineMatchesSequentialReference) {
         case 0:
           EXPECT_EQ(core::async_protocol_complex(input, {n1, failures, rounds},
                                                  views, arena),
-                    core::async_protocol_complex_seq(
+                    oracle::async_protocol_complex_seq(
                         input, {n1, failures, rounds}, views, arena))
               << label << " threads=" << threads;
           break;
         case 1:
           EXPECT_EQ(core::sync_protocol_complex(input, {n1, failures, 1, rounds},
                                                 views, arena),
-                    core::sync_protocol_complex_seq(
+                    oracle::sync_protocol_complex_seq(
                         input, {n1, failures, 1, rounds}, views, arena))
               << label << " threads=" << threads;
           break;
@@ -446,7 +444,7 @@ TEST_F(ParallelTest, RandomizedPipelineMatchesSequentialReference) {
           EXPECT_EQ(core::semisync_protocol_complex(
                         input, {n1, failures, 1, micro_rounds, rounds}, views,
                         arena),
-                    core::semisync_protocol_complex_seq(
+                    oracle::semisync_protocol_complex_seq(
                         input, {n1, failures, 1, micro_rounds, rounds}, views,
                         arena))
               << label << " threads=" << threads;

@@ -21,6 +21,7 @@
 #include "core/view.h"
 #include "math/modular.h"
 #include "math/smith.h"
+#include "oracle/greedy_collapse.h"
 #include "solve/csp.h"
 #include "solve/decide.h"
 #include "solve/engine.h"
@@ -99,7 +100,7 @@ TEST(Property, CollapsibleImpliesAcyclic) {
   for (int trial = 0; trial < 60; ++trial) {
     const SimplicialComplex k = random_complex(rng, 7, 6, 3);
     if (k.empty()) continue;
-    if (!collapses_to_point(k)) continue;
+    if (!oracle::collapses_to_point(k)) continue;
     ++collapsed;
     const HomologyReport h = reduced_homology(k, {.max_dim = 3});
     for (long long betti : h.reduced_betti) {

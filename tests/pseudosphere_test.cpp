@@ -11,7 +11,6 @@
 #include "core/pseudosphere.h"
 #include "core/view.h"
 #include "topology/homology.h"
-#include "topology/isomorphism.h"
 #include "topology/operations.h"
 #include "util/random.h"
 

@@ -5,13 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include "oracle/synchronizer.h"
 #include "protocols/semisync_kset.h"
-#include "protocols/synchronizer.h"
 #include "sim/semisync_executor.h"
 #include "util/random.h"
 
 namespace psph::protocols {
 namespace {
+
+using oracle::make_synchronized_floodmin;
 
 TEST(Synchronizer, DecidesMinWithoutFailures) {
   sim::SemiSyncConfig timing{.c1 = 1, .c2 = 3, .d = 7, .num_processes = 4};

@@ -1,15 +1,16 @@
 // Tests for the simplicial topology layer: simplex algebra, facet-based
 // complexes (including the lazy per-vertex index and the depth-limited face
 // cache), operations, boundary/homology on spaces with known homology
-// (spheres, torus, projective plane), collapse certificates, barycentric
-// subdivision, isomorphism machinery, and deadline polling in the face-cache
-// build and the Morse reduction.
+// (spheres, torus, projective plane), the greedy-collapse oracle,
+// barycentric subdivision, and deadline polling in the face-cache build and
+// the Morse reduction.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <set>
 #include <span>
 #include <string>
@@ -19,11 +20,11 @@
 #include "core/async_complex.h"
 #include "core/theorems.h"
 #include "obs/obs.h"
+#include "oracle/greedy_collapse.h"
 #include "topology/arena.h"
 #include "topology/collapse.h"
 #include "topology/complex.h"
 #include "topology/homology.h"
-#include "topology/isomorphism.h"
 #include "topology/operations.h"
 #include "topology/simplex.h"
 #include "topology/subdivision.h"
@@ -38,6 +39,11 @@ FacetRows rows_of(const std::vector<Simplex>& facets) {
   FacetRows rows;
   for (const Simplex& s : facets) rows.push_back(s.vertices());
   return rows;
+}
+
+/// A copy of face rows, for comparisons that outlive the face cache.
+std::vector<VertexId> copy_of(std::span<const VertexId> rows) {
+  return {rows.begin(), rows.end()};
 }
 
 // ---------------------------------------------------------------- simplex --
@@ -369,7 +375,8 @@ TEST(FaceCache, InvalidatedByAddFacet) {
   EXPECT_EQ(k.f_vector(), (std::vector<std::size_t>{4, 5, 2}));
   EXPECT_EQ(k.count_of_dim(1), 5u);
   EXPECT_EQ(k.euler_characteristic(), 1);
-  EXPECT_EQ(k.simplices_of_dim(0).size(), 4u);
+  EXPECT_EQ(copy_of(k.face_rows_of_dim(0)),
+            (std::vector<VertexId>{1, 2, 3, 4}));
 }
 
 TEST(FaceCache, InvalidatedWhenInsertDominatesCachedFacet) {
@@ -430,10 +437,14 @@ TEST(FaceCache, CopyAndMoveCarryCache) {
 TEST(FaceCache, OutOfRangeDimensionsAreEmpty) {
   SimplicialComplex k;
   k.add_facet(Simplex{1, 2});
-  EXPECT_TRUE(k.simplices_of_dim(-1).empty());
-  EXPECT_TRUE(k.simplices_of_dim(2).empty());
-  EXPECT_TRUE(k.face_index_of_dim(7).empty());
-  EXPECT_EQ(k.face_index_of_dim(1).at(Simplex{1, 2}), 0u);
+  for (const int d : {-1, 2, 7}) {
+    EXPECT_TRUE(k.face_rows_of_dim(d).empty()) << d;
+    EXPECT_TRUE(k.boundary_links_of_dim(d).empty()) << d;
+    EXPECT_EQ(k.count_of_dim(d), 0u) << d;
+  }
+  EXPECT_EQ(copy_of(k.face_rows_of_dim(1)), (std::vector<VertexId>{1, 2}));
+  // Omitting vertex 1 leaves {2} (rank 1); omitting vertex 2 leaves {1}.
+  EXPECT_EQ(k.boundary_links_of_dim(1), (std::vector<std::size_t>{1, 0}));
 }
 
 TEST(FaceCache, ExpiredDeadlineLeavesCacheInvalid) {
@@ -480,7 +491,8 @@ TEST(FaceCache, ShallowBuildExtendsToTheFullLattice) {
     SimplicialComplex shallow = fresh;
     const HomologyReport report = reduced_homology(shallow, {.max_dim = 1});
     EXPECT_EQ(report.reduced_betti, (std::vector<long long>{1, 1}));
-    const std::vector<Simplex>* vertices = &shallow.simplices_of_dim(0);
+    const std::span<const VertexId> vertices = shallow.face_rows_of_dim(0);
+    const std::vector<VertexId> vertices_before = copy_of(vertices);
     const std::vector<std::size_t>* edge_links =
         &shallow.boundary_links_of_dim(1);
     const std::vector<std::size_t> edge_links_before = *edge_links;
@@ -492,7 +504,8 @@ TEST(FaceCache, ShallowBuildExtendsToTheFullLattice) {
                   fresh.boundary_links_of_dim(4));
         break;
     }
-    EXPECT_EQ(&shallow.simplices_of_dim(0), vertices);
+    EXPECT_EQ(shallow.face_rows_of_dim(0).data(), vertices.data());
+    EXPECT_EQ(copy_of(vertices), vertices_before);
     EXPECT_EQ(&shallow.boundary_links_of_dim(1), edge_links);
     EXPECT_EQ(*edge_links, edge_links_before);
     EXPECT_EQ(shallow.f_vector(), fresh.f_vector());
@@ -501,8 +514,10 @@ TEST(FaceCache, ShallowBuildExtendsToTheFullLattice) {
       EXPECT_EQ(shallow.boundary_links_of_dim(d),
                 fresh.boundary_links_of_dim(d))
           << "d=" << d;
-      EXPECT_EQ(shallow.simplices_of_dim(d), fresh.simplices_of_dim(d))
+      EXPECT_EQ(copy_of(shallow.face_rows_of_dim(d)),
+                copy_of(fresh.face_rows_of_dim(d)))
           << "d=" << d;
+      EXPECT_EQ(shallow.count_of_dim(d), fresh.count_of_dim(d)) << "d=" << d;
     }
   }
 }
@@ -807,21 +822,21 @@ TEST(Homology, ProjectivePlaneTorsion) {
 
 TEST(Collapse, SolidSimplexCollapses) {
   for (int dim = 1; dim <= 4; ++dim) {
-    EXPECT_TRUE(collapses_to_point(solid_simplex(dim))) << dim;
+    EXPECT_TRUE(oracle::collapses_to_point(solid_simplex(dim))) << dim;
   }
 }
 
 TEST(Collapse, SingleVertexIsAlreadyPoint) {
   SimplicialComplex k;
   k.add_facet(Simplex{0});
-  const CollapseResult r = collapse_greedily(k);
+  const oracle::CollapseResult r = oracle::collapse_greedily(k);
   EXPECT_TRUE(r.collapsed_to_point);
   EXPECT_EQ(r.steps, 0u);
 }
 
 TEST(Collapse, SphereDoesNotCollapse) {
   const SimplicialComplex sphere = boundary_complex(Simplex{0, 1, 2, 3});
-  EXPECT_FALSE(collapses_to_point(sphere));
+  EXPECT_FALSE(oracle::collapses_to_point(sphere));
 }
 
 TEST(Collapse, TreeCollapses) {
@@ -830,7 +845,7 @@ TEST(Collapse, TreeCollapses) {
   k.add_facet(Simplex{1, 2});
   k.add_facet(Simplex{1, 3});
   k.add_facet(Simplex{3, 4});
-  EXPECT_TRUE(collapses_to_point(k));
+  EXPECT_TRUE(oracle::collapses_to_point(k));
 }
 
 TEST(Collapse, CircleDoesNotCollapse) {
@@ -838,7 +853,7 @@ TEST(Collapse, CircleDoesNotCollapse) {
   k.add_facet(Simplex{0, 1});
   k.add_facet(Simplex{1, 2});
   k.add_facet(Simplex{0, 2});
-  const CollapseResult r = collapse_greedily(k);
+  const oracle::CollapseResult r = oracle::collapse_greedily(k);
   EXPECT_FALSE(r.collapsed_to_point);
   EXPECT_EQ(r.remaining_faces, 6u);  // nothing is free on a circle
 }
@@ -875,61 +890,6 @@ TEST(Subdivision, IteratedGrowth) {
       iterated_barycentric_subdivision(solid_simplex(2), 2);
   // sd² of a triangle: each of the 6 triangles subdivides into 6.
   EXPECT_EQ(sd2.complex.facet_count(), 36u);
-}
-
-// ----------------------------------------------------------- isomorphism --
-
-TEST(Isomorphism, IdentityIsIsomorphism) {
-  SimplicialComplex k;
-  k.add_facet(Simplex{0, 1, 2});
-  VertexMap identity{{0, 0}, {1, 1}, {2, 2}};
-  EXPECT_TRUE(is_isomorphism(k, k, identity));
-}
-
-TEST(Isomorphism, RelabelingIsIsomorphism) {
-  SimplicialComplex a, b;
-  a.add_facet(Simplex{0, 1});
-  a.add_facet(Simplex{1, 2});
-  b.add_facet(Simplex{10, 11});
-  b.add_facet(Simplex{11, 12});
-  VertexMap map{{0, 10}, {1, 11}, {2, 12}};
-  EXPECT_TRUE(is_isomorphism(a, b, map));
-  VertexMap wrong{{0, 11}, {1, 10}, {2, 12}};
-  EXPECT_FALSE(is_isomorphism(a, b, wrong));
-}
-
-TEST(Isomorphism, FingerprintDistinguishes) {
-  SimplicialComplex path, triangle;
-  path.add_facet(Simplex{0, 1});
-  path.add_facet(Simplex{1, 2});
-  triangle.add_facet(Simplex{0, 1});
-  triangle.add_facet(Simplex{1, 2});
-  triangle.add_facet(Simplex{0, 2});
-  EXPECT_FALSE(fingerprint(path) == fingerprint(triangle));
-}
-
-TEST(Isomorphism, SearchFindsWitness) {
-  SimplicialComplex a, b;
-  a.add_facet(Simplex{0, 1, 2});
-  a.add_facet(Simplex{2, 3});
-  b.add_facet(Simplex{5, 6});
-  b.add_facet(Simplex{6, 7, 8});
-  const auto witness = find_isomorphism(a, b);
-  ASSERT_TRUE(witness.has_value());
-  EXPECT_TRUE(is_isomorphism(a, b, *witness));
-}
-
-TEST(Isomorphism, SearchRefutesNonIsomorphic) {
-  SimplicialComplex path, star3;
-  // Path on 4 vertices vs star with 3 leaves: same f-vector (4,3) but
-  // different degree multisets.
-  path.add_facet(Simplex{0, 1});
-  path.add_facet(Simplex{1, 2});
-  path.add_facet(Simplex{2, 3});
-  star3.add_facet(Simplex{0, 1});
-  star3.add_facet(Simplex{0, 2});
-  star3.add_facet(Simplex{0, 3});
-  EXPECT_FALSE(find_isomorphism(path, star3).has_value());
 }
 
 // ----------------------------------------------------------------- arena --
@@ -1014,25 +974,32 @@ TEST(Property, IntersectionIsSubcomplexOfBoth) {
 
 TEST(Complex, BoundaryLinksMatchFaceIndexLookups) {
   // The link table the cache build records must agree with what explicit
-  // face_without_index + index lookups produce, for every simplex and
-  // omitted vertex, on an irregular complex.
+  // face_without_index + rank lookups produce, for every simplex and
+  // omitted vertex, on an irregular complex. The ranks come from a map
+  // built here from the level below's rows.
   SimplicialComplex k;
   k.add_facet(Simplex{0, 1, 2, 3});
   k.add_facet(Simplex{2, 3, 4});
   k.add_facet(Simplex{4, 5});
   k.add_facet(Simplex{6});
   for (int d = 1; d <= k.dimension(); ++d) {
-    const std::vector<Simplex>& simplices = k.simplices_of_dim(d);
+    const std::size_t width = static_cast<std::size_t>(d) + 1;
+    const std::span<const VertexId> rows = k.face_rows_of_dim(d);
+    const std::span<const VertexId> below = k.face_rows_of_dim(d - 1);
+    std::map<Simplex, std::size_t> rank_below;
+    for (std::size_t i = 0; i < k.count_of_dim(d - 1); ++i) {
+      rank_below.emplace(Simplex(below.subspan(i * (width - 1), width - 1)),
+                         i);
+    }
+    ASSERT_EQ(rank_below.size(), k.count_of_dim(d - 1));
     const std::vector<std::size_t>& links = k.boundary_links_of_dim(d);
-    const auto& index = k.face_index_of_dim(d - 1);
-    ASSERT_EQ(links.size(),
-              simplices.size() * (static_cast<std::size_t>(d) + 1));
-    for (std::size_t c = 0; c < simplices.size(); ++c) {
-      for (std::size_t omit = 0; omit <= static_cast<std::size_t>(d);
-           ++omit) {
-        const Simplex face = simplices[c].face_without_index(omit);
-        EXPECT_EQ(links[c * (static_cast<std::size_t>(d) + 1) + omit],
-                  index.at(face))
+    ASSERT_EQ(rows.size(), k.count_of_dim(d) * width);
+    ASSERT_EQ(links.size(), rows.size());
+    for (std::size_t c = 0; c < k.count_of_dim(d); ++c) {
+      const Simplex simplex(rows.subspan(c * width, width));
+      for (std::size_t omit = 0; omit < width; ++omit) {
+        const Simplex face = simplex.face_without_index(omit);
+        EXPECT_EQ(links[c * width + omit], rank_below.at(face))
             << "d=" << d << " c=" << c << " omit=" << omit;
       }
     }
